@@ -28,6 +28,20 @@ from .reporting import VerificationReport, render_csv, render_json, render_prett
 GAUSS_CHECK_TOLERANCE = 1e-9
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
     p.add_argument("--output", help="write the report to this path instead of stdout")
@@ -49,9 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-q", "--modulus", type=int, required=True)
     p.add_argument("--function", required=True,
                    help="one of t2, t, exp, log, step:<y> (y rational in (0,1))")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--terms-cap", type=int, default=DEFAULT_TERMS_CAP)
-    p.add_argument("--terms", type=int, default=None,
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
+    p.add_argument("--terms-cap", type=_positive_int, default=DEFAULT_TERMS_CAP)
+    p.add_argument("--terms", type=_positive_int, default=None,
                    help="fix the truncation N instead of choosing it from the tail bound")
     _add_common(p)
 
@@ -59,14 +73,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", type=int, required=True, choices=(1, 2, 3, 4))
     p.add_argument("-d", "--discriminant", type=int, required=True)
     p.add_argument("--y", default=None, help="rational in (0,1), e.g. 1/5 (identity 4 only)")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--terms", type=int, default=None)
+    p.add_argument("--tol", type=_positive_float, default=None)
+    p.add_argument("--terms", type=_positive_int, default=None)
     _add_common(p)
 
     p = sub.add_parser("sweep", help="all applicable checks per fundamental discriminant")
     p.add_argument("--max-abs-d", type=int, required=True)
     p.add_argument("--min-abs-d", type=int, default=2)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_positive_float, default=None,
                    help="override the per-check default tolerances")
     _add_common(p)
 

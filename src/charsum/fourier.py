@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import partial_sum_bound
+from .analytic import PeriodicSums, partial_sum_bound, reciprocal_tail
 from .characters import DirichletCharacter
 from .functions import FunctionSpec, VariationClass, fstar
 from .gauss_sums import tau
@@ -173,6 +173,7 @@ class SeriesEvaluation:
     envelope_constant: float
     envelope_power: int
     quadrature_budget: float
+    tail_method: str  # "abel", "envelope" or "cesaro"
     notes: str = ""
     per_term_coefficients: np.ndarray | None = None  # retained when requested
 
@@ -190,6 +191,33 @@ def _envelope(f: FunctionSpec, kind: str) -> tuple[float, int, str]:
     return c, p, "measured"
 
 
+def _abel_tail(
+    table: np.ndarray,
+    atoms: tuple[tuple[complex, complex], ...],
+    scale: float,
+    target_accuracy: float,
+    terms: int | None,
+    cap: int,
+) -> tuple[int, complex, float, int]:
+    """(N, tail value, tail bound, levels) for sum_{n > N} table[n % q] g(n),
+    g(n) = sum coef / (n + c) over the atoms.
+
+    Without an explicit `terms`, N starts at max(_MIN_TERMS, 8q) and doubles
+    until scale * bound <= target_accuracy / 2 or N reaches the cap.
+    """
+    sums = PeriodicSums(np.roll(table, -1))  # entry n - 1 holds the value at n
+    if terms is not None:
+        n_terms = int(terms)
+    else:
+        n_terms = min(max(_MIN_TERMS, 8 * len(table)), cap)
+        while n_terms < cap:
+            if scale * reciprocal_tail(sums, atoms, n_terms)[1] <= target_accuracy / 2:
+                break
+            n_terms = min(2 * n_terms, cap)
+    correction, bound = reciprocal_tail(sums, atoms, n_terms)
+    return n_terms, correction, bound, sums.levels
+
+
 def theorem_series(
     chi: DirichletCharacter,
     f: FunctionSpec,
@@ -200,22 +228,28 @@ def theorem_series(
 ) -> SeriesEvaluation:
     """Evaluate the theorem series for chi and f, choosing N from the tail bound.
 
-    N is picked so the bound falls under target_accuracy when possible;
-    otherwise the evaluation is best-effort with the bound reported as is.
-    An explicit `terms` overrides the choice of N.  Jump and singular
-    variation classes are Cesaro-averaged over the window [N, 2N].
+    When f declares atoms for the branch's coefficient kind, the tail beyond N
+    is summed by repeated summation by parts (tail method "abel"), so N stays
+    O(q).  Otherwise N is picked from the envelope bound (tail method
+    "envelope"); jump and singular variation classes are Cesaro-averaged over
+    the window [N, 2N] (tail method "cesaro").  When the bound cannot reach
+    target_accuracy within the cap the evaluation is best-effort with the bound
+    reported as is.  An explicit `terms` overrides the choice of N.
     """
     _require_primitive(chi)
     if f.variation_class is VariationClass.UNBOUNDED_VARIATION:
         raise ValueError(f"function {f.name!r} declares unbounded variation; series diverges")
     if target_accuracy <= 0:
         raise ValueError("target_accuracy must be positive")
+    if terms is not None and terms < 1:
+        raise ValueError("terms must be >= 1")
 
     q = chi.modulus
     even = chi.is_even
     kind = "cos" if even else "sin"
     branch = "cosine_even" if even else "sine_odd"
-    averaged = f.variation_class in (
+    atoms = f.atoms_for(kind)
+    averaged = not atoms and f.variation_class in (
         VariationClass.PIECEWISE_SMOOTH,
         VariationClass.INTEGRABLE_SINGULAR_AT_ZERO,
     )
@@ -223,39 +257,46 @@ def theorem_series(
     tau_value = tau(chi).value
     prefactor = 2.0 * tau_value if even else -2.0j * tau_value
     pref_abs = abs(prefactor)
+    table = chi.values_real() if chi.is_real else np.conj(chi.values_complex())
 
-    pv = partial_sum_bound(q)
     env_c, env_p, env_src = _envelope(f, kind)
-    window_factor = 4.0 if averaged else 2.0
-
-    def tail_at(n: int) -> float:
-        if env_c == 0.0:
-            return 0.0
-        return window_factor * pv * env_c * pref_abs / float(n + 1) ** env_p
-
     cap = terms_cap if f.closed_form is not None else min(terms_cap, _QUADRATURE_TERMS_CAP)
-    if terms is not None:
-        n_terms = int(terms)
-        if n_terms < 1:
-            raise ValueError("terms must be >= 1")
-    elif env_c == 0.0:
-        n_terms = _MIN_TERMS
+    if atoms:
+        tail_method = "abel"
+        n_terms, correction, bound, levels = _abel_tail(
+            table, atoms, pref_abs, target_accuracy, terms, cap
+        )
+        tail = pref_abs * bound
+        notes = f"abel tail over {levels} summation-by-parts levels"
     else:
-        need = (window_factor * pv * env_c * pref_abs / target_accuracy) ** (1.0 / env_p)
-        n_terms = int(min(max(_MIN_TERMS, math.ceil(need)), cap))
-        if averaged:
-            n_terms = min(n_terms, cap // 2)
-    tail = tail_at(n_terms)
+        tail_method = "cesaro" if averaged else "envelope"
+        pv = partial_sum_bound(q)
+        window_factor = 4.0 if averaged else 2.0
+        if terms is not None:
+            n_terms = int(terms)
+        elif env_c == 0.0:
+            n_terms = _MIN_TERMS
+        else:
+            need = (window_factor * pv * env_c * pref_abs / target_accuracy) ** (1.0 / env_p)
+            n_terms = int(min(max(_MIN_TERMS, math.ceil(need)), cap))
+            if averaged:
+                n_terms = min(n_terms, cap // 2)
+        if env_c == 0.0:
+            tail = 0.0
+        else:
+            tail = window_factor * pv * env_c * pref_abs / float(n_terms + 1) ** env_p
+        notes = f"envelope {env_src}; PV constant {pv:.6g}"
     best_effort = tail > target_accuracy
 
     length = 2 * n_terms if averaged else n_terms
     coeffs = _coefficients(f, kind, length)
     n = np.arange(1, length + 1)
-    table = chi.values_real() if chi.is_real else np.conj(chi.values_complex())
     twisted = table[n % q] * coeffs
     if averaged:
         partial = np.cumsum(twisted)
         series = partial[n_terms - 1 : 2 * n_terms].mean()
+    elif atoms:
+        series = twisted.sum() + correction
     else:
         series = twisted.sum()
     value = prefactor * series
@@ -283,7 +324,8 @@ def theorem_series(
         envelope_constant=float(env_c),
         envelope_power=env_p,
         quadrature_budget=float(budget),
-        notes=f"envelope {env_src}; PV constant {pv:.6g}",
+        tail_method=tail_method,
+        notes=notes,
         per_term_coefficients=coeffs if keep_coefficients else None,
     )
 

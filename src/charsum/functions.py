@@ -3,8 +3,9 @@
 A FunctionSpec carries everything the series engine needs: a pointwise
 evaluator, the jump points with their one-sided limits, endpoint-singularity
 flags, optional closed-form Fourier coefficients, a proven coefficient
-envelope when one is known, and the variation class that drives truncation
-bounds.  The built-in family covers the squared/linear/exponential/logarithm
+envelope when one is known, optional rational atoms that let the series tail
+be summed exactly, and the variation class that drives truncation bounds.
+The built-in family covers the squared/linear/exponential/logarithm
 evaluands and indicator steps.
 """
 
@@ -48,6 +49,8 @@ class FunctionSpec:
     ``closed_form(n_array, kind)`` returns the Fourier coefficients
     integral_0^1 f(t) cos/sin(2 pi n t) dt when analytically known.
     ``envelope[kind] = (C, p)`` asserts |coefficient_n| <= C / n**p for all n.
+    ``atoms[kind] = ((coef, c), ...)`` asserts coefficient_n equals
+    sum coef / (n + c) exactly for all n >= 1; each c needs Re(c) >= 0.
     """
 
     name: str
@@ -58,12 +61,30 @@ class FunctionSpec:
     singular_at_one: bool = False
     closed_form: Callable[[np.ndarray, str], np.ndarray] | None = None
     envelope: tuple[tuple[str, float, int], ...] = ()  # (kind, C, p)
+    # (kind, ((coef, c), ...))
+    atoms: tuple[tuple[str, tuple[tuple[complex, complex], ...]], ...] = ()
+
+    def __post_init__(self):
+        for kind, pairs in self.atoms:
+            if kind not in ("cos", "sin"):
+                raise ValueError(f"atom kind must be 'cos' or 'sin', got {kind!r}")
+            for _, c in pairs:
+                if complex(c).real < 0:
+                    raise ValueError(
+                        f"atom shift c = {c} has negative real part; the Abel tail needs Re(c) >= 0"
+                    )
 
     def envelope_for(self, kind: str) -> tuple[float, int] | None:
         for k, c, p in self.envelope:
             if k == kind:
                 return c, p
         return None
+
+    def atoms_for(self, kind: str) -> tuple[tuple[complex, complex], ...]:
+        for k, pairs in self.atoms:
+            if k == kind:
+                return pairs
+        return ()
 
 
 def fstar(f: FunctionSpec, x: float) -> float:
@@ -116,6 +137,16 @@ def _step_closed(y: float) -> Callable[[np.ndarray, str], np.ndarray]:
     return closed
 
 
+# -1/(2 pi n): the sine coefficients of t and t2
+_HARMONIC_SIN_ATOMS = (("sin", ((-1.0 / TWO_PI, 0.0),)),)
+# 1 + 4 pi^2 n^2 = 4 pi^2 (n - i/2pi)(n + i/2pi), split into partial fractions
+_EXP_ATOMS = (
+    ("cos", ((-1j * (math.e - 1.0) / (4.0 * math.pi), -1j / TWO_PI),
+             (1j * (math.e - 1.0) / (4.0 * math.pi), 1j / TWO_PI))),
+    ("sin", ((-(math.e - 1.0) / (4.0 * math.pi), -1j / TWO_PI),
+             (-(math.e - 1.0) / (4.0 * math.pi), 1j / TWO_PI))),
+)
+
 _SI_MAX = 1.8519370519824665  # Si(pi), the global maximum of Si
 
 
@@ -146,6 +177,7 @@ def builtin_function(name: str) -> FunctionSpec:
             variation_class=VariationClass.SMOOTH_C2,
             closed_form=_t2_closed,
             envelope=(("cos", 1.0 / (2.0 * math.pi**2), 2), ("sin", 1.0 / TWO_PI, 1)),
+            atoms=_HARMONIC_SIN_ATOMS,
         )
     if name == "t":
         return FunctionSpec(
@@ -154,6 +186,7 @@ def builtin_function(name: str) -> FunctionSpec:
             variation_class=VariationClass.SMOOTH_C2,
             closed_form=_t_closed,
             envelope=(("cos", 0.0, 2), ("sin", 1.0 / TWO_PI, 1)),
+            atoms=_HARMONIC_SIN_ATOMS,
         )
     if name == "exp":
         return FunctionSpec(
@@ -165,6 +198,7 @@ def builtin_function(name: str) -> FunctionSpec:
                 ("cos", (math.e - 1.0) / (4.0 * math.pi**2), 2),
                 ("sin", (math.e - 1.0) / TWO_PI, 1),
             ),
+            atoms=_EXP_ATOMS,
         )
     if name == "log":
         # The sine coefficients grow like ln(n)/n, so only the cosine side

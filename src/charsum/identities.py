@@ -202,6 +202,8 @@ def check_partial_sum_identity(
     midpoint value (the k = q y term contributes chi(q y)/2).  The notes
     carry the empirical error-decay rate of the averaged truncation.
     """
+    if terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
     y = Fraction(y) if not isinstance(y, Fraction) else y
     if not 0 < y < 1:
         raise ValueError(f"y must lie in (0, 1); got {y}")
@@ -272,7 +274,7 @@ def run_identity(
         if y is None:
             raise ValueError("identity 4 requires a rational y in (0, 1)")
         return check_partial_sum_identity(
-            d, y, terms=terms or DEFAULT_PARTIAL_SUM_TERMS, tol=tol
+            d, y, terms=DEFAULT_PARTIAL_SUM_TERMS if terms is None else terms, tol=tol
         )
     if y is not None:
         raise ValueError(f"identity {identity_id} does not take y")

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from charsum.cli import main
+from charsum.identities import run_identity
 from charsum.reporting import CSV_HEADER
 
 
@@ -166,3 +167,30 @@ def test_exit_code_reflects_failures(capsys):
     code, out, _ = run_cli(capsys, "example", "--id", "2", "-d", "5", "--tol", "1e-30")
     assert code == 1
     assert out.startswith("FAIL")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify-theorem", "-q", "5", "--function", "t", "--tol", "-1"), "--tol: must be > 0"),
+        (("verify-theorem", "-q", "5", "--function", "t", "--tol", "0"), "--tol: must be > 0"),
+        (("verify-theorem", "-q", "5", "--function", "t", "--terms", "0"), "--terms: must be >= 1"),
+        (("verify-theorem", "-q", "5", "--function", "t", "--terms-cap", "0"),
+         "--terms-cap: must be >= 1"),
+        (("example", "--id", "1", "-d", "-3", "--tol", "-1"), "--tol: must be > 0"),
+        (("example", "--id", "4", "-d", "5", "--y", "1/5", "--terms", "0"),
+         "--terms: must be >= 1"),
+        (("sweep", "--max-abs-d", "8", "--tol", "-1"), "--tol: must be > 0"),
+    ],
+)
+def test_invalid_numeric_arguments_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert message in err and "Traceback" not in err
+
+
+def test_run_identity_rejects_zero_terms():
+    with pytest.raises(ValueError, match="terms must be >= 1"):
+        run_identity(4, 5, y="1/5", terms=0)

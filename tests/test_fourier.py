@@ -1,5 +1,6 @@
 """Direct sums vs the coefficient series: hand values, equivalence, invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -58,19 +59,20 @@ def test_series_matches_direct_odd_mod3_t2(odd3):
     sev = theorem_series(odd3, builtin_function("t2"), 1e-8)
     assert abs(sev.value - (-1 / 3)) <= max(1e-8, sev.tail_bound)
     assert sev.parity_branch == "sine_odd" and not sev.averaged
+    assert sev.tail_method == "abel" and not sev.best_effort
 
 
 def test_series_matches_direct_even_mod5_exp(chi5):
     sev = theorem_series(chi5, builtin_function("exp"), 1e-8)
     assert abs(sev.value - 0.1330001886208585) <= 1e-8
     assert sev.tail_bound <= 1e-8 and not sev.best_effort
-    assert sev.parity_branch == "cosine_even"
+    assert sev.parity_branch == "cosine_even" and sev.tail_method == "abel"
 
 
 def test_series_step_function_with_averaging(odd4):
     # the partial character sum F*(1/2) = chi(1) = 1 through the step spec
     sev = theorem_series(odd4, builtin_function("step:1/2"), 1e-8, terms=10**4)
-    assert sev.averaged
+    assert sev.averaged and sev.tail_method == "cesaro"
     assert sev.value == pytest.approx(direct_sum(odd4, builtin_function("step:1/2")), abs=5e-3)
     assert direct_sum(odd4, builtin_function("step:1/2")) == pytest.approx(1.0, abs=1e-15)
 
@@ -106,6 +108,7 @@ def test_even_characters_never_request_sine_coefficients(chi5):
     )
     sev = theorem_series(chi5, f, 1e-8)
     assert abs(sev.value - direct_sum(chi5, builtin_function("t2"))) <= max(1e-8, sev.tail_bound)
+    assert sev.tail_method == "envelope"
 
 
 def test_odd_symmetric_function_gives_zero_even_series(chi5):
@@ -133,12 +136,35 @@ def test_series_conjugation_for_complex_characters():
 
 
 def test_best_effort_flag_for_slow_sine_branch(odd3):
-    # odd chi with smooth f: sine coefficients decay like 1/n, so a 1e-8
-    # target is unreachable by truncation; the engine must flag best-effort
-    # and still satisfy its reported bound
-    sev = theorem_series(odd3, builtin_function("t2"), 1e-8, terms_cap=10**5)
+    # odd chi with smooth f and no atoms: sine coefficients decay like 1/n, so
+    # a 1e-8 target is unreachable by truncation; the engine must flag
+    # best-effort and still satisfy its reported bound
+    t2_without_atoms = dataclasses.replace(builtin_function("t2"), name="t2#noatoms", atoms=())
+    sev = theorem_series(odd3, t2_without_atoms, 1e-8, terms_cap=10**5)
+    assert sev.tail_method == "envelope"
     assert sev.best_effort and sev.tail_bound > 1e-8
     assert abs(sev.value - (-1 / 3)) <= sev.tail_bound
+
+
+@pytest.mark.parametrize("name", ["t", "t2", "exp"])
+def test_abel_tail_clamped_by_small_terms_cap(name):
+    # the Abel doubling stops at the cap; the bound there is reported as is
+    chi = build_character_group(13).character_by_index(1)
+    f = builtin_function(name)
+    sev = theorem_series(chi, f, 1e-12, terms_cap=2 * chi.modulus)
+    assert sev.tail_method == "abel" and sev.terms_used == 2 * chi.modulus
+    assert sev.best_effort and sev.tail_bound > 1e-12
+    assert abs(sev.value - direct_sum(chi, f)) <= sev.tail_bound
+
+
+def test_abel_tail_explicit_terms_fix_n(odd3):
+    t = builtin_function("t")
+    coarse = theorem_series(odd3, t, 1e-8, terms=7)
+    fine = theorem_series(odd3, t, 1e-8, terms=700)
+    assert (coarse.terms_used, fine.terms_used) == (7, 700)
+    assert fine.tail_bound < coarse.tail_bound
+    for sev in (coarse, fine):
+        assert abs(sev.value - direct_sum(odd3, t)) <= sev.tail_bound
 
 
 def test_unbounded_variation_rejected(chi5):

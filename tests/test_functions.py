@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from charsum.functions import FunctionSpec, builtin_function, fstar
+from charsum.functions import FunctionSpec, VariationClass, builtin_function, fstar
 from charsum.fourier import fourier_coefficient
 from charsum.quadrature import QuadratureError, filon_adaptive
 
@@ -159,3 +159,37 @@ def test_envelope_bounds_hold():
             env = c / n.astype(float) ** p
             # equality is attained (e.g. step:1/2 sine at odd n); allow rounding
             assert np.all(coeffs <= env * (1 + 1e-14) + 1e-18), (name, kind)
+
+
+def test_atoms_match_closed_forms():
+    # the series head trusts closed_form and the Abel tail trusts the atoms, so
+    # a wrong atom would give a silently wrong tail
+    n = np.arange(1, 10**5 + 1)
+    declared = 0
+    for name in ("t2", "t", "exp", "log", "step:1/4"):
+        f = builtin_function(name)
+        for kind, pairs in f.atoms:
+            declared += 1
+            closed = f.closed_form(n, kind)
+            from_atoms = sum(coef / (n + c) for coef, c in pairs)
+            assert np.max(np.abs(from_atoms.imag)) <= 1e-14 * np.max(np.abs(closed)), (name, kind)
+            rel = np.abs(from_atoms.real - closed) / np.abs(closed)
+            assert np.max(rel) <= 1e-14, (name, kind)
+    assert declared == 4  # t2 sin, t sin, exp cos and exp sin
+
+
+def test_atoms_validated_at_construction():
+    with pytest.raises(ValueError, match="negative real part"):
+        FunctionSpec(
+            name="bad-atom",
+            evaluator=lambda t: t,
+            variation_class=VariationClass.SMOOTH_C2,
+            atoms=(("sin", ((1.0, -0.5 + 1j),)),),
+        )
+    with pytest.raises(ValueError, match="kind"):
+        FunctionSpec(
+            name="bad-kind",
+            evaluator=lambda t: t,
+            variation_class=VariationClass.SMOOTH_C2,
+            atoms=(("tan", ((1.0, 0.0),)),),
+        )
