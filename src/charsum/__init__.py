@@ -28,7 +28,6 @@ from .characters import (
 from .fourier import (
     SeriesEvaluation,
     TheoremCheck,
-    averaged_series_values,
     direct_sum,
     fourier_coefficient,
     theorem_series,
@@ -68,7 +67,6 @@ __all__ = [
     "TheoremCheck",
     "VariationClass",
     "VerificationReport",
-    "averaged_series_values",
     "build_character_group",
     "builtin_function",
     "check_exp_identity",

@@ -5,13 +5,16 @@ by repeated summation by parts: the iterated partial sums of a non-principal
 character are periodic, so each Abel step extracts an exact boundary term and
 leaves a remainder one order smaller.  The same machinery serves any tail
 sum_{n>N} chi(n) g(n) whose g is a combination of atoms 1/(n + c), since the
-forward differences of such atoms have closed forms.
+forward differences of such atoms have closed forms.  abel_series is the one
+head-plus-tail engine: L(1, chi), the theorem series for functions with
+declared atoms, and identities 3 and 4 all call it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,6 +31,7 @@ __all__ = [
     "si_complement_array",
     "PeriodicSums",
     "reciprocal_tail",
+    "abel_series",
     "partial_sum_bound",
 ]
 
@@ -237,6 +241,35 @@ def reciprocal_tail(
     return best_value, best
 
 
+def abel_series(
+    values: np.ndarray,
+    coefficients: Callable[[int], np.ndarray],
+    atoms: Sequence[tuple[complex, complex]],
+    budget: float,
+    start: int,
+    cap: int,
+    terms: int | None = None,
+) -> tuple[complex, int, float, int]:
+    """(value, N, tail bound, levels) for sum_{n >= 1} values[n % p] g(n).
+
+    `values` is one mean-zero period of length p, indexed by n mod p;
+    g(n) = sum coef / (n + c) over the (coef, c) atoms, and
+    `coefficients(N)` returns g(1..N) for the head.  N starts at
+    min(start, cap) and doubles, clamped to the cap, until the Abel tail
+    bound is <= budget; an explicit `terms` fixes N.  The value is the head
+    sum plus the exact Abel correction for the tail beyond N.
+    """
+    sums = PeriodicSums(np.roll(values, -1))  # entry n - 1 holds the value at n
+    n_terms = min(start, cap) if terms is None else int(terms)
+    correction, bound = reciprocal_tail(sums, atoms, n_terms)
+    while terms is None and bound > budget and n_terms < cap:
+        n_terms = min(2 * n_terms, cap)
+        correction, bound = reciprocal_tail(sums, atoms, n_terms)
+    n = np.arange(1, n_terms + 1)
+    head = (values[n % len(values)] * coefficients(n_terms)).sum()
+    return head + correction, n_terms, bound, sums.levels
+
+
 # --- L(1, chi) ----------------------------------------------------------------
 
 
@@ -259,33 +292,21 @@ def l_one(chi: DirichletCharacter, target_accuracy: float = 1e-9) -> LValue:
     """L(1, chi) = sum chi(n)/n for a non-principal character.
 
     Direct partial sum to N, with the tail recovered by repeated summation
-    by parts over complete periods; N starts near (sqrt(q) ln q + 1) scaled
-    against the target and is doubled until the rigorous tail bound fits.
+    by parts over complete periods (abel_series); N starts at max(1024, 4q)
+    and is doubled until the rigorous tail bound fits.
     """
     if chi.is_principal:
         raise ValueError("L(s, chi_0) has a pole at s = 1 and is not representable")
-    q = chi.modulus
     real = chi.is_real
-    period = chi.values_real()[1:] if real else chi.values_complex()[1:]
-    period = np.concatenate([period, [0.0]])  # index r-1 -> chi(r), r = 1..q, chi(q) = 0
-    sums = PeriodicSums(period)
-
-    n_terms = max(1024, 4 * q)
-    cap = 2**22
-    while True:
-        _, bound = reciprocal_tail(sums, [(1.0, 0.0)], n_terms)
-        bound += 1e-13  # slack for floating-point summation of the head
-        if bound <= target_accuracy or n_terms >= cap:
-            break
-        n_terms *= 2
-
-    n = np.arange(1, n_terms + 1)
-    head = (period[(n % q) - 1] / n).sum()
-    corr, bound = reciprocal_tail(sums, [(1.0, 0.0)], n_terms)
-    bound += 1e-13
-    value = head + corr
-    if real:
-        value = float(value.real)
-    else:
-        value = complex(value)
-    return LValue(value, n_terms, float(bound), chi.label)
+    values = chi.values_real() if real else chi.values_complex()
+    slack = 1e-13  # floating-point summation of the head
+    value, n_terms, bound, _ = abel_series(
+        values,
+        lambda count: 1.0 / np.arange(1, count + 1),
+        [(1.0, 0.0)],
+        target_accuracy - slack,
+        max(1024, 4 * chi.modulus),
+        2**22,
+    )
+    value = float(value.real) if real else complex(value)
+    return LValue(value, n_terms, float(bound + slack), chi.label)

@@ -417,10 +417,13 @@ def fundamental_discriminants(max_abs: int, min_abs: int = 2) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=32)
 def real_primitive_character(d: int) -> DirichletCharacter:
     """The primitive real character mod |d| attached to a fundamental discriminant d.
 
     Parity is odd exactly when d < 0; values agree with kronecker_symbol(d, .).
+    The last few characters are cached, so checks on one d share the character
+    and its cached tau; the full group is not built or kept.
     """
     if d == 1:
         raise ValueError("d = 1 is excluded: it would give the trivial character mod 1")

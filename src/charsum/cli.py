@@ -96,18 +96,25 @@ def _emit(reports, fmt: str, output: str | None, notice: str | None = None) -> i
         text = render_pretty(reports)
         if notice:
             text += notice + "\n"
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {output}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+    if not _write(text, output):
+        return 2
     if notice and fmt != "pretty":
         print(notice, file=sys.stderr)
     return 0 if all(r.passed for r in reports) else 1
+
+
+def _write(text: str, output: str | None) -> bool:
+    """Write to the output path, or stdout without one; False after an OSError."""
+    if not output:
+        sys.stdout.write(text)
+        return True
+    try:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {output}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _identity_report(command: str, check, label: str) -> VerificationReport:
@@ -128,6 +135,18 @@ def _identity_report(command: str, check, label: str) -> VerificationReport:
         tail_bound=check.tail_bound,
         passed=check.passed,
         wall_time_ms=0.0,
+    )
+
+
+def _residual_report(command: str, d: int, label: str, check: str, residual: float):
+    """A sweep row for an exact Gauss-sum identity, judged on its residual."""
+    return VerificationReport(
+        command=command, discriminant=d, modulus=abs(d), label=label,
+        parity="even" if d > 0 else "odd", check=check,
+        lhs_re=residual, lhs_im=0.0, rhs_re=0.0, rhs_im=0.0,
+        abs_error=residual, tolerance=GAUSS_CHECK_TOLERANCE,
+        terms_used=abs(d), tail_bound=0.0,
+        passed=residual <= GAUSS_CHECK_TOLERANCE, wall_time_ms=0.0,
     )
 
 
@@ -175,16 +194,7 @@ def _cmd_characters(args) -> int:
                 f"real={str(r['is_real']).lower():<5} primitive={str(r['is_primitive']).lower()}"
             )
         text = "\n".join(lines) + "\n"
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
-    return 0
+    return 0 if _write(text, args.output) else 2
 
 
 def _cmd_verify_theorem(args, command: str) -> int:
@@ -254,39 +264,16 @@ def _cmd_sweep(args, command: str) -> int:
     for d in fundamental_discriminants(args.max_abs_d, args.min_abs_d):
         q = abs(d)
         chi = real_primitive_character(d)
-        parity = "even" if d > 0 else "odd"
 
         started = time.perf_counter()
         residual = max(separability_residual(chi, n) for n in range(q))
-        reports.append(
-            _with_time(
-                VerificationReport(
-                    command=command, discriminant=d, modulus=q, label=chi.label,
-                    parity=parity, check="separability",
-                    lhs_re=residual, lhs_im=0.0, rhs_re=0.0, rhs_im=0.0,
-                    abs_error=residual, tolerance=GAUSS_CHECK_TOLERANCE,
-                    terms_used=q, tail_bound=0.0,
-                    passed=residual <= GAUSS_CHECK_TOLERANCE, wall_time_ms=0.0,
-                ),
-                started,
-            )
-        )
+        row = _residual_report(command, d, chi.label, "separability", residual)
+        reports.append(_with_time(row, started))
 
         started = time.perf_counter()
         residual = quadratic_tau_residual(d)
-        reports.append(
-            _with_time(
-                VerificationReport(
-                    command=command, discriminant=d, modulus=q, label=chi.label,
-                    parity=parity, check="quadratic_tau",
-                    lhs_re=residual, lhs_im=0.0, rhs_re=0.0, rhs_im=0.0,
-                    abs_error=residual, tolerance=GAUSS_CHECK_TOLERANCE,
-                    terms_used=q, tail_bound=0.0,
-                    passed=residual <= GAUSS_CHECK_TOLERANCE, wall_time_ms=0.0,
-                ),
-                started,
-            )
-        )
+        row = _residual_report(command, d, chi.label, "quadratic_tau", residual)
+        reports.append(_with_time(row, started))
 
         ids = [1 if d < 0 else 2, 3, 4]
         for identity_id in ids:

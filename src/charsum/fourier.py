@@ -6,12 +6,15 @@ Two routes are provided and compared:
 * theorem_series: the equivalent single-parity coefficient series
   2 tau(chi) sum conj(chi)(n) a_n (even chi, cosine coefficients) or
   -2i tau(chi) sum conj(chi)(n) b_n (odd chi, sine coefficients),
-  truncated with a rigorous tail bound built from the Polya-Vinogradov
-  partial-sum bound times the total variation of the coefficient envelope.
+  truncated with a rigorous tail bound.
 
-Slowly convergent coefficient families (jump functions, the logarithm) are
-summed with Cesaro averaging of the partial sums over the window [N, 2N],
-which restores O(1/N) practical accuracy without changing the limit.
+When the function declares rational coefficient atoms for the branch, the
+tail is summed exactly by analytic.abel_series.  Otherwise the bound is the
+Polya-Vinogradov partial-sum bound times the total variation of the
+coefficient envelope, and slowly convergent families (jump functions, the
+logarithm) are summed with Cesaro averaging of the partial sums over the
+window [N, 2N], which restores O(1/N) practical accuracy without changing
+the limit.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import PeriodicSums, partial_sum_bound, reciprocal_tail
+from .analytic import abel_series, partial_sum_bound
 from .characters import DirichletCharacter
 from .functions import FunctionSpec, VariationClass, fstar
 from .gauss_sums import tau
@@ -35,7 +38,6 @@ __all__ = [
     "fourier_coefficient",
     "theorem_series",
     "verify_theorem",
-    "averaged_series_values",
 ]
 
 DEFAULT_TERMS_CAP = 10**6
@@ -191,33 +193,6 @@ def _envelope(f: FunctionSpec, kind: str) -> tuple[float, int, str]:
     return c, p, "measured"
 
 
-def _abel_tail(
-    table: np.ndarray,
-    atoms: tuple[tuple[complex, complex], ...],
-    scale: float,
-    target_accuracy: float,
-    terms: int | None,
-    cap: int,
-) -> tuple[int, complex, float, int]:
-    """(N, tail value, tail bound, levels) for sum_{n > N} table[n % q] g(n),
-    g(n) = sum coef / (n + c) over the atoms.
-
-    Without an explicit `terms`, N starts at max(_MIN_TERMS, 8q) and doubles
-    until scale * bound <= target_accuracy / 2 or N reaches the cap.
-    """
-    sums = PeriodicSums(np.roll(table, -1))  # entry n - 1 holds the value at n
-    if terms is not None:
-        n_terms = int(terms)
-    else:
-        n_terms = min(max(_MIN_TERMS, 8 * len(table)), cap)
-        while n_terms < cap:
-            if scale * reciprocal_tail(sums, atoms, n_terms)[1] <= target_accuracy / 2:
-                break
-            n_terms = min(2 * n_terms, cap)
-    correction, bound = reciprocal_tail(sums, atoms, n_terms)
-    return n_terms, correction, bound, sums.levels
-
-
 def theorem_series(
     chi: DirichletCharacter,
     f: FunctionSpec,
@@ -263,8 +238,14 @@ def theorem_series(
     cap = terms_cap if f.closed_form is not None else min(terms_cap, _QUADRATURE_TERMS_CAP)
     if atoms:
         tail_method = "abel"
-        n_terms, correction, bound, levels = _abel_tail(
-            table, atoms, pref_abs, target_accuracy, terms, cap
+        series, n_terms, bound, levels = abel_series(
+            table,
+            lambda count: _coefficients(f, kind, count),
+            atoms,
+            target_accuracy / (2.0 * pref_abs),
+            max(_MIN_TERMS, 8 * q),
+            cap,
+            terms,
         )
         tail = pref_abs * bound
         notes = f"abel tail over {levels} summation-by-parts levels"
@@ -289,16 +270,14 @@ def theorem_series(
     best_effort = tail > target_accuracy
 
     length = 2 * n_terms if averaged else n_terms
-    coeffs = _coefficients(f, kind, length)
-    n = np.arange(1, length + 1)
-    twisted = table[n % q] * coeffs
-    if averaged:
-        partial = np.cumsum(twisted)
-        series = partial[n_terms - 1 : 2 * n_terms].mean()
-    elif atoms:
-        series = twisted.sum() + correction
-    else:
-        series = twisted.sum()
+    coeffs = _coefficients(f, kind, length)  # a cache hit after abel_series
+    if not atoms:
+        n = np.arange(1, length + 1)
+        twisted = table[n % q] * coeffs
+        if averaged:
+            series = np.cumsum(twisted)[n_terms - 1 : 2 * n_terms].mean()
+        else:
+            series = twisted.sum()
     value = prefactor * series
 
     if f.closed_form is not None:
@@ -365,32 +344,3 @@ def verify_theorem(
         pass_tolerance=float(tolerance),
         passed=bool(abs_error <= tolerance),
     )
-
-
-def averaged_series_values(
-    chi: DirichletCharacter,
-    f: FunctionSpec,
-    term_counts: list[int],
-) -> list[float | complex]:
-    """Cesaro-averaged series values at several window starts N (diagnostics).
-
-    Shares one coefficient array across all requested N, so measuring an
-    error-decay slope costs one pass.
-    """
-    _require_primitive(chi)
-    q = chi.modulus
-    even = chi.is_even
-    kind = "cos" if even else "sin"
-    tau_value = tau(chi).value
-    prefactor = 2.0 * tau_value if even else -2.0j * tau_value
-    top = 2 * max(term_counts)
-    coeffs = _coefficients(f, kind, top)
-    n = np.arange(1, top + 1)
-    table = chi.values_real() if chi.is_real else np.conj(chi.values_complex())
-    partial = np.cumsum(table[n % q] * coeffs)
-    out = []
-    for count in term_counts:
-        mean = partial[count - 1 : 2 * count].mean()
-        value = prefactor * mean
-        out.append(float(value.real) if chi.is_real else complex(value))
-    return out

@@ -6,15 +6,17 @@ Each check compares two independently computed sides at a stated tolerance:
 2. log identity   (even real chi):   the remainder R = sum chi(k) log k
    + (sqrt(q)/2) L(1, chi) is reproduced by the exact sine-integral
    correction series 2 sqrt(q) sum chi(n) eps_n, eps_n = (pi/2 - Si(2 pi n))/(2 pi n)
-3. exp identity   (both parities):   sum chi(k) e^{k/q} equals the explicit
-   rational-coefficient series with parity-dependent prefactor
+3. exp identity   (both parities):   sum chi(k) e^{k/q} equals the theorem
+   series for f = exp with prefactor 2 sqrt(q)
 4. partial-sum identity:             F*(y) for F(y) = sum_{k <= qy} chi(k)
-   equals the averaged truncated sine/cosine series (constant term L(1, chi)
-   in the odd case)
+   equals the theorem series for the step at y (constant term L(1, chi) in
+   the odd case)
 
-Identity 2 uses the exact eps_n correction rather than an O(1/n^2) bound, so
-the comparison is testable at fixed precision; the remainder over sqrt(q) is
-recorded without deciding whether it is character-independent.
+Identities 3 and 4 sum their series with analytic.abel_series: a head to N
+plus the exact Abel tail, under a rigorous bound.  Identity 2 uses the exact
+eps_n correction rather than an O(1/n^2) bound, so the comparison is testable
+at fixed precision; the remainder over sqrt(q) is recorded without deciding
+whether it is character-independent.
 """
 
 from __future__ import annotations
@@ -25,15 +27,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analytic import (
-    LValue,
+# PeriodicSums and reciprocal_tail stay bound here: perfbench/spans.py wraps them by name
+from .analytic import (  # noqa: F401
     PeriodicSums,
+    abel_series,
     l_one,
     partial_sum_bound,
     reciprocal_tail,
     si_complement_array,
 )
-from .characters import real_primitive_character
+from .characters import MODULUS_CEILING, real_primitive_character
 from .fourier import direct_sum
 from .functions import builtin_function
 from .gauss_sums import tau
@@ -52,7 +55,6 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 DEFAULT_TOLERANCES = {1: 1e-7, 2: 1e-7, 3: 1e-8, 4: 5e-4}
-DEFAULT_PARTIAL_SUM_TERMS = 10**4
 
 
 @dataclass(frozen=True)
@@ -148,67 +150,55 @@ def check_log_identity(d: int, tol: float = DEFAULT_TOLERANCES[2]) -> IdentityCh
     return _finish(2, d, None, remainder, series, tol, n_terms, tail, notes)
 
 
-_IM = 1.0 / TWO_PI  # imaginary scale in 1 + 4 pi^2 n^2 = 4 pi^2 (n - i/2pi)(n + i/2pi)
-
-
 def check_exp_identity(d: int, tol: float = DEFAULT_TOLERANCES[3]) -> IdentityCheck:
-    """Identity 3, both parities; the series tail is recovered by repeated
-    summation by parts on the rational coefficient atoms."""
+    """Identity 3, both parities: the theorem for f = exp, whose prefactor is
+    2 sqrt(q) for either parity since tau(chi_d) is sqrt(q) or i sqrt(q)."""
     chi = real_primitive_character(d)
     q = abs(d)
-    lhs = direct_sum(chi, builtin_function("exp"))
-
-    if chi.is_even:
-        prefactor = 2.0 * (math.e - 1.0) * math.sqrt(q)
-        scale = 1.0 / (4.0 * math.pi**2)
-        atoms = [(scale / (2j * _IM), -1j * _IM), (-scale / (2j * _IM), 1j * _IM)]
-
-        def g(n: np.ndarray) -> np.ndarray:
-            return 1.0 / (1.0 + 4.0 * math.pi**2 * n**2)
-
-    else:
-        prefactor = -4.0 * math.pi * (math.e - 1.0) * math.sqrt(q)
-        atoms = [(1.0 / (8.0 * math.pi**2), -1j * _IM), (1.0 / (8.0 * math.pi**2), 1j * _IM)]
-
-        def g(n: np.ndarray) -> np.ndarray:
-            return n / (1.0 + 4.0 * math.pi**2 * n**2)
-
-    vals = chi.values_real()
-    period = np.concatenate([vals[1:], [0.0]])
-    sums = PeriodicSums(period)
-    n_terms = max(2048, 8 * q)
-    while True:
-        _, bound = reciprocal_tail(sums, atoms, n_terms)
-        if abs(prefactor) * bound <= tol / 4 or n_terms >= 2**20:
-            break
-        n_terms *= 2
-    n = np.arange(1, n_terms + 1, dtype=float)
-    head = (vals[n.astype(np.int64) % q] * g(n)).sum()
-    corr, bound = reciprocal_tail(sums, atoms, n_terms)
-    rhs = prefactor * float((head + corr).real)
-    tail = abs(prefactor) * bound
-    return _finish(3, d, None, lhs, rhs, tol, n_terms, tail)
+    f = builtin_function("exp")
+    lhs = direct_sum(chi, f)
+    kind = "cos" if chi.is_even else "sin"
+    prefactor = 2.0 * math.sqrt(q)
+    series, n_terms, bound, _ = abel_series(
+        chi.values_real(),
+        lambda count: f.closed_form(np.arange(1, count + 1), kind),
+        f.atoms_for(kind),
+        tol / (4.0 * prefactor),
+        max(2048, 8 * q),
+        2**20,
+    )
+    return _finish(3, d, None, lhs, prefactor * series.real, tol, n_terms, prefactor * bound)
 
 
 def check_partial_sum_identity(
     d: int,
     y: Fraction | str | float,
-    terms: int = DEFAULT_PARTIAL_SUM_TERMS,
+    terms: int | None = None,
     tol: float = DEFAULT_TOLERANCES[4],
 ) -> IdentityCheck:
-    """Identity 4: F*(y) against the averaged truncated series.
+    """Identity 4: F*(y) against the theorem series for the step at y.
 
     y must be rational in (0, 1); when q y is an integer, F* takes the
-    midpoint value (the k = q y term contributes chi(q y)/2).  The notes
-    carry the empirical error-decay rate of the averaged truncation.
+    midpoint value (the k = q y term contributes chi(q y)/2).  With y = a/b
+    the series weight chi(n) sin(2 pi n y) (even chi) or chi(n) cos(2 pi n y)
+    (odd chi) has period lcm(q, b), so the tail beyond N is an Abel tail;
+    an explicit `terms` fixes N.
     """
-    if terms < 1:
+    if terms is not None and terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     y = Fraction(y) if not isinstance(y, Fraction) else y
     if not 0 < y < 1:
         raise ValueError(f"y must lie in (0, 1); got {y}")
-    chi = real_primitive_character(d)
     q = abs(d)
+    b = y.denominator
+    period = q * b // math.gcd(q, b)
+    if period > MODULUS_CEILING:
+        raise ValueError(
+            f"y = {y} has denominator {b}, so the series period lcm({q}, {b}) = {period} "
+            f"exceeds {MODULUS_CEILING}; pass y as a fraction string with a small "
+            "denominator, such as 1/5"
+        )
+    chi = real_primitive_character(d)
     vals = chi.values_real()
 
     qy = q * y
@@ -217,38 +207,28 @@ def check_partial_sum_identity(
     if qy.denominator == 1:
         lhs -= vals[whole] / 2.0  # midpoint convention at the jump
 
+    r = np.arange(period, dtype=np.int64)
+    angles = (TWO_PI / b) * ((r * y.numerator) % b)  # exact reduction of 2 pi r y
+    trig = np.sin(angles) if chi.is_even else np.cos(angles)
     tau_value = tau(chi).value
-    n = np.arange(1, 2 * terms + 1)
-    yf = float(y)
-    if chi.is_even:
-        coeffs = np.sin(TWO_PI * n * yf) / n
-        prefactor = tau_value / math.pi
-        constant = 0.0
-        sign = 1.0
-    else:
-        coeffs = np.cos(TWO_PI * n * yf) / n
-        prefactor = tau_value / (1j * math.pi)
-        lval = l_one(chi, 1e-10)
-        constant = lval.value
-        sign = -1.0
-
-    partial = np.cumsum(vals[n % q] * coeffs)
-
-    def averaged(count: int) -> float:
-        series = partial[count - 1 : 2 * count].mean()
-        value = prefactor * (constant + sign * series)
-        return float(value.real)
-
-    rhs = averaged(terms)
-    grid = [max(8, terms // 8), max(8, terms // 4), max(8, terms // 2), terms]
-    errors = [abs(averaged(c) - lhs) for c in grid]
-    notes = {}
-    if all(e > 0 for e in errors):
-        slope = float(np.polyfit(np.log(grid), np.log(errors), 1)[0])
-        notes["decay_slope"] = slope
-    pv = partial_sum_bound(q)
-    tail = abs(prefactor) * 4 * pv / (terms + 1)
-    return _finish(4, d, y, lhs, rhs, tol, terms, tail, notes)
+    prefactor = tau_value / math.pi if chi.is_even else tau_value / (1j * math.pi)
+    pref_abs = abs(prefactor)
+    series, n_terms, bound, _ = abel_series(
+        vals[r % q] * trig,
+        lambda count: 1.0 / np.arange(1, count + 1),
+        [(1.0, 0.0)],
+        tol / (2.0 * pref_abs),
+        4 * period,
+        2**22,
+        terms,
+    )
+    tail = pref_abs * bound
+    if chi.is_odd:
+        lval = l_one(chi, min(tol / (2.0 * pref_abs), 1e-10))
+        series = lval.value - series
+        tail += pref_abs * lval.tail_bound
+    rhs = float((prefactor * series).real)
+    return _finish(4, d, y, lhs, rhs, tol, n_terms, tail)
 
 
 IDENTITY_IDS = {
@@ -273,9 +253,7 @@ def run_identity(
     if identity_id == 4:
         if y is None:
             raise ValueError("identity 4 requires a rational y in (0, 1)")
-        return check_partial_sum_identity(
-            d, y, terms=DEFAULT_PARTIAL_SUM_TERMS if terms is None else terms, tol=tol
-        )
+        return check_partial_sum_identity(d, y, terms=terms, tol=tol)
     if y is not None:
         raise ValueError(f"identity {identity_id} does not take y")
     return IDENTITY_IDS[identity_id](d, tol=tol)

@@ -12,6 +12,7 @@ import pytest
 
 from charsum.analytic import (
     PeriodicSums,
+    abel_series,
     cosine_integral,
     l_one,
     partial_sum_bound,
@@ -181,6 +182,46 @@ def test_reciprocal_tail_bound_scales_down_with_start():
     sums = PeriodicSums(period)
     bounds = [reciprocal_tail(sums, [(1.0, 0.0)], s)[1] for s in (2000, 8000, 32000)]
     assert bounds[0] > bounds[1] > bounds[2]
+
+
+def _harmonic(count):
+    return 1.0 / np.arange(1, count + 1)
+
+
+def test_abel_series_known_value_and_brute_partial_sums():
+    # chi mod 4 against 1/n: the series is L(1, chi_-4) = pi/4
+    chi = build_character_group(4).character_by_index(1)
+    vals = chi.values_real()
+    value, n_terms, bound, _ = abel_series(vals, _harmonic, [(1.0, 0.0)], 1e-12, 64, 2**20)
+    assert n_terms >= 64 and bound <= 1e-12
+    assert abs(value - math.pi / 4) <= bound + 1e-15
+
+    # chi mod 5 against the exp sine coefficients b_n (atoms at c = -+i/2pi); the
+    # brute partial sum to M = 2e6 is within its Dirichlet-test remainder
+    # 2 max|chi partial sums| |b_M| <= 2 * 2 / (2 pi M)
+    atoms = ((-1.0 / (4 * math.pi), -0.5j / math.pi), (-1.0 / (4 * math.pi), 0.5j / math.pi))
+
+    def coeffs(count):
+        n = np.arange(1, count + 1, dtype=float)
+        return -2 * math.pi * n / (1 + 4 * math.pi**2 * n**2)
+
+    vals = real_primitive_character(5).values_real()
+    value, n_terms, bound, _ = abel_series(vals, coeffs, atoms, 1e-12, 40, 2**20)
+    n = np.arange(1, 2 * 10**6 + 1)
+    brute = float((vals[n % 5] * coeffs(len(n))).sum())
+    assert abs(value.real - brute) <= 2 / (math.pi * len(n))
+    assert bound <= 1e-12
+
+
+def test_abel_series_explicit_terms_and_cap():
+    vals = real_primitive_character(-163).values_real()
+    atoms = [(1.0, 0.0)]
+    _, n_terms, _, _ = abel_series(vals, _harmonic, atoms, 1e-30, 1000, 2**22, terms=777)
+    assert n_terms == 777  # fixed N, even though the bound misses the budget
+    _, n_terms, bound, _ = abel_series(vals, _harmonic, atoms, 1e-30, 1000, 5000)
+    assert n_terms == 5000 and bound > 1e-30  # doubling 1000 -> 2000 -> 4000 -> clamped
+    _, n_terms, _, _ = abel_series(vals, _harmonic, atoms, 1e-30, 1000, 600)
+    assert n_terms == 600  # a start above the cap is clamped too
 
 
 def test_periodic_sums_rejects_nonzero_mean():

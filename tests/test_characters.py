@@ -212,6 +212,9 @@ def test_real_primitive_character_examples():
     chi12 = real_primitive_character(12)
     assert chi12.conductor == 12 and chi12.parity is Parity.EVEN
 
+    # repeated calls share one character, and with it the cached tau
+    assert real_primitive_character(12) is chi12
+
 
 def test_real_primitive_character_rejects_non_fundamental():
     for bad in (1, 7, 9, -18, 45):

@@ -45,6 +45,22 @@ def test_characters_bad_modulus(capsys):
     assert code == 2 and "positive" in err
 
 
+def test_characters_output_file_matches_stdout(capsys, tmp_path):
+    for fmt in ("pretty", "csv", "json"):
+        _, out, _ = run_cli(capsys, "characters", "-q", "12", "--format", fmt)
+        path = tmp_path / f"chars.{fmt}"
+        code, written, _ = run_cli(capsys, "characters", "-q", "12", "--format", fmt,
+                                   "--output", str(path))
+        assert code == 0 and written == ""
+        assert path.read_text(encoding="utf-8") == out
+
+
+def test_characters_unwritable_path(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "characters", "-q", "5", "--output",
+                           str(tmp_path / "missing" / "x.txt"))
+    assert code == 2 and "cannot write" in err
+
+
 def test_verify_theorem_q4_t2(capsys):
     code, out, _ = run_cli(capsys, "verify-theorem", "-q", "4", "--function", "t2", "--format", "json")
     assert code == 0
@@ -95,6 +111,18 @@ def test_example_4_with_y(capsys):
     assert code == 0
     r = json.loads(out)[0]
     assert r["pass"] is True and r["lhs"]["re"] == 1.0
+
+
+def test_example_4_rejects_long_period_before_allocating(capsys, monkeypatch):
+    import charsum.identities as identities
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("the series must not be set up")
+
+    monkeypatch.setattr(identities, "abel_series", no_series)
+    code, _, err = run_cli(capsys, "example", "--id", "4", "-d", "-499", "--y", "1/99991")
+    assert code == 2
+    assert "denominator 99991" in err and "fraction" in err and "Traceback" not in err
 
 
 def test_example_parity_gate(capsys):

@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from charsum.characters import build_character_group, real_primitive_character
-from charsum.fourier import (
-    averaged_series_values,
-    direct_sum,
-    theorem_series,
-    verify_theorem,
-)
+from charsum.fourier import direct_sum, theorem_series, verify_theorem
 from charsum.functions import FunctionSpec, VariationClass, builtin_function
 
 
@@ -196,11 +191,11 @@ def test_quadrature_backed_spec_through_verify(odd3):
     assert chk.series.quadrature_budget > 0.0
 
 
-def test_averaged_series_values_decay(chi5):
+def test_cesaro_series_decay(chi5):
     f = builtin_function("log")
     direct = direct_sum(chi5, f)
     counts = [500, 1000, 2000, 4000, 8000]
-    values = averaged_series_values(chi5, f, counts)
+    values = [theorem_series(chi5, f, 1e-8, terms=n).value for n in counts]
     errors = [abs(v - direct) for v in values]
     assert errors[-1] <= 5e-3
     slope = np.polyfit(np.log(counts), np.log(errors), 1)[0]

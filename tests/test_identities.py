@@ -94,17 +94,19 @@ def test_partial_sum_identity_y_gate():
         check_partial_sum_identity(5, Fraction(3, 2))
 
 
-def test_partial_sum_identity_decay_note():
+def test_partial_sum_identity_fixed_terms_bound():
     c = check_partial_sum_identity(8, Fraction(1, 4), terms=4000)
-    if "decay_slope" in c.notes:
-        assert c.notes["decay_slope"] <= -0.8
+    assert c.passed and c.terms_used == 4000
+    assert c.abs_error <= c.tail_bound + 1e-12
+    assert c.tail_bound <= c.tolerance
 
 
-def test_partial_sum_identity_long_range_decay():
-    # slope measured on [terms/8, terms] = [12500, 100000], y not a jump point
+def test_partial_sum_identity_long_range_bound():
+    # y not a jump point; N = 10^5 fixed, far past the period lcm(8, 5) = 40
     c = check_partial_sum_identity(8, Fraction(1, 5), terms=10**5)
-    assert c.passed
-    assert c.notes["decay_slope"] <= -0.8
+    assert c.passed and c.terms_used == 10**5
+    assert c.abs_error <= c.tail_bound + 1e-12
+    assert c.tail_bound <= c.tolerance
 
 
 def test_run_identity_dispatch():

@@ -2,15 +2,29 @@
 
 S(chi, f) = sum_{k<q} chi(k) f(k/q) is evaluated to 30 digits with mpmath
 from the exact character turns, independently of the float direct sum; the
-truncated series must then lie within its reported tail bound of it.
+truncated series must then lie within its reported tail bound of it.  The
+same holds for identity 4 against the exact rational F*(y), and for L(1, chi)
+against its finite closed forms.
 """
+
+import math
+from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charsum.characters import build_character_group, real_primitive_character
+from charsum.analytic import l_one
+from charsum.characters import (
+    build_character_group,
+    fundamental_discriminants,
+    kronecker_symbol,
+    real_primitive_character,
+)
 from charsum.fourier import theorem_series
 from charsum.functions import builtin_function
+from charsum.identities import check_partial_sum_identity
 
 mp = mpmath.mp
 
@@ -55,3 +69,61 @@ def test_series_within_bound_of_exact_sum(name):
             checked_odd += 1
             assert sev.tail_method == "abel", (chi.label, name)
     assert checked_odd == 10  # odd mod 3 and 4, two complex mod 7, six mod 13
+
+
+def exact_partial_sum(d, y):
+    """F*(y) = sum_{k <= qy} chi_d(k), with half the last term at a jump."""
+    qy = abs(d) * y
+    whole = qy.numerator // qy.denominator
+    total = Fraction(sum(kronecker_symbol(d, k) for k in range(1, whole + 1)))
+    if qy.denominator == 1:
+        total -= Fraction(kronecker_symbol(d, whole), 2)
+    return total
+
+
+# b | q, b coprime to q, and the jump case q y in Z, for both parities
+PARTIAL_SUM_CASES = [
+    (-3, Fraction(1, 3)), (-3, Fraction(2, 7)), (-4, Fraction(1, 2)), (-4, Fraction(3, 5)),
+    (5, Fraction(1, 5)), (5, Fraction(1, 2)), (8, Fraction(3, 8)), (8, Fraction(1, 3)),
+    (-23, Fraction(5, 23)), (-23, Fraction(1, 6)), (12, Fraction(1, 4)), (13, Fraction(4, 9)),
+]
+
+
+@pytest.mark.parametrize("d, y", PARTIAL_SUM_CASES)
+def test_partial_sum_identity_within_bound_of_exact(d, y):
+    check = check_partial_sum_identity(d, y)
+    exact = exact_partial_sum(d, y)
+    assert check.lhs == float(exact)
+    assert abs(check.rhs - exact) <= check.tail_bound + 1e-12, (d, y)
+    assert check.passed and check.tail_bound <= check.tolerance
+
+
+def exact_l_one(d):
+    """L(1, chi_d) from its finite closed form, to 30 digits."""
+    q = abs(d)
+    with mp.workdps(30):
+        if d < 0:
+            total = -mp.pi * mp.mpf(q) ** mp.mpf(-1.5) * sum(
+                k * kronecker_symbol(d, k) for k in range(1, q)
+            )
+        else:
+            total = -mp.fsum(
+                kronecker_symbol(d, k) * mp.log(mp.sin(mp.pi * k / q)) for k in range(1, q)
+            ) / mp.sqrt(q)
+        return float(total)
+
+
+@pytest.mark.parametrize("d", [-3, -4, -7, -8, -163, -499, 5, 8, 12, 13, 497])
+def test_l_one_within_bound_of_closed_form(d):
+    lval = l_one(real_primitive_character(d), 1e-12)
+    assert abs(lval.value - exact_l_one(d)) <= lval.tail_bound, d
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from(fundamental_discriminants(300)),
+    y=st.integers(2, 30).flatmap(lambda b: st.builds(Fraction, st.integers(1, b - 1), st.just(b))),
+)
+def test_partial_sum_identity_property(d, y):
+    check = check_partial_sum_identity(d, y)
+    assert check.passed and check.tail_bound <= check.tolerance, (d, y)
