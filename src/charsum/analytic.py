@@ -39,133 +39,116 @@ EULER_GAMMA = 0.5772156649015328606
 
 # --- sine and cosine integrals ----------------------------------------------
 #
-# Power series up to x = 8; beyond that the auxiliary functions are evaluated
-# through the continued fraction for E1(ix) (modified Lentz), which converges
-# rapidly and avoids the divergence of the plain asymptotic series.
+# One vectorized core: below _SERIES_CUTOFF the power series, from it on the
+# continued fraction for E1(ix) (modified Lentz), which converges rapidly
+# there and avoids the divergence of the plain asymptotic series.  Each
+# element stops at its own convergence test; the scalar functions wrap the
+# array ones.
 
 _SERIES_CUTOFF = 8.0
 
 
-def _si_cin_series(x: float) -> tuple[float, float]:
-    """(Si(x), Cin(x)) by power series; x in [0, 8]."""
-    si = 0.0
-    term = x
-    k = 0
-    while abs(term) > 1e-18:
-        si += term / (2 * k + 1)
-        term *= -x * x / ((2 * k + 2) * (2 * k + 3))
-        k += 1
-    cin = 0.0
-    term = x * x / 2.0
-    k = 1
-    while abs(term) > 1e-18:
-        cin += term / (2 * k)
-        term *= -x * x / ((2 * k + 1) * (2 * k + 2))
-        k += 1
-    return si, cin
+def _series(x: np.ndarray, j: int, term: np.ndarray) -> np.ndarray:
+    """sum_i term_i / (j + 2i), term_{i+1} = -term_i x^2 / ((j + 2i + 1)(j + 2i + 2)).
 
-
-def _e1_ix(x: float, maxiter: int = 300) -> complex:
-    """e^{-ix} times the continued fraction of E1(ix): gives
-    Ci(x) = -Re, Si(x) = pi/2 + Im.  Requires x >= 2 for fast convergence."""
-    b = complex(1.0, x)
-    c = complex(1e308, 0.0)
-    d = 1.0 / b
-    h = d
-    for i in range(1, maxiter):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * complex(math.cos(x), -math.sin(x))
-
-
-def sine_integral(x: float) -> float:
-    """Si(x) = integral_0^x sin(u)/u du, to about 1e-15 absolute.
-
-    Odd extension for negative arguments; Si(x) -> pi/2 as x -> infinity.
+    (j, term) = (1, x) gives Si(x) and (2, x^2/2) gives Cin(x) = gamma + ln x
+    - Ci(x).  Each element sums while its |term| > 1e-18.
     """
-    if x < 0:
-        return -sine_integral(-x)
-    if x == 0.0:
-        return 0.0
-    if x <= _SERIES_CUTOFF:
-        return _si_cin_series(x)[0]
-    return math.pi / 2 + _e1_ix(x).imag
+    total = np.zeros_like(x)
+    step = -x * x
+    live = np.abs(term) > 1e-18
+    while live.any():
+        total = np.where(live, total + term / j, total)
+        term = term * (step / ((j + 1) * (j + 2)))
+        j += 2
+        live &= np.abs(term) > 1e-18
+    return total
 
 
-def cosine_integral(x: float) -> float:
-    """Ci(x) = gamma + ln x - integral_0^x (1 - cos u)/u du, for x > 0."""
-    if x <= 0:
-        raise ValueError(f"cosine integral requires x > 0, got {x}")
-    if x <= _SERIES_CUTOFF:
-        return EULER_GAMMA + math.log(x) - _si_cin_series(x)[1]
-    return -_e1_ix(x).real
-
-
-def si_complement(x: float) -> float:
-    """pi/2 - Si(x), computed without cancellation for large x."""
-    if x <= _SERIES_CUTOFF:
-        return math.pi / 2 - sine_integral(x)
-    return -_e1_ix(x).imag
-
-
-def _e1_ix_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized counterpart of _e1_ix for x >= 8."""
+def _e1_ix(x: np.ndarray) -> np.ndarray:
+    """e^{-ix} times the continued fraction of E1(ix): Ci(x) = -Re and
+    pi/2 - Si(x) = -Im.  Each element stops at its own |delta - 1| < 1e-16;
+    converged elements leave the working arrays, which shrink one at a time."""
     b = 1.0 + 1j * x
     c = np.full_like(b, 1e308)
     d = 1.0 / b
-    h = d.copy()
-    converged = np.zeros(x.shape, dtype=bool)
+    out = d.copy()
+    h = out  # h is out itself until the first compaction
+    live = np.arange(len(x))
     for i in range(1, 300):
-        a = -float(i * i)
-        b = b + 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h = np.where(converged, h, h * delta)
-        converged |= np.abs(delta - 1.0) < 1e-16
-        if converged.all():
+        if not len(live):
             break
-    return h * np.exp(-1j * x)
-
-
-def _split_small_large(x: np.ndarray):
-    small = x < _SERIES_CUTOFF
-    return small, ~small
+        a = -float(i * i)
+        b += 2.0
+        d *= a
+        d += b
+        np.divide(1.0, d, out=d)
+        np.divide(a, c, out=c)
+        c += b
+        delta = c * d
+        h *= delta
+        delta -= 1.0
+        done = np.abs(delta) < 1e-16
+        del delta  # freed before the compaction copies
+        if done.any():
+            out[live[done]] = h[done]
+            keep = ~done
+            live = live[keep]
+            b = b[keep]
+            c = c[keep]
+            d = d[keep]
+            h = h[keep]
+    out[live] = h
+    return out * np.exp(-1j * x)
 
 
 def si_complement_array(x) -> np.ndarray:
-    """Vectorized pi/2 - Si(x) for positive x."""
+    """Vectorized pi/2 - Si(x) for positive x, without cancellation for large x."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
-    small, large = _split_small_large(x)
-    if small.any():
-        out[small] = [si_complement(float(v)) for v in x[small]]
-    if large.any():
-        out[large] = -_e1_ix_array(x[large]).imag
+    small = x < _SERIES_CUTOFF
+    out[small] = math.pi / 2 - _series(x[small], 1, x[small])
+    large = ~small
+    out[large] = -_e1_ix(x[large]).imag
     return out
 
 
 def sine_integral_array(x) -> np.ndarray:
-    """Vectorized Si(x) for positive x."""
+    """Vectorized Si(x) = integral_0^x sin(u)/u du for positive x."""
     return math.pi / 2 - si_complement_array(x)
 
 
 def cosine_integral_array(x) -> np.ndarray:
-    """Vectorized Ci(x) for positive x."""
+    """Vectorized Ci(x) = gamma + ln x - integral_0^x (1 - cos u)/u du for x > 0."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
-    small, large = _split_small_large(x)
-    if small.any():
-        out[small] = [cosine_integral(float(v)) for v in x[small]]
-    if large.any():
-        out[large] = -_e1_ix_array(x[large]).real
+    small = x < _SERIES_CUTOFF
+    xs = x[small]
+    if (xs <= 0).any():
+        raise ValueError(f"cosine integral requires x > 0, got {xs[xs <= 0][0]}")
+    out[small] = EULER_GAMMA + np.log(xs) - _series(xs, 2, xs * xs / 2.0)
+    large = ~small
+    out[large] = -_e1_ix(x[large]).real
     return out
+
+
+def sine_integral(x: float) -> float:
+    """Si(x), with the odd extension for negative arguments; Si(x) -> pi/2."""
+    if x < 0:
+        return -sine_integral(-x)
+    return float(sine_integral_array([x])[0])
+
+
+def cosine_integral(x: float) -> float:
+    """Ci(x) for x > 0."""
+    return float(cosine_integral_array([x])[0])
+
+
+def si_complement(x: float) -> float:
+    """pi/2 - Si(x), computed without cancellation for large x."""
+    if x < 0:
+        return math.pi / 2 - sine_integral(x)
+    return float(si_complement_array([x])[0])
 
 
 # --- character-twisted tails by repeated summation by parts ------------------

@@ -392,19 +392,30 @@ def kronecker_symbol(d: int, n: int) -> int:
     return k * _jacobi(d % n, n)
 
 
+def _not_fundamental_reason(d: int) -> str | None:
+    """Why d is not a fundamental discriminant, or None when it is one."""
+    if d == 1:
+        return "d = 1 is excluded: it would give the trivial character mod 1"
+    if d % 4 == 1:
+        if not _is_squarefree(d):
+            return f"{d} is not a fundamental discriminant: d = 1 mod 4 but not squarefree"
+    elif d % 4 == 0:
+        m = d // 4
+        if m % 4 not in (2, 3):
+            return f"{d} is not a fundamental discriminant: d/4 = {m} is not 2 or 3 mod 4"
+        if not _is_squarefree(m):
+            return f"{d} is not a fundamental discriminant: d/4 = {m} is not squarefree"
+    else:
+        return f"{d} is not a fundamental discriminant: d is not 1 mod 4 nor divisible by 4"
+    return None
+
+
 def is_fundamental_discriminant(d: int) -> bool:
     """True when d indexes a primitive real character of modulus |d|.
 
     The degenerate value d = 1 (trivial character mod 1) is excluded.
     """
-    if d == 1 or d == 0:
-        return False
-    if d % 4 == 1:
-        return _is_squarefree(d)
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and _is_squarefree(m)
-    return False
+    return _not_fundamental_reason(d) is None
 
 
 def fundamental_discriminants(max_abs: int, min_abs: int = 2) -> list[int]:
@@ -425,19 +436,9 @@ def real_primitive_character(d: int) -> DirichletCharacter:
     The last few characters are cached, so checks on one d share the character
     and its cached tau; the full group is not built or kept.
     """
-    if d == 1:
-        raise ValueError("d = 1 is excluded: it would give the trivial character mod 1")
-    if d % 4 == 1:
-        if not _is_squarefree(d):
-            raise ValueError(f"{d} is not a fundamental discriminant: d = 1 mod 4 but not squarefree")
-    elif d % 4 == 0:
-        m = d // 4
-        if m % 4 not in (2, 3):
-            raise ValueError(f"{d} is not a fundamental discriminant: d/4 = {m} is not 2 or 3 mod 4")
-        if not _is_squarefree(m):
-            raise ValueError(f"{d} is not a fundamental discriminant: d/4 = {m} is not squarefree")
-    else:
-        raise ValueError(f"{d} is not a fundamental discriminant: d is not 1 mod 4 nor divisible by 4")
+    reason = _not_fundamental_reason(d)
+    if reason is not None:
+        raise ValueError(reason)
 
     q = abs(d)
     group = CharacterGroup(q)

@@ -21,11 +21,9 @@ from fractions import Fraction
 from .characters import build_character_group, fundamental_discriminants, real_primitive_character
 from .fourier import DEFAULT_TERMS_CAP, verify_theorem
 from .functions import builtin_function
-from .gauss_sums import quadratic_tau_residual, separability_residual
+from .gauss_sums import GAUSS_TOLERANCE, quadratic_tau_residual, separability_residual
 from .identities import run_identity
 from .reporting import VerificationReport, render_csv, render_json, render_pretty
-
-GAUSS_CHECK_TOLERANCE = 1e-9
 
 
 def _positive_float(text: str) -> float:
@@ -144,9 +142,9 @@ def _residual_report(command: str, d: int, label: str, check: str, residual: flo
         command=command, discriminant=d, modulus=abs(d), label=label,
         parity="even" if d > 0 else "odd", check=check,
         lhs_re=residual, lhs_im=0.0, rhs_re=0.0, rhs_im=0.0,
-        abs_error=residual, tolerance=GAUSS_CHECK_TOLERANCE,
+        abs_error=residual, tolerance=GAUSS_TOLERANCE,
         terms_used=abs(d), tail_bound=0.0,
-        passed=residual <= GAUSS_CHECK_TOLERANCE, wall_time_ms=0.0,
+        passed=residual <= GAUSS_TOLERANCE, wall_time_ms=0.0,
     )
 
 

@@ -2,7 +2,7 @@
 
 Two routes are provided and compared:
 
-* direct_sum: exactly-rounded summation of chi(k) f*(k/q) over 1 <= k <= q-1;
+* direct_sum: math.fsum summation of chi(k) f*(k/q) over 1 <= k <= q-1;
 * theorem_series: the equivalent single-parity coefficient series
   2 tau(chi) sum conj(chi)(n) a_n (even chi, cosine coefficients) or
   -2i tau(chi) sum conj(chi)(n) b_n (odd chi, sine coefficients),
@@ -72,7 +72,12 @@ def _fstar_values(f: FunctionSpec, q: int) -> np.ndarray:
 
 
 def direct_sum(chi: DirichletCharacter, f: FunctionSpec) -> float | complex:
-    """sum_{k=1}^{q-1} chi(k) f*(k/q), exactly rounded (math.fsum), real for real chi."""
+    """sum_{k=1}^{q-1} chi(k) f*(k/q) by math.fsum, real for real chi.
+
+    For real chi every product is +-f*(k/q) exactly, so the sum is exactly
+    rounded.  For complex chi each product is rounded before the fsum, so each
+    component may be off by up to about (q - 1) 2^-53 max|f*|.
+    """
     _require_primitive(chi)
     q = chi.modulus
     fs = _fstar_values(f, q)
@@ -172,12 +177,9 @@ class SeriesEvaluation:
     parity_branch: str  # "cosine_even" or "sine_odd"
     averaged: bool
     best_effort: bool
-    envelope_constant: float
-    envelope_power: int
     quadrature_budget: float
     tail_method: str  # "abel", "envelope" or "cesaro"
     notes: str = ""
-    per_term_coefficients: np.ndarray | None = None  # retained when requested
 
 
 def _envelope(f: FunctionSpec, kind: str) -> tuple[float, int, str]:
@@ -199,7 +201,6 @@ def theorem_series(
     target_accuracy: float,
     terms: int | None = None,
     terms_cap: int = DEFAULT_TERMS_CAP,
-    keep_coefficients: bool = False,
 ) -> SeriesEvaluation:
     """Evaluate the theorem series for chi and f, choosing N from the tail bound.
 
@@ -234,7 +235,6 @@ def theorem_series(
     pref_abs = abs(prefactor)
     table = chi.values_real() if chi.is_real else np.conj(chi.values_complex())
 
-    env_c, env_p, env_src = _envelope(f, kind)
     cap = terms_cap if f.closed_form is not None else min(terms_cap, _QUADRATURE_TERMS_CAP)
     if atoms:
         tail_method = "abel"
@@ -251,6 +251,7 @@ def theorem_series(
         notes = f"abel tail over {levels} summation-by-parts levels"
     else:
         tail_method = "cesaro" if averaged else "envelope"
+        env_c, env_p, env_src = _envelope(f, kind)
         pv = partial_sum_bound(q)
         window_factor = 4.0 if averaged else 2.0
         if terms is not None:
@@ -300,12 +301,9 @@ def theorem_series(
         parity_branch=branch,
         averaged=averaged,
         best_effort=best_effort,
-        envelope_constant=float(env_c),
-        envelope_power=env_p,
         quadrature_budget=float(budget),
         tail_method=tail_method,
         notes=notes,
-        per_term_coefficients=coeffs if keep_coefficients else None,
     )
 
 

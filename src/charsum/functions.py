@@ -1,10 +1,11 @@
 """Piecewise-smooth real functions on [0, 1] with midpoint jump convention.
 
 A FunctionSpec carries everything the series engine needs: a pointwise
-evaluator, the jump points with their one-sided limits, endpoint-singularity
-flags, optional closed-form Fourier coefficients, a proven coefficient
-envelope when one is known, optional rational atoms that let the series tail
-be summed exactly, and the variation class that drives truncation bounds.
+evaluator, the jump points with their one-sided limits, a flag for an
+integrable singularity at 0, optional closed-form Fourier coefficients, a
+proven coefficient envelope when one is known, optional rational atoms that
+let the series tail be summed exactly, and the variation class that drives
+truncation bounds.
 The built-in family covers the squared/linear/exponential/logarithm
 evaluands and indicator steps.
 """
@@ -58,7 +59,6 @@ class FunctionSpec:
     variation_class: VariationClass
     jump_points: tuple[tuple[float, float, float], ...] = ()  # (t, left, right)
     singular_at_zero: bool = False
-    singular_at_one: bool = False
     closed_form: Callable[[np.ndarray, str], np.ndarray] | None = None
     envelope: tuple[tuple[str, float, int], ...] = ()  # (kind, C, p)
     # (kind, ((coef, c), ...))

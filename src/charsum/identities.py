@@ -38,7 +38,7 @@ from .analytic import (  # noqa: F401
 )
 from .characters import MODULUS_CEILING, real_primitive_character
 from .fourier import direct_sum
-from .functions import builtin_function
+from .functions import TWO_PI, builtin_function
 from .gauss_sums import tau
 
 __all__ = [
@@ -51,8 +51,6 @@ __all__ = [
     "IDENTITY_IDS",
     "DEFAULT_TOLERANCES",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 DEFAULT_TOLERANCES = {1: 1e-7, 2: 1e-7, 3: 1e-8, 4: 5e-4}
 

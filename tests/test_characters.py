@@ -222,6 +222,32 @@ def test_real_primitive_character_rejects_non_fundamental():
             real_primitive_character(bad)
 
 
+def test_predicate_agrees_with_real_primitive_character():
+    for d in range(-300, 301):
+        try:
+            real_primitive_character(d)
+            builds = True
+        except ValueError:
+            builds = False
+        assert is_fundamental_discriminant(d) == builds, d
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        (1, "d = 1 is excluded: it would give the trivial character mod 1"),
+        (9, "9 is not a fundamental discriminant: d = 1 mod 4 but not squarefree"),
+        (16, "16 is not a fundamental discriminant: d/4 = 4 is not 2 or 3 mod 4"),
+        (72, "72 is not a fundamental discriminant: d/4 = 18 is not squarefree"),
+        (7, "7 is not a fundamental discriminant: d is not 1 mod 4 nor divisible by 4"),
+    ],
+)
+def test_real_primitive_character_rejection_messages(d, message):
+    with pytest.raises(ValueError) as info:
+        real_primitive_character(d)
+    assert str(info.value) == message
+
+
 def test_real_primitive_character_sweep():
     for d in fundamental_discriminants(500):
         chi = real_primitive_character(d)

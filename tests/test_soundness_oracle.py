@@ -1,9 +1,10 @@
-"""High-precision oracle for the theorem series bounds.
+"""High-precision oracle for the theorem series bounds and the direct sum.
 
 S(chi, f) = sum_{k<q} chi(k) f(k/q) is evaluated to 30 digits with mpmath
 from the exact character turns, independently of the float direct sum; the
-truncated series must then lie within its reported tail bound of it.  The
-same holds for identity 4 against the exact rational F*(y), and for L(1, chi)
+truncated series must then lie within its reported tail bound of it, and
+for complex characters each component of the float direct sum within
+(q - 1) 2^-53 max|f*| of it.  The same holds for identity 4 against the exact rational F*(y), and for L(1, chi)
 against its finite closed forms.
 """
 
@@ -22,8 +23,8 @@ from charsum.characters import (
     kronecker_symbol,
     real_primitive_character,
 )
-from charsum.fourier import theorem_series
-from charsum.functions import builtin_function
+from charsum.fourier import direct_sum, theorem_series
+from charsum.functions import builtin_function, fstar
 from charsum.identities import check_partial_sum_identity
 
 mp = mpmath.mp
@@ -44,16 +45,21 @@ def _characters():
     return chars
 
 
+def exact_sum_mp(chi, g):
+    """S(chi, g) as an mpmath complex at the working precision."""
+    total = mp.mpc(0)
+    for k in range(1, chi.modulus):
+        turn = chi.turn(k)
+        if turn is not None:
+            total += mpmath.expjpi(2 * mp.mpf(turn.numerator) / turn.denominator) * g(
+                mp.mpf(k) / chi.modulus
+            )
+    return total
+
+
 def exact_sum(chi, g):
     with mp.workdps(30):
-        total = mp.mpc(0)
-        for k in range(1, chi.modulus):
-            turn = chi.turn(k)
-            if turn is not None:
-                total += mpmath.expjpi(2 * mp.mpf(turn.numerator) / turn.denominator) * g(
-                    mp.mpf(k) / chi.modulus
-                )
-        return complex(total)
+        return complex(exact_sum_mp(chi, g))
 
 
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
@@ -69,6 +75,27 @@ def test_series_within_bound_of_exact_sum(name):
             checked_odd += 1
             assert sev.tail_method == "abel", (chi.label, name)
     assert checked_odd == 10  # odd mod 3 and 4, two complex mod 7, six mod 13
+
+
+@pytest.mark.parametrize("q", (7, 13, 29))
+def test_complex_direct_sum_within_product_rounding(q):
+    # each product chi(k) f*(k/q) is rounded once before math.fsum
+    functions = {
+        **FUNCTIONS,
+        "step:1/4": lambda x: mp.mpf(1) if x <= mp.mpf(1) / 4 else mp.mpf(0),
+        "log": mpmath.log,
+    }
+    characters = [c for c in build_character_group(q).primitive_characters() if not c.is_real]
+    assert characters
+    for name in ("t2", "exp", "step:1/4", "log"):
+        f = builtin_function(name)
+        bound = (q - 1) * 2.0**-53 * max(abs(fstar(f, k / q)) for k in range(1, q))
+        for chi in characters:
+            direct = direct_sum(chi, f)
+            with mp.workdps(40):
+                exact = exact_sum_mp(chi, functions[name])
+                assert abs(mp.mpf(direct.real) - exact.real) <= bound, (chi.label, name)
+                assert abs(mp.mpf(direct.imag) - exact.imag) <= bound, (chi.label, name)
 
 
 def exact_partial_sum(d, y):
