@@ -1,12 +1,14 @@
 """Sine/cosine integrals and L(1, chi): oracles and properties.
 
 Si is checked against a high-order Gauss-Legendre quadrature oracle written
-here from scratch; L-values against closed constants, a reversed identity,
+here from scratch, and Si, pi/2 - Si and Ci against 40-digit mpmath values
+(arrays and scalars); L-values against closed constants, a reversed identity,
 and a brute-force partial-sum value recorded before the build.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from charsum.analytic import (
     PeriodicSums,
     abel_series,
     cosine_integral,
+    cosine_integral_array,
     l_one,
     partial_sum_bound,
     reciprocal_tail,
@@ -73,10 +76,31 @@ def test_si_complement_bound_and_consistency():
         assert comp == pytest.approx(math.pi / 2 - sine_integral(float(x)), abs=1e-12)
 
 
-def test_si_ci_vectorized_match_scalar():
-    xs = np.array([0.5, 3.0, 7.99, 8.01, 60.0, 6.283185307179586e4])
-    assert np.allclose(sine_integral_array(xs), [sine_integral(float(x)) for x in xs], atol=1e-14)
-    assert np.allclose(si_complement_array(xs), [si_complement(float(x)) for x in xs], atol=1e-14)
+def test_si_ci_against_mpmath_oracle():
+    xs = np.concatenate([
+        np.geomspace(1e-4, 1e8, 121),
+        np.linspace(3.0, 4.0, 41),  # both sides of the series cutoff
+        np.linspace(7.5, 8.5, 21),  # both sides of the former cutoff at 8
+        2 * math.pi * np.arange(1, 101),
+        2 * math.pi * np.array([1e3, 1e4, 1e5, 1e6]),
+    ])
+    with mpmath.workdps(40):
+        si = [mpmath.si(mpmath.mpf(float(x))) for x in xs]
+        exact = {
+            "si": np.array([float(v) for v in si]),
+            "comp": np.array([float(mpmath.pi / 2 - v) for v in si]),
+            "ci": np.array([float(mpmath.ci(mpmath.mpf(float(x)))) for x in xs]),
+        }
+    computed = {
+        "si": (sine_integral_array(xs), [sine_integral(float(x)) for x in xs]),
+        "comp": (si_complement_array(xs), [si_complement(float(x)) for x in xs]),
+        "ci": (cosine_integral_array(xs), [cosine_integral(float(x)) for x in xs]),
+    }
+    for name, (array, scalar) in computed.items():
+        allowed = 2e-15 * np.maximum(1.0, np.abs(exact[name]))
+        for values in (array, np.array(scalar)):
+            err = np.abs(values - exact[name])
+            assert (err <= allowed).all(), (name, xs[np.argmax(err / allowed)], err.max())
 
 
 def test_ci_against_quadrature_oracle():
