@@ -39,14 +39,10 @@ EULER_GAMMA = 0.5772156649015328606
 
 # --- sine and cosine integrals ----------------------------------------------
 #
-# One vectorized core: below _SERIES_CUTOFF the power series, from it on the
-# continued fraction for E1(ix) (modified Lentz, 54 steps at x = 3.5 and
-# fewer beyond), which avoids the divergence of the plain asymptotic series.
-# The cutoff is low because the alternating series loses about
-# e^x/sqrt(2 pi x) ulps to cancellation.  Each element stops at its own
-# convergence test; the scalar functions wrap the array ones.  Against
-# 40-digit values the absolute error of Si and pi/2 - Si is below 1e-15, and
-# that of Ci below 1.1e-15 max(1, |Ci|).
+# One vectorized core: the power series below _SERIES_CUTOFF, the continued
+# fraction for E1(ix) (modified Lentz) from it on.  The cutoff is low because
+# the alternating series loses about e^x/sqrt(2 pi x) ulps to cancellation;
+# the fraction needs 54 steps at x = 3.5 and fewer beyond.
 
 _SERIES_CUTOFF = 3.5
 
@@ -106,18 +102,21 @@ def _e1_ix(x: np.ndarray) -> np.ndarray:
 
 
 def si_complement_array(x) -> np.ndarray:
-    """Vectorized pi/2 - Si(x) for positive x, without cancellation for large x."""
+    """Vectorized pi/2 - Si(x) for x >= 0, without cancellation for large x."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = x < _SERIES_CUTOFF
-    out[small] = math.pi / 2 - _series(x[small], 1, x[small])
+    xs = x[small]
+    if (xs < 0).any():
+        raise ValueError(f"the array sine integrals require x >= 0, got {xs[xs < 0][0]}")
+    out[small] = math.pi / 2 - _series(xs, 1, xs)
     large = ~small
     out[large] = -_e1_ix(x[large]).imag
     return out
 
 
 def sine_integral_array(x) -> np.ndarray:
-    """Vectorized Si(x) = integral_0^x sin(u)/u du for positive x."""
+    """Vectorized Si(x) = integral_0^x sin(u)/u du for x >= 0."""
     return math.pi / 2 - si_complement_array(x)
 
 
@@ -136,19 +135,19 @@ def cosine_integral_array(x) -> np.ndarray:
 
 
 def sine_integral(x: float) -> float:
-    """Si(x), with the odd extension for negative arguments; Si(x) -> pi/2."""
+    """Si(x) to within 1e-15, with the odd extension for negative arguments."""
     if x < 0:
         return -sine_integral(-x)
     return float(sine_integral_array([x])[0])
 
 
 def cosine_integral(x: float) -> float:
-    """Ci(x) for x > 0."""
+    """Ci(x) for x > 0, to within 1.1e-15 max(1, |Ci(x)|)."""
     return float(cosine_integral_array([x])[0])
 
 
 def si_complement(x: float) -> float:
-    """pi/2 - Si(x), computed without cancellation for large x."""
+    """pi/2 - Si(x) to within 1e-15, without cancellation for large x."""
     if x < 0:
         return math.pi / 2 - sine_integral(x)
     return float(si_complement_array([x])[0])

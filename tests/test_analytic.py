@@ -61,6 +61,15 @@ def test_si_limit_value():
 
 def test_si_odd_extension():
     assert sine_integral(-3.0) == -sine_integral(3.0)
+    assert sine_integral(-30.0) == -sine_integral(30.0)
+    assert si_complement(-30.0) == math.pi / 2 + sine_integral(30.0)
+
+
+def test_array_integrals_reject_arguments_outside_their_domain():
+    with pytest.raises(ValueError, match="x >= 0"):
+        sine_integral_array(np.array([1.0, -30.0]))
+    with pytest.raises(ValueError, match="x > 0"):
+        cosine_integral_array(np.array([1.0, 0.0]))
 
 
 def test_si_monotone_on_0_pi():
