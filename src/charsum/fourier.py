@@ -15,12 +15,19 @@ coefficient envelope, and slowly convergent families (jump functions, the
 logarithm) are summed with Cesaro averaging of the partial sums over the
 window [N, 2N], which restores O(1/N) practical accuracy without changing
 the limit.
+
+Coefficients without a closed form come from piecewise Filon quadrature.  f is
+sampled once per piece (an interval between jumps, or one interval of the
+graded mesh toward a singular 0) on nested grids held per spec, shared by
+every n, both kinds and every panel doubling; the coefficients are
+bit-identical to sampling f afresh for each one.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +36,7 @@ from .analytic import abel_series, partial_sum_bound
 from .characters import DirichletCharacter
 from .functions import FunctionSpec, VariationClass, fstar
 from .gauss_sums import tau
-from .quadrature import QuadratureError, filon_adaptive, graded_edges
+from .quadrature import NestedSamples, QuadratureError, filon_adaptive, graded_edges
 
 __all__ = [
     "SeriesEvaluation",
@@ -48,7 +55,10 @@ _ABS_QUAD = 1e-14
 
 # per-FunctionSpec caches, keyed by object identity
 _coeff_cache: "weakref.WeakKeyDictionary[FunctionSpec, dict]" = weakref.WeakKeyDictionary()
-_fstar_cache: "weakref.WeakKeyDictionary[FunctionSpec, dict]" = weakref.WeakKeyDictionary()
+_fstar_cache: "weakref.WeakKeyDictionary[FunctionSpec, OrderedDict]" = weakref.WeakKeyDictionary()
+_sample_cache: "weakref.WeakKeyDictionary[FunctionSpec, list]" = weakref.WeakKeyDictionary()
+# f* tables kept per spec, most recent moduli only
+_FSTAR_MODULI = 8
 
 
 def _require_primitive(chi: DirichletCharacter) -> None:
@@ -62,12 +72,16 @@ def _require_primitive(chi: DirichletCharacter) -> None:
 
 
 def _fstar_values(f: FunctionSpec, q: int) -> np.ndarray:
-    per_f = _fstar_cache.setdefault(f, {})
+    per_f = _fstar_cache.setdefault(f, OrderedDict())
     arr = per_f.get(q)
     if arr is None:
         arr = np.array([fstar(f, k / q) for k in range(1, q)])
         arr.flags.writeable = False
         per_f[q] = arr
+        if len(per_f) > _FSTAR_MODULI:
+            per_f.popitem(last=False)
+    else:
+        per_f.move_to_end(q)
     return arr
 
 
@@ -75,8 +89,12 @@ def direct_sum(chi: DirichletCharacter, f: FunctionSpec) -> float | complex:
     """sum_{k=1}^{q-1} chi(k) f*(k/q) by math.fsum, real for real chi.
 
     For real chi every product is +-f*(k/q) exactly, so the sum is exactly
-    rounded.  For complex chi each product is rounded before the fsum, so each
-    component may be off by up to about (q - 1) 2^-53 max|f*|.
+    rounded.  For complex chi it is not: rounding the q - 1 products before
+    the fsum alone may move each component by up to (q - 1) 2^-53 max|f*|,
+    and the rounding of the table values cos/sin(2 pi t/e) themselves can
+    roughly double that.  Against 40-digit sums the error measured at most
+    0.79 of (q - 1) 2^-53 max|f*| over the complex characters mod 7, 13
+    and 29; no proven bound is claimed.
     """
     _require_primitive(chi)
     q = chi.modulus
@@ -114,20 +132,35 @@ def _piece_evaluator(f: FunctionSpec, a: float, b: float):
     return piece
 
 
+def _piece_samples(f: FunctionSpec) -> list[NestedSamples]:
+    """The spec's quadrature pieces in summation order, each with its samples.
+
+    A piece is an interval between jump points, or one interval of the graded
+    mesh toward 0 when f is singular there.  Each piece keeps one nested
+    sample grid, shared by every n, both kinds and every panel doubling.
+    """
+    pieces = _sample_cache.get(f)
+    if pieces is None:
+        pieces = []
+        breakpoints = [0.0] + [t for t, _, _ in f.jump_points] + [1.0]
+        for a, b in zip(breakpoints[:-1], breakpoints[1:]):
+            if b <= a:
+                continue
+            evaluator = _piece_evaluator(f, a, b)
+            if f.singular_at_zero and a == 0.0:
+                pieces += [NestedSamples(evaluator, lo, hi) for lo, hi in graded_edges(0.0, b)]
+            else:
+                pieces.append(NestedSamples(evaluator, a, b))
+        _sample_cache[f] = pieces
+    return pieces
+
+
 def _coefficient_quadrature(f: FunctionSpec, n: int, kind: str) -> float:
     """One coefficient by piecewise Filon quadrature with a graded singular mesh."""
     omega = 2.0 * math.pi * n
-    breakpoints = [0.0] + [t for t, _, _ in f.jump_points] + [1.0]
     total = 0.0
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        if b <= a:
-            continue
-        evaluator = _piece_evaluator(f, a, b)
-        if f.singular_at_zero and a == 0.0:
-            for lo, hi in graded_edges(0.0, b):
-                total += filon_adaptive(evaluator, lo, hi, omega, kind)[0]
-        else:
-            total += filon_adaptive(evaluator, a, b, omega, kind)[0]
+    for piece in _piece_samples(f):
+        total += filon_adaptive(piece, piece.a, piece.b, omega, kind)[0]
     return total
 
 

@@ -6,6 +6,14 @@ governed by f alone and does not degrade as omega grows.  As the panel phase
 theta -> 0 the weights reduce to Simpson's rule, which covers the
 non-oscillatory regime through the same code path; a Taylor branch keeps the
 weights stable for small theta.
+
+Panel doubling never samples a point twice.  The grid linspace(a, b, 2P + 1)
+is bit-identical to the even entries of linspace(a, b, 4P + 1), because the
+step (b - a)/4P is the step (b - a)/2P halved exactly.  NestedSamples keeps f
+on the finest grid requested so far: a coarser request is a strided view of
+it and a finer one evaluates f only at the new points.  One NestedSamples per
+interval can therefore serve every omega, both kinds and every doubling, with
+results bit-identical to sampling f afresh on each grid.
 """
 
 from __future__ import annotations
@@ -15,7 +23,13 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["QuadratureError", "filon_integral", "filon_adaptive", "graded_edges"]
+__all__ = [
+    "NestedSamples",
+    "QuadratureError",
+    "filon_integral",
+    "filon_adaptive",
+    "graded_edges",
+]
 
 
 class QuadratureError(ArithmeticError):
@@ -24,6 +38,45 @@ class QuadratureError(ArithmeticError):
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved accuracy {achieved:.3e})")
         self.achieved = achieved
+
+
+class NestedSamples:
+    """f on the nested grids linspace(a, b, 2P + 1) of one interval [a, b].
+
+    Call it with such a grid, as filon_integral does, and it returns f on it
+    as a read-only array.  Only the finest grid is held: a grid whose interval
+    count divides the held one by a power of two is a strided view of it, and
+    a grid that multiplies it by a power of two evaluates f only at the points
+    the held grid lacks.  `values` is the held grid (None before any call).
+    """
+
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
+        self.f, self.a, self.b = f, a, b
+        self.values: np.ndarray | None = None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if len(x) < 2 or x[0] != self.a or x[-1] != self.b:
+            raise ValueError(f"samples requested off the grids of [{self.a}, {self.b}]")
+        held = self.values
+        if held is None:
+            values = np.array(self.f(x), dtype=float)
+        else:
+            coarse, fine = sorted((len(held) - 1, len(x) - 1))
+            ratio, rest = divmod(fine, coarse)
+            if rest or ratio & (ratio - 1):
+                raise ValueError(
+                    f"a grid of {len(x)} points does not nest with {len(held)} held points"
+                )
+            if len(x) <= len(held):
+                return held[::ratio]
+            values = np.empty(len(x))
+            values[::ratio] = held
+            new = np.ones(len(x), dtype=bool)
+            new[::ratio] = False
+            values[new] = self.f(x[new])
+        values.flags.writeable = False
+        self.values = values
+        return values
 
 
 def _filon_weights(theta: float) -> tuple[float, float, float]:
@@ -82,9 +135,14 @@ def filon_adaptive(
 ) -> tuple[float, float]:
     """Panel-doubling Filon integration; returns (value, error estimate).
 
-    Raises QuadratureError when the subdivision cap is reached before the
-    doubling increment falls under max(rel_tol * |value|, abs_floor).
+    Panels start at 8 and double while they are at most max_panels, so the
+    finest rule has up to 2 * max_panels panels.  Raises QuadratureError when
+    that cap is reached before the doubling increment falls under
+    max(rel_tol * |value|, abs_floor), and ValueError for max_panels < 8.
+    Pass a NestedSamples as f to keep the samples for the next call.
     """
+    if max_panels < 8:
+        raise ValueError(f"max_panels must be at least 8, got {max_panels}")
     panels = 8
     prev = filon_integral(f, a, b, omega, kind, panels)
     while panels <= max_panels:

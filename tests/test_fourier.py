@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from charsum import fourier
 from charsum.characters import build_character_group, real_primitive_character
 from charsum.fourier import direct_sum, theorem_series, verify_theorem
 from charsum.functions import FunctionSpec, VariationClass, builtin_function
+from charsum.quadrature import QuadratureError, filon_adaptive, graded_edges
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +219,109 @@ def test_coefficient_decay_slopes():
             keep = coeffs > 1e-12  # skip exact zeros of the sine pattern
             slope = np.polyfit(np.log(n[keep]), np.log(coeffs[keep]), 1)[0]
             assert slope <= -0.9, (name, kind)
+
+
+# --- quadrature sample cache ----------------------------------------------------
+
+
+def _counted(g):
+    def evaluator(t):
+        evaluator.calls += 1
+        return g(t)
+
+    evaluator.calls = 0
+    return evaluator
+
+
+def _user_specs():
+    """Quadrature-only specs shaped like the benchmark's: smooth, jump, log-singular."""
+    y = 5 / 11
+    return [
+        FunctionSpec(
+            name="smooth#quad",
+            evaluator=_counted(lambda t: math.exp(-t) * math.cos(3.0 * t)),
+            variation_class=VariationClass.SMOOTH_C2,
+        ),
+        FunctionSpec(
+            name="jump#quad",
+            evaluator=_counted(lambda t: 1.0 + t if t <= y else t * t),
+            variation_class=VariationClass.PIECEWISE_SMOOTH,
+            jump_points=((y, 1.0 + y, y * y),),
+        ),
+        FunctionSpec(
+            name="log-singular#quad",
+            evaluator=_counted(lambda t: math.log(t) * (1.0 - 0.5 * t)),
+            variation_class=VariationClass.INTEGRABLE_SINGULAR_AT_ZERO,
+            singular_at_zero=True,
+        ),
+    ]
+
+
+def _cold_coefficient(f, n, kind, **options):
+    """One coefficient with a fresh evaluator per piece and no sample reuse."""
+    omega = 2.0 * math.pi * n
+    breakpoints = [0.0] + [t for t, _, _ in f.jump_points] + [1.0]
+    total = 0.0
+    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
+        base = np.vectorize(f.evaluator, otypes=[float])
+        # one-sided limits at the piece's ends
+        ends = [(t, right) for t, _, right in f.jump_points if t == a]
+        ends += [(t, left) for t, left, _ in f.jump_points if t == b]
+
+        def evaluator(x, base=base, ends=ends):
+            fx = base(x)
+            for t, value in ends:
+                fx = np.where(x == t, value, fx)
+            return fx
+
+        edges = graded_edges(0.0, b) if f.singular_at_zero and a == 0.0 else [(a, b)]
+        for lo, hi in edges:
+            total += filon_adaptive(evaluator, lo, hi, omega, kind, **options)[0]
+    return total
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_sampled_coefficients_bit_identical_to_cold_quadrature(index):
+    f = _user_specs()[index]
+    count = 128
+    cached = {kind: fourier._coefficients(f, kind, count) for kind in ("cos", "sin")}
+    calls = f.evaluator.calls
+    # each grid point of each piece is evaluated once, whatever n, kind or doubling
+    pieces = fourier._sample_cache[f]
+    assert calls <= sum(len(piece.values) for piece in pieces)
+    for kind in ("cos", "sin"):
+        cold = [_cold_coefficient(f, n, kind) for n in range(1, count + 1)]
+        assert cached[kind].tolist() == cold, (f.name, kind)
+    # the cold pass re-samples every grid at every doubling of every coefficient
+    assert f.evaluator.calls - calls > 20 * calls
+
+
+def test_sample_cache_keeps_quadrature_error_accuracy():
+    wild = FunctionSpec(
+        name="wild#quad",
+        evaluator=_counted(lambda t: math.sin(1.0 / (t + 1e-4))),
+        variation_class=VariationClass.PIECEWISE_SMOOTH,
+    )
+    with pytest.raises(QuadratureError) as first:
+        fourier.fourier_coefficient(wild, 3, "cos")
+    calls = wild.evaluator.calls
+    with pytest.raises(QuadratureError) as again:
+        fourier.fourier_coefficient(wild, 3, "sin")
+    assert wild.evaluator.calls == calls  # the finest grid is held, not re-sampled
+    with pytest.raises(QuadratureError) as cold:
+        _cold_coefficient(wild, 3, "cos")
+    assert first.value.achieved > 0 and again.value.achieved > 0
+    assert first.value.achieved == cold.value.achieved
+
+
+def test_fstar_cache_keeps_recent_moduli_only():
+    f = builtin_function("t2")
+    for q in range(3, 200):
+        table = fourier._fstar_values(f, q)
+        assert len(fourier._fstar_cache[f]) <= fourier._FSTAR_MODULI
+    assert fourier._fstar_values(f, 199) is table
+    assert list(fourier._fstar_cache[f]) == list(range(200 - fourier._FSTAR_MODULI, 200))
+    # a hit moves its modulus to the recent end
+    fourier._fstar_values(f, 200 - fourier._FSTAR_MODULI)
+    fourier._fstar_values(f, 200)
+    assert 200 - fourier._FSTAR_MODULI in fourier._fstar_cache[f]

@@ -13,7 +13,7 @@ from scipy import integrate
 
 from charsum.functions import FunctionSpec, VariationClass, builtin_function, fstar
 from charsum.fourier import fourier_coefficient
-from charsum.quadrature import QuadratureError, filon_adaptive
+from charsum.quadrature import NestedSamples, QuadratureError, filon_adaptive, filon_integral
 
 
 def oracle_coefficient(f, n, kind, points=None):
@@ -147,6 +147,49 @@ def test_quadrature_error_carries_achieved_accuracy():
     with pytest.raises(QuadratureError) as exc:
         filon_adaptive(wild, 0.0, 1.0, 2 * math.pi, "cos", max_panels=32)
     assert exc.value.achieved > 0
+
+
+def test_quadrature_rejects_panel_cap_below_first_rule():
+    sampled = []
+
+    def f(x):
+        sampled.append(len(x))
+        return np.ones_like(x)
+
+    for cap in (0, 4, 7):
+        with pytest.raises(ValueError, match="max_panels"):
+            filon_adaptive(f, 0.0, 1.0, 2 * math.pi, "cos", max_panels=cap)
+    assert sampled == []
+    value, err = filon_adaptive(f, 0.0, 1.0, 2 * math.pi, "sin", max_panels=8)
+    assert abs(value) < 1e-14 and sampled == [17, 33]
+
+
+def test_nested_samples_evaluate_each_grid_point_once():
+    seen = []
+
+    pointwise = np.vectorize(lambda t: math.exp(-t) * math.cos(3.0 * t), otypes=[float])
+
+    def f(x):
+        seen.extend(x.tolist())
+        return pointwise(x)
+
+    a, b = 0.1, 0.8
+    samples = NestedSamples(f, a, b)
+    for panels in (8, 16, 4, 64, 32):
+        x = np.linspace(a, b, 2 * panels + 1)
+        got = samples(x)
+        assert np.array_equal(got, f(x)) and not got.flags.writeable
+        del seen[-len(x):]  # the reference call above
+    assert sorted(seen) == np.linspace(a, b, 129).tolist()
+    assert len(samples.values) == 129
+    for omega, kind in ((0.5, "cos"), (40.0, "sin")):
+        assert filon_integral(samples, a, b, omega, kind, 16) == filon_integral(
+            f, a, b, omega, kind, 16
+        )
+    with pytest.raises(ValueError, match="nest"):
+        samples(np.linspace(a, b, 49))
+    with pytest.raises(ValueError, match="grids"):
+        samples(np.linspace(a, 0.9, 17))
 
 
 def test_envelope_bounds_hold():
