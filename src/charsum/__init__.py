@@ -37,6 +37,7 @@ from .functions import FunctionSpec, VariationClass, builtin_function, fstar
 from .gauss_sums import (
     GaussSumValue,
     gauss_sum,
+    gauss_sum_table,
     quadratic_tau_residual,
     separability_residual,
     tau,
@@ -79,6 +80,7 @@ __all__ = [
     "fstar",
     "fundamental_discriminants",
     "gauss_sum",
+    "gauss_sum_table",
     "is_fundamental_discriminant",
     "kronecker_symbol",
     "l_one",

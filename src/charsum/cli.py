@@ -14,11 +14,17 @@ domain errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from fractions import Fraction
 
-from .characters import build_character_group, fundamental_discriminants, real_primitive_character
+from .characters import (
+    MODULUS_CEILING,
+    build_character_group,
+    fundamental_discriminants,
+    real_primitive_character,
+)
 from .fourier import DEFAULT_TERMS_CAP, verify_theorem
 from .functions import builtin_function
 from .gauss_sums import GAUSS_TOLERANCE, quadratic_tau_residual, separability_residual
@@ -30,6 +36,8 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 
@@ -254,17 +262,20 @@ def _cmd_example(args, command: str) -> int:
 
 
 def _cmd_sweep(args, command: str) -> int:
+    if args.max_abs_d > MODULUS_CEILING:
+        print(f"error: --max-abs-d {args.max_abs_d} exceeds the supported modulus ceiling "
+              f"{MODULUS_CEILING}", file=sys.stderr)
+        return 2
     if args.max_abs_d < args.min_abs_d:
         print("error: empty sweep range", file=sys.stderr)
         # header-only output for an empty range
         return _emit([], args.format, args.output)
     reports = []
     for d in fundamental_discriminants(args.max_abs_d, args.min_abs_d):
-        q = abs(d)
         chi = real_primitive_character(d)
 
         started = time.perf_counter()
-        residual = max(separability_residual(chi, n) for n in range(q))
+        residual = separability_residual(chi)
         row = _residual_report(command, d, chi.label, "separability", residual)
         reports.append(_with_time(row, started))
 

@@ -212,7 +212,11 @@ def builtin_function(name: str) -> FunctionSpec:
             envelope=(("cos", _SI_MAX / TWO_PI, 1),),
         )
     if name.startswith("step:"):
-        return _make_step(Fraction(name[5:]))
+        try:
+            y = Fraction(name[5:])
+        except ZeroDivisionError:
+            raise ValueError(f"step threshold {name[5:]!r} has a zero denominator") from None
+        return _make_step(y)
     raise ValueError(f"unknown function name {name!r}; expected one of {BUILTIN_NAMES}")
 
 

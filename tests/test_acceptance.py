@@ -39,8 +39,7 @@ def test_criterion_1_separability_sweep():
     worst = 0.0
     for q in range(3, 51):
         for chi in build_character_group(q).primitive_characters():
-            for n in range(q):
-                worst = max(worst, separability_residual(chi, n))
+            worst = max(worst, separability_residual(chi))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < budget
     _report(1, ok, f"max |G(n,chi) - conj(chi)(n) tau| = {worst:.3e} over q <= 50", elapsed, budget)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import charsum.cli as cli
 from charsum.cli import main
 from charsum.identities import run_identity
 from charsum.reporting import CSV_HEADER
@@ -209,6 +210,10 @@ def test_exit_code_reflects_failures(capsys):
         (("example", "--id", "4", "-d", "5", "--y", "1/5", "--terms", "0"),
          "--terms: must be >= 1"),
         (("sweep", "--max-abs-d", "8", "--tol", "-1"), "--tol: must be > 0"),
+        (("verify-theorem", "-q", "7", "--function", "t", "--tol", "inf"),
+         "--tol: must be finite"),
+        (("example", "--id", "1", "-d", "-3", "--tol", "nan"), "--tol: must be > 0"),
+        (("sweep", "--max-abs-d", "8", "--tol", "inf"), "--tol: must be finite"),
     ],
 )
 def test_invalid_numeric_arguments_exit_2(capsys, argv, message):
@@ -217,6 +222,26 @@ def test_invalid_numeric_arguments_exit_2(capsys, argv, message):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify-theorem", "-q", "7", "--function", "step:1/0"), "zero denominator"),
+        (("sweep", "--min-abs-d", "2999990", "--max-abs-d", "3000000"),
+         "exceeds the supported modulus ceiling"),
+    ],
+)
+def test_domain_errors_exit_2_before_work(capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the argument was rejected")
+
+    for name in ("fundamental_discriminants", "build_character_group", "verify_theorem"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert out == ""
 
 
 def test_run_identity_rejects_zero_terms():

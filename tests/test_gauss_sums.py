@@ -9,6 +9,7 @@ from charsum.characters import build_character_group, fundamental_discriminants,
 from charsum.gauss_sums import (
     GAUSS_TOLERANCE,
     gauss_sum,
+    gauss_sum_table,
     quadratic_tau_residual,
     separability_residual,
     tau,
@@ -66,30 +67,57 @@ def test_gauss_sum_residual_metadata():
 
 def test_separability_odd_mod4_n3():
     chi = build_character_group(4).character_by_index(1)
-    assert separability_residual(chi, 3) < 1e-12
+    # the max over n mod 4 covers n = 3
+    assert separability_residual(chi) < 1e-12
     # both sides equal -2i
     assert abs(gauss_sum(chi, 3).value + 2j) < 1e-13
+    assert abs(gauss_sum_table(chi)[3] + 2j) < 1e-13
 
 
 def test_separability_vanishing_twist():
     chi = real_primitive_character(5)
-    assert separability_residual(chi, 5) < 1e-12
+    # n = 5 is n = 0 mod 5, inside the max over n mod 5
+    assert separability_residual(chi) < 1e-12
     assert abs(gauss_sum(chi, 5).value) < 1e-12
+    assert abs(gauss_sum_table(chi)[0]) < 1e-12
 
 
 def test_separability_exhaustive_small_moduli():
     worst = 0.0
     for q in range(3, 51):
         for chi in build_character_group(q).primitive_characters():
-            for n in range(q):
-                worst = max(worst, separability_residual(chi, n))
+            worst = max(worst, separability_residual(chi))
     assert worst <= GAUSS_TOLERANCE
 
 
 def test_separability_rejects_imprimitive():
     chi = build_character_group(8).character_by_index(0)
     with pytest.raises(ValueError, match="primitive"):
-        separability_residual(chi, 1)
+        separability_residual(chi)
+
+
+def test_gauss_sum_table_matches_scalar_oracle():
+    # The table's docstring bound is eps*log2(q)*q; the scalar oracle carries
+    # rounding of the same size from its q - 1 cos/sin terms, so their
+    # difference is held to twice that bound.
+    eps = 2.0**-52
+    seen_real = seen_complex = 0
+    for q in range(1, 61):
+        bound = 2.0 * eps * math.log2(q) * q
+        for chi in build_character_group(q).primitive_characters():
+            table = gauss_sum_table(chi)
+            assert table.shape == (q,)
+            for n in range(q):
+                assert abs(table[n] - gauss_sum(chi, n).value) <= bound, (chi.label, n)
+            seen_real += chi.is_real
+            seen_complex += not chi.is_real
+    assert seen_real > 0 and seen_complex > 0
+
+
+def test_separability_large_real_modulus():
+    chi = real_primitive_character(100001)
+    assert chi.is_real and chi.is_primitive
+    assert separability_residual(chi) <= GAUSS_TOLERANCE
 
 
 def test_quadratic_tau_examples():
