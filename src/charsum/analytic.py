@@ -5,9 +5,12 @@ by repeated summation by parts: the iterated partial sums of a non-principal
 character are periodic, so each Abel step extracts an exact boundary term and
 leaves a remainder one order smaller.  The same machinery serves any tail
 sum_{n>N} chi(n) g(n) whose g is a combination of atoms 1/(n + c), since the
-forward differences of such atoms have closed forms.  abel_series is the one
-head-plus-tail engine: L(1, chi), the theorem series for functions with
-declared atoms, and identities 3 and 4 all call it.
+forward differences of such atoms have closed forms.  abel_series is the
+head-plus-exact-tail engine: L(1, chi), the theorem series for functions with
+declared atoms, and identities 3 and 4 all call it.  envelope_series is the
+head-plus-bounded-tail engine for coefficients known only through an envelope
+C/n^p: it owns the Polya-Vinogradov tail (plain or Cesaro-averaged), and the
+theorem series without atoms and identity 2 call it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "PeriodicSums",
     "reciprocal_tail",
     "abel_series",
+    "envelope_series",
     "partial_sum_bound",
 ]
 
@@ -253,6 +257,45 @@ def abel_series(
     n = np.arange(1, n_terms + 1)
     head = (values[n % len(values)] * coefficients(n_terms)).sum()
     return head + correction, n_terms, bound, sums.levels
+
+
+def envelope_series(
+    values: np.ndarray,
+    coefficients: Callable[[int], np.ndarray],
+    envelope: tuple[float, int],
+    prefactor: complex,
+    target: float,
+    start: int,
+    cap: int,
+    terms: int | None = None,
+    averaged: bool = False,
+) -> tuple[complex, int, float]:
+    """(value, N, tail bound) for prefactor * sum_{n >= 1} values[n % q] a_n.
+
+    `values` is one period of a character table, so its partial sums are at
+    most K = partial_sum_bound(q); `coefficients(M)` returns a_1..a_M, and
+    envelope = (C, p) asserts |a_n| <= C/n^p.  Summation by parts bounds the
+    value's tail beyond N by 2 K C |prefactor| / (N + 1)^p.  With `averaged`
+    the value is the Cesaro mean of the partial sums over [N, 2N] and the
+    bound is doubled.  N is the least integer >= start whose bound is at most
+    `target`, clamped to the cap (cap // 2 when averaged, but at least 1); an
+    explicit `terms` fixes N.
+    """
+    c, p = envelope
+    weight = (4.0 if averaged else 2.0) * partial_sum_bound(len(values)) * c * abs(prefactor)
+    if terms is not None:
+        n_terms = int(terms)
+    else:
+        need = (weight / target) ** (1.0 / p)  # inf for a tiny target: clamp before ceil
+        n_terms = min(max(start, math.ceil(min(need, cap))), cap)
+        if averaged:
+            n_terms = max(1, min(n_terms, cap // 2))
+    length = 2 * n_terms if averaged else n_terms
+    coeffs = coefficients(length)  # first: generating them may be the memory peak
+    n = np.arange(1, length + 1)
+    twisted = values[n % len(values)] * coeffs
+    head = np.cumsum(twisted)[n_terms - 1 :].mean() if averaged else twisted.sum()
+    return prefactor * head, n_terms, weight / float(n_terms + 1) ** p
 
 
 # --- L(1, chi) ----------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -111,55 +112,32 @@ def _emit(reports, fmt: str, output: str | None, notice: str | None = None) -> i
 
 def _write(text: str, output: str | None) -> bool:
     """Write to the output path, or stdout without one; False after an OSError."""
-    if not output:
-        sys.stdout.write(text)
-        return True
     try:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if output:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        print(f"error: cannot write {output}: {exc}", file=sys.stderr)
+        if not output:  # e.g. a closed pipe: keep the flush at exit from failing again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write {output or 'stdout'}: {exc}", file=sys.stderr)
         return False
     return True
 
 
-def _identity_report(command: str, check, label: str) -> VerificationReport:
+def _row(command, started, d, q, label, even, check, lhs, rhs, error, tol, terms, tail, passed):
+    """The one report-row builder: lhs and rhs may be complex, d is None for
+    theorem rows, and the wall time runs from `started`."""
+    lhs, rhs = complex(lhs), complex(rhs)
     return VerificationReport(
-        command=command,
-        discriminant=check.discriminant,
-        modulus=abs(check.discriminant),
-        label=label,
-        parity="even" if check.discriminant > 0 else "odd",
-        check=f"identity:{check.identity_id}",
-        lhs_re=check.lhs,
-        lhs_im=0.0,
-        rhs_re=check.rhs,
-        rhs_im=0.0,
-        abs_error=check.abs_error,
-        tolerance=check.tolerance,
-        terms_used=check.terms_used,
-        tail_bound=check.tail_bound,
-        passed=check.passed,
-        wall_time_ms=0.0,
+        command=command, discriminant=d, modulus=q, label=label,
+        parity="even" if even else "odd", check=check,
+        lhs_re=lhs.real, lhs_im=lhs.imag, rhs_re=rhs.real, rhs_im=rhs.imag,
+        abs_error=error, tolerance=tol, terms_used=terms, tail_bound=tail, passed=passed,
+        wall_time_ms=(time.perf_counter() - started) * 1000.0,
     )
-
-
-def _residual_report(command: str, d: int, label: str, check: str, residual: float):
-    """A sweep row for an exact Gauss-sum identity, judged on its residual."""
-    return VerificationReport(
-        command=command, discriminant=d, modulus=abs(d), label=label,
-        parity="even" if d > 0 else "odd", check=check,
-        lhs_re=residual, lhs_im=0.0, rhs_re=0.0, rhs_im=0.0,
-        abs_error=residual, tolerance=GAUSS_TOLERANCE,
-        terms_used=abs(d), tail_bound=0.0,
-        passed=residual <= GAUSS_TOLERANCE, wall_time_ms=0.0,
-    )
-
-
-def _with_time(report: VerificationReport, started: float) -> VerificationReport:
-    from dataclasses import replace
-
-    return replace(report, wall_time_ms=(time.perf_counter() - started) * 1000.0)
 
 
 def _cmd_characters(args) -> int:
@@ -207,6 +185,9 @@ def _cmd_verify_theorem(args, command: str) -> int:
     if args.modulus < 3:
         print(f"error: the series identity needs modulus >= 3, got {args.modulus}", file=sys.stderr)
         return 2
+    if args.terms is not None and args.terms > args.terms_cap:
+        print(f"error: --terms {args.terms} exceeds --terms-cap {args.terms_cap}", file=sys.stderr)
+        return 2
     try:
         f = builtin_function(args.function)
         group = build_character_group(args.modulus)
@@ -217,31 +198,11 @@ def _cmd_verify_theorem(args, command: str) -> int:
     for chi in group.primitive_characters():
         started = time.perf_counter()
         chk = verify_theorem(chi, f, args.tol, terms=args.terms, terms_cap=args.terms_cap)
-        direct = complex(chk.direct)
-        series = complex(chk.series.value)
-        reports.append(
-            _with_time(
-                VerificationReport(
-                    command=command,
-                    discriminant=None,
-                    modulus=args.modulus,
-                    label=chi.label,
-                    parity="even" if chi.is_even else "odd",
-                    check=f"theorem:{args.function}",
-                    lhs_re=direct.real,
-                    lhs_im=direct.imag,
-                    rhs_re=series.real,
-                    rhs_im=series.imag,
-                    abs_error=chk.abs_error,
-                    tolerance=chk.pass_tolerance,
-                    terms_used=chk.series.terms_used,
-                    tail_bound=chk.series.tail_bound,
-                    passed=chk.passed,
-                    wall_time_ms=0.0,
-                ),
-                started,
-            )
-        )
+        reports.append(_row(
+            command, started, None, args.modulus, chi.label, chi.is_even,
+            f"theorem:{args.function}", chk.direct, chk.series.value, chk.abs_error,
+            chk.pass_tolerance, chk.series.terms_used, chk.series.tail_bound, chk.passed,
+        ))
     notice = None
     if not reports:
         notice = f"no primitive characters mod {args.modulus}"
@@ -257,7 +218,10 @@ def _cmd_example(args, command: str) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = _with_time(_identity_report(command, check, label), started)
+    d = args.discriminant
+    report = _row(command, started, d, abs(d), label, d > 0, f"identity:{args.id}", check.lhs,
+                  check.rhs, check.abs_error, check.tolerance, check.terms_used,
+                  check.tail_bound, check.passed)
     return _emit([report], args.format, args.output)
 
 
@@ -273,27 +237,21 @@ def _cmd_sweep(args, command: str) -> int:
     reports = []
     for d in fundamental_discriminants(args.max_abs_d, args.min_abs_d):
         chi = real_primitive_character(d)
-
-        started = time.perf_counter()
-        residual = separability_residual(chi)
-        row = _residual_report(command, d, chi.label, "separability", residual)
-        reports.append(_with_time(row, started))
-
-        started = time.perf_counter()
-        residual = quadratic_tau_residual(d)
-        row = _residual_report(command, d, chi.label, "quadratic_tau", residual)
-        reports.append(_with_time(row, started))
-
-        ids = [1 if d < 0 else 2, 3, 4]
-        for identity_id in ids:
+        where = (d, abs(d), chi.label, d > 0)
+        for check, residual_of in (
+            ("separability", lambda: separability_residual(chi)),
+            ("quadratic_tau", lambda: quadratic_tau_residual(d)),
+        ):
             started = time.perf_counter()
-            check = run_identity(
-                identity_id,
-                d,
-                y=Fraction(1, 2) if identity_id == 4 else None,
-                tol=args.tol,
-            )
-            reports.append(_with_time(_identity_report(command, check, chi.label), started))
+            residual = residual_of()
+            reports.append(_row(command, started, *where, check, residual, 0.0, residual,
+                                GAUSS_TOLERANCE, abs(d), 0.0, residual <= GAUSS_TOLERANCE))
+        for identity_id in (1 if d < 0 else 2, 3, 4):
+            started = time.perf_counter()
+            y = Fraction(1, 2) if identity_id == 4 else None
+            c = run_identity(identity_id, d, y=y, tol=args.tol)
+            reports.append(_row(command, started, *where, f"identity:{identity_id}", c.lhs, c.rhs,
+                                c.abs_error, c.tolerance, c.terms_used, c.tail_bound, c.passed))
     return _emit(reports, args.format, args.output)
 
 

@@ -9,9 +9,10 @@ Two routes are provided and compared:
   truncated with a rigorous tail bound.
 
 When the function declares rational coefficient atoms for the branch, the
-tail is summed exactly by analytic.abel_series.  Otherwise the bound is the
+tail is summed exactly by analytic.abel_series.  Otherwise
+analytic.envelope_series sums the head and bounds the tail by the
 Polya-Vinogradov partial-sum bound times the total variation of the
-coefficient envelope, and slowly convergent families (jump functions, the
+coefficient envelope; slowly convergent families (jump functions, the
 logarithm) are summed with Cesaro averaging of the partial sums over the
 window [N, 2N], which restores O(1/N) practical accuracy without changing
 the limit.
@@ -29,10 +30,11 @@ import math
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .analytic import abel_series, partial_sum_bound
+from .analytic import abel_series, envelope_series
 from .characters import DirichletCharacter
 from .functions import FunctionSpec, VariationClass, fstar
 from .gauss_sums import tau
@@ -243,15 +245,17 @@ def theorem_series(
     "envelope"); jump and singular variation classes are Cesaro-averaged over
     the window [N, 2N] (tail method "cesaro").  When the bound cannot reach
     target_accuracy within the cap the evaluation is best-effort with the bound
-    reported as is.  An explicit `terms` overrides the choice of N.
+    reported as is.  An explicit `terms` overrides the choice of N and must
+    not exceed terms_cap.  The head and tail are summed by one engine call:
+    analytic.abel_series with atoms, analytic.envelope_series without.
     """
     _require_primitive(chi)
     if f.variation_class is VariationClass.UNBOUNDED_VARIATION:
         raise ValueError(f"function {f.name!r} declares unbounded variation; series diverges")
     if target_accuracy <= 0:
         raise ValueError("target_accuracy must be positive")
-    if terms is not None and terms < 1:
-        raise ValueError("terms must be >= 1")
+    if terms is not None and not 1 <= terms <= terms_cap:
+        raise ValueError(f"terms must be >= 1 and at most terms_cap = {terms_cap}, got {terms}")
 
     q = chi.modulus
     even = chi.is_even
@@ -269,54 +273,35 @@ def theorem_series(
     table = chi.values_real() if chi.is_real else np.conj(chi.values_complex())
 
     cap = terms_cap if f.closed_form is not None else min(terms_cap, _QUADRATURE_TERMS_CAP)
+    coefficients = partial(_coefficients, f, kind)
     if atoms:
         tail_method = "abel"
         series, n_terms, bound, levels = abel_series(
             table,
-            lambda count: _coefficients(f, kind, count),
+            coefficients,
             atoms,
             target_accuracy / (2.0 * pref_abs),
             max(_MIN_TERMS, 8 * q),
             cap,
             terms,
         )
-        tail = pref_abs * bound
+        value, tail = prefactor * series, pref_abs * bound
         notes = f"abel tail over {levels} summation-by-parts levels"
     else:
         tail_method = "cesaro" if averaged else "envelope"
         env_c, env_p, env_src = _envelope(f, kind)
-        pv = partial_sum_bound(q)
-        window_factor = 4.0 if averaged else 2.0
-        if terms is not None:
-            n_terms = int(terms)
-        elif env_c == 0.0:
-            n_terms = _MIN_TERMS
-        else:
-            need = (window_factor * pv * env_c * pref_abs / target_accuracy) ** (1.0 / env_p)
-            n_terms = int(min(max(_MIN_TERMS, math.ceil(need)), cap))
-            if averaged:
-                n_terms = min(n_terms, cap // 2)
-        if env_c == 0.0:
-            tail = 0.0
-        else:
-            tail = window_factor * pv * env_c * pref_abs / float(n_terms + 1) ** env_p
-        notes = f"envelope {env_src}; PV constant {pv:.6g}"
+        value, n_terms, tail = envelope_series(
+            table, coefficients, (env_c, env_p), prefactor, target_accuracy,
+            _MIN_TERMS, cap, terms, averaged,
+        )
+        notes = f"envelope {env_src}"
     best_effort = tail > target_accuracy
 
     length = 2 * n_terms if averaged else n_terms
-    coeffs = _coefficients(f, kind, length)  # a cache hit after abel_series
-    if not atoms:
-        n = np.arange(1, length + 1)
-        twisted = table[n % q] * coeffs
-        if averaged:
-            series = np.cumsum(twisted)[n_terms - 1 : 2 * n_terms].mean()
-        else:
-            series = twisted.sum()
-    value = prefactor * series
-
     if f.closed_form is not None:
         budget = 0.0
-    else:
+    else:  # the coefficients are a cache hit after the series
+        coeffs = coefficients(length)
         budget = pref_abs * (_REL_QUAD * float(np.abs(coeffs).sum()) + length * _ABS_QUAD)
 
     if chi.is_real:

@@ -13,9 +13,10 @@ Each check compares two independently computed sides at a stated tolerance:
    the odd case)
 
 Identities 3 and 4 sum their series with analytic.abel_series: a head to N
-plus the exact Abel tail, under a rigorous bound.  Identity 2 uses the exact
-eps_n correction rather than an O(1/n^2) bound, so the comparison is testable
-at fixed precision; the remainder over sqrt(q) is recorded without deciding
+plus the exact Abel tail, under a rigorous bound.  Identity 2 sums the exact
+eps_n correction series with analytic.envelope_series, whose Polya-Vinogradov
+tail bound for the O(1/n^2) envelope of eps_n keeps the comparison testable at
+fixed precision; the remainder over sqrt(q) is recorded without deciding
 whether it is character-independent.
 """
 
@@ -31,8 +32,8 @@ import numpy as np
 from .analytic import (  # noqa: F401
     PeriodicSums,
     abel_series,
+    envelope_series,
     l_one,
-    partial_sum_bound,
     reciprocal_tail,
     si_complement_array,
 )
@@ -53,6 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCES = {1: 1e-7, 2: 1e-7, 3: 1e-8, 4: 5e-4}
+_PARTIAL_SUM_TERMS_CAP = 2**22
 
 
 @dataclass(frozen=True)
@@ -134,15 +136,10 @@ def check_log_identity(d: int, tol: float = DEFAULT_TOLERANCES[2]) -> IdentityCh
     lval = l_one(chi, min(tol / 8, 1e-9))
     remainder = log_sum + math.sqrt(q) / 2 * lval.value
 
-    # |eps_n| <= 1/(2 pi^2 n^2) since |pi/2 - Si(x)| <= 2/x; invert the PV tail
-    # bound 2 K C / (N+1)^2 on the value scale 2 sqrt(q)
-    pv = partial_sum_bound(q)
-    c_env = 1.0 / (2.0 * math.pi**2)
-    n_terms = int(min(max(4096, math.ceil(math.sqrt(8 * pv * c_env * math.sqrt(q) / tol))), 2**19))
-    eps = _eps_values(n_terms)
-    n = np.arange(1, n_terms + 1)
-    series = 2 * math.sqrt(q) * float((vals[n % q] * eps).sum())
-    series_tail = 4 * math.sqrt(q) * pv * c_env / (n_terms + 1) ** 2
+    # |eps_n| <= 1/(2 pi^2 n^2) since |pi/2 - Si(x)| <= 2/x
+    series, n_terms, series_tail = envelope_series(
+        vals, _eps_values, (1.0 / (2.0 * math.pi**2), 2), 2 * math.sqrt(q), tol / 2, 4096, 2**19
+    )
     tail = series_tail + math.sqrt(q) / 2 * lval.tail_bound
     notes = {"remainder_over_sqrt_q": remainder / math.sqrt(q)}
     return _finish(2, d, None, remainder, series, tol, n_terms, tail, notes)
@@ -180,10 +177,10 @@ def check_partial_sum_identity(
     midpoint value (the k = q y term contributes chi(q y)/2).  With y = a/b
     the series weight chi(n) sin(2 pi n y) (even chi) or chi(n) cos(2 pi n y)
     (odd chi) has period lcm(q, b), so the tail beyond N is an Abel tail;
-    an explicit `terms` fixes N.
+    an explicit `terms` fixes N and must not exceed 2^22.
     """
-    if terms is not None and terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
+    if terms is not None and not 1 <= terms <= _PARTIAL_SUM_TERMS_CAP:
+        raise ValueError(f"terms must be >= 1 and at most {_PARTIAL_SUM_TERMS_CAP}, got {terms}")
     y = Fraction(y) if not isinstance(y, Fraction) else y
     if not 0 < y < 1:
         raise ValueError(f"y must lie in (0, 1); got {y}")
@@ -217,7 +214,7 @@ def check_partial_sum_identity(
         [(1.0, 0.0)],
         tol / (2.0 * pref_abs),
         4 * period,
-        2**22,
+        _PARTIAL_SUM_TERMS_CAP,
         terms,
     )
     tail = pref_abs * bound

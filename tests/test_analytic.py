@@ -17,6 +17,7 @@ from charsum.analytic import (
     abel_series,
     cosine_integral,
     cosine_integral_array,
+    envelope_series,
     l_one,
     partial_sum_bound,
     reciprocal_tail,
@@ -26,6 +27,7 @@ from charsum.analytic import (
     sine_integral_array,
 )
 from charsum.characters import build_character_group, real_primitive_character
+from charsum.functions import builtin_function
 
 # L(1, chi) for the even character mod 5: brute partial sums to 10^7 with
 # window averaging, recorded before the main build.
@@ -255,6 +257,61 @@ def test_abel_series_explicit_terms_and_cap():
     assert n_terms == 5000 and bound > 1e-30  # doubling 1000 -> 2000 -> 4000 -> clamped
     _, n_terms, _, _ = abel_series(vals, _harmonic, atoms, 1e-30, 1000, 600)
     assert n_terms == 600  # a start above the cap is clamped too
+
+
+def _counting(coefficients, lengths):
+    def counted(count):
+        lengths.append(count)
+        return coefficients(count)
+
+    return counted
+
+
+@pytest.mark.parametrize("name, averaged", [("t2", False), ("log", True)])
+def test_envelope_series_within_bound_of_long_brute_sum(name, averaged):
+    # cosine coefficients against the even character mod 5: the plain partial
+    # sums of t2 (C/n^2) and the Cesaro mean of log (C/n); the brute partial
+    # sum to M is within its own Polya-Vinogradov tail 2 K C / (M + 1)^p
+    f = builtin_function(name)
+    vals = real_primitive_character(5).values_real()
+    env = f.envelope_for("cos")
+
+    def coeffs(count):
+        return f.closed_form(np.arange(1, count + 1), "cos")
+
+    lengths = []
+    value, n_terms, bound = envelope_series(
+        vals, _counting(coeffs, lengths), env, 1.0, 1e-4, 32, 10**6, averaged=averaged
+    )
+    assert lengths == [2 * n_terms if averaged else n_terms]
+    assert 32 <= n_terms < 10**6 and 0 < bound <= 1e-4
+    m = 4 * 10**6
+    n = np.arange(1, m + 1)
+    brute = float((vals[n % 5] * coeffs(m)).sum())
+    brute_tail = 2 * partial_sum_bound(5) * env[0] / (m + 1) ** env[1]
+    assert abs(value - brute) <= bound + brute_tail
+
+
+def test_envelope_series_choice_of_n():
+    vals = real_primitive_character(-163).values_real()
+    coeffs = _harmonic
+    value, n_terms, bound = envelope_series(vals, coeffs, (0.0, 2), 2.0, 1e-12, 40, 10**6)
+    assert (n_terms, bound) == (40, 0.0)  # C = 0: N = start, bound 0
+    n = np.arange(1, 41)
+    assert value == 2.0 * (vals[n % 163] * coeffs(40)).sum()
+    for averaged in (False, True):
+        lengths = []
+        _, n_terms, bound = envelope_series(
+            vals, _counting(coeffs, lengths), (1.0, 1), 1.0, 1e-30, 40, 10**6, 777, averaged
+        )
+        assert n_terms == 777 and bound > 1e-30  # fixed N, even though the bound misses
+        assert lengths == [2 * 777 if averaged else 777]
+    # a target so small that the needed N overflows a float is clamped to the cap
+    _, n_terms, _ = envelope_series(vals, coeffs, (1.0, 1), 1.0, 1e-310, 40, 5000, averaged=True)
+    assert n_terms == 2500
+    # a Cesaro cap below 2 still sums the window [1, 2]
+    value, n_terms, _ = envelope_series(vals, coeffs, (1.0, 1), 1.0, 1e-30, 40, 1, averaged=True)
+    assert n_terms == 1 and value == np.mean(np.cumsum(vals[[1, 2]] * coeffs(2)))
 
 
 def test_periodic_sums_rejects_nonzero_mean():

@@ -3,6 +3,11 @@
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+import warnings
 
 import pytest
 
@@ -85,6 +90,20 @@ def test_verify_theorem_q9_exp_sweeps_all_primitive(capsys):
     assert all(r["pass"] for r in reports)
 
 
+@pytest.mark.parametrize("function", ["log", "step:1/4"])
+def test_cesaro_with_terms_cap_below_two(capsys, function):
+    # the Cesaro window [N, 2N] keeps N >= 1 when the cap halves to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "verify-theorem", "-q", "5", "--function", function,
+                               "--terms-cap", "1", "--format", "json")
+    rows = json.loads(out)
+    assert code in (0, 1) and rows
+    for row in rows:
+        assert math.isfinite(row["rhs"]["re"]) and math.isfinite(row["rhs"]["im"])
+        assert row["terms_used"] >= 1
+
+
 def test_verify_theorem_q6_no_primitive_characters(capsys):
     code, out, err = run_cli(capsys, "verify-theorem", "-q", "6", "--function", "t2")
     assert code == 0
@@ -126,6 +145,19 @@ def test_example_4_rejects_long_period_before_allocating(capsys, monkeypatch):
     assert "denominator 99991" in err and "fraction" in err and "Traceback" not in err
 
 
+def test_example_4_rejects_terms_above_cap_before_allocating(capsys, monkeypatch):
+    import charsum.identities as identities
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("the series must not be set up")
+
+    monkeypatch.setattr(identities, "abel_series", no_series)
+    code, _, err = run_cli(capsys, "example", "--id", "4", "-d", "5", "--y", "1/5",
+                           "--terms", str(2**22 + 1))
+    assert code == 2
+    assert "at most 4194304" in err and "Traceback" not in err
+
+
 def test_example_parity_gate(capsys):
     code, _, err = run_cli(capsys, "example", "--id", "1", "-d", "5")
     assert code == 2
@@ -153,6 +185,22 @@ def test_sweep_empty_range(capsys):
     code, out, err = run_cli(capsys, "sweep", "--max-abs-d", "1", "--format", "csv")
     assert code == 0
     assert out.strip() == CSV_HEADER
+
+
+def test_closed_stdout_pipe_exits_2_without_traceback():
+    # the reader closes the pipe before the listing is written, so the write
+    # meets a broken pipe (closing it after a read races with a writer that
+    # some kernels let finish its blocked write)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "charsum.cli", "characters", "-q", "1009", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert err.startswith("error: cannot write stdout:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_sweep_unwritable_path(capsys):
@@ -230,6 +278,8 @@ def test_invalid_numeric_arguments_exit_2(capsys, argv, message):
         (("verify-theorem", "-q", "7", "--function", "step:1/0"), "zero denominator"),
         (("sweep", "--min-abs-d", "2999990", "--max-abs-d", "3000000"),
          "exceeds the supported modulus ceiling"),
+        (("verify-theorem", "-q", "7", "--function", "t", "--terms", "11", "--terms-cap", "10"),
+         "--terms 11 exceeds --terms-cap 10"),
     ],
 )
 def test_domain_errors_exit_2_before_work(capsys, monkeypatch, argv, message):

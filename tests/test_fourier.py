@@ -164,6 +164,17 @@ def test_abel_tail_explicit_terms_fix_n(odd3):
         assert abs(sev.value - direct_sum(odd3, t)) <= sev.tail_bound
 
 
+def test_explicit_terms_above_cap_rejected_before_allocating(odd3, monkeypatch):
+    def no_series(*args, **kwargs):
+        raise AssertionError("the series must not be set up")
+
+    for name in ("_coefficients", "abel_series", "envelope_series"):
+        monkeypatch.setattr(fourier, name, no_series)
+    for f in (builtin_function("t"), builtin_function("log")):  # abel and envelope branches
+        with pytest.raises(ValueError, match="at most terms_cap = 1000000"):
+            theorem_series(odd3, f, 1e-8, terms=10**12)
+
+
 def test_unbounded_variation_rejected(chi5):
     f = FunctionSpec(
         name="wild",
