@@ -1,16 +1,15 @@
-"""L(1, chi), the sine/cosine integrals, and character-twisted tail summation.
+"""L(1, chi), the sine/cosine integrals, and the character-twisted series engine.
 
 The L-value evaluator truncates sum chi(n)/n and recovers the discarded tail
 by repeated summation by parts: the iterated partial sums of a non-principal
 character are periodic, so each Abel step extracts an exact boundary term and
 leaves a remainder one order smaller.  The same machinery serves any tail
 sum_{n>N} chi(n) g(n) whose g is a combination of atoms 1/(n + c), since the
-forward differences of such atoms have closed forms.  abel_series is the
-head-plus-exact-tail engine: L(1, chi), the theorem series for functions with
-declared atoms, and identities 3 and 4 all call it.  envelope_series is the
-head-plus-bounded-tail engine for coefficients known only through an envelope
-C/n^p: it owns the Polya-Vinogradov tail (plain or Cesaro-averaged), and the
-theorem series without atoms and identity 2 call it.
+forward differences of such atoms have closed forms.  character_series is the
+one series engine: a head to N, the exact Abel tail of the atoms, and the
+Polya-Vinogradov tail bound of a remainder known only through an envelope
+C/n^p (optionally Cesaro-averaged when there are no atoms).  L(1, chi), the
+theorem series and identities 2, 3 and 4 all call it.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ __all__ = [
     "si_complement_array",
     "PeriodicSums",
     "reciprocal_tail",
-    "abel_series",
-    "envelope_series",
+    "character_series",
     "partial_sum_bound",
 ]
 
@@ -230,72 +228,61 @@ def reciprocal_tail(
     return best_value, best
 
 
-def abel_series(
+def character_series(
     values: np.ndarray,
     coefficients: Callable[[int], np.ndarray],
-    atoms: Sequence[tuple[complex, complex]],
-    budget: float,
-    start: int,
-    cap: int,
-    terms: int | None = None,
-) -> tuple[complex, int, float, int]:
-    """(value, N, tail bound, levels) for sum_{n >= 1} values[n % p] g(n).
-
-    `values` is one mean-zero period of length p, indexed by n mod p;
-    g(n) = sum coef / (n + c) over the (coef, c) atoms, and
-    `coefficients(N)` returns g(1..N) for the head.  N starts at
-    min(start, cap) and doubles, clamped to the cap, until the Abel tail
-    bound is <= budget; an explicit `terms` fixes N.  The value is the head
-    sum plus the exact Abel correction for the tail beyond N.
-    """
-    sums = PeriodicSums(np.roll(values, -1))  # entry n - 1 holds the value at n
-    n_terms = min(start, cap) if terms is None else int(terms)
-    correction, bound = reciprocal_tail(sums, atoms, n_terms)
-    while terms is None and bound > budget and n_terms < cap:
-        n_terms = min(2 * n_terms, cap)
-        correction, bound = reciprocal_tail(sums, atoms, n_terms)
-    n = np.arange(1, n_terms + 1)
-    head = (values[n % len(values)] * coefficients(n_terms)).sum()
-    return head + correction, n_terms, bound, sums.levels
-
-
-def envelope_series(
-    values: np.ndarray,
-    coefficients: Callable[[int], np.ndarray],
-    envelope: tuple[float, int],
     prefactor: complex,
     target: float,
     start: int,
     cap: int,
+    atoms: Sequence[tuple[complex, complex]] = (),
+    envelope: tuple[float, int] = (0.0, 1),
     terms: int | None = None,
     averaged: bool = False,
 ) -> tuple[complex, int, float]:
-    """(value, N, tail bound) for prefactor * sum_{n >= 1} values[n % q] a_n.
+    """(value, N, tail bound) for prefactor * sum_{n >= 1} values[n % m] a_n.
 
-    `values` is one period of a character table, so its partial sums are at
-    most K = partial_sum_bound(q); `coefficients(M)` returns a_1..a_M, and
-    envelope = (C, p) asserts |a_n| <= C/n^p.  Summation by parts bounds the
-    value's tail beyond N by 2 K C |prefactor| / (N + 1)^p.  With `averaged`
-    the value is the Cesaro mean of the partial sums over [N, 2N] and the
-    bound is doubled.  N is the least integer >= start whose bound is at most
-    `target`, clamped to the cap (cap // 2 when averaged, but at least 1); an
-    explicit `terms` fixes N.
+    `values` is one period of length m, indexed by n mod m, and
+    `coefficients(M)` returns a_1..a_M.  The coefficients are modelled as
+    a_n = sum coef/(n + c) over the (coef, c) atoms plus a remainder r_n with
+    |r_n| <= C/n^p, envelope = (C, p); with atoms, `values` must have mean zero.
+
+    The head sums prefactor * values[n % m] a_n to N; with `averaged` (legal
+    only without atoms) the value is instead the Cesaro mean of the partial
+    sums over [N, 2N] and the remainder bound is doubled.  The atoms' tail is
+    the exact Abel correction; the remainder's tail is bounded by
+    2 K C |prefactor| / (N + 1)^p, K = partial_sum_bound(m).  N is the least
+    integer >= start whose remainder bound meets the target (half the target
+    with atoms), clamped to the cap (cap // 2, but at least 1, when averaged);
+    N then doubles, clamped to the cap, while |prefactor| times the Abel bound
+    exceeds half the target.  An explicit `terms` fixes N.
     """
+    if averaged and atoms:
+        raise ValueError("Cesaro averaging applies only to series without atoms")
     c, p = envelope
     weight = (4.0 if averaged else 2.0) * partial_sum_bound(len(values)) * c * abs(prefactor)
     if terms is not None:
         n_terms = int(terms)
     else:
-        need = (weight / target) ** (1.0 / p)  # inf for a tiny target: clamp before ceil
+        remainder_target = target / 2 if atoms else target
+        need = (weight / remainder_target) ** (1.0 / p)  # inf for a tiny target: clamp before ceil
         n_terms = min(max(start, math.ceil(min(need, cap))), cap)
         if averaged:
             n_terms = max(1, min(n_terms, cap // 2))
+    correction, abel_bound = 0.0, 0.0
+    if atoms:
+        sums = PeriodicSums(np.roll(values, -1))  # entry n - 1 holds the value at n
+        correction, abel_bound = reciprocal_tail(sums, atoms, n_terms)
+        while terms is None and abs(prefactor) * abel_bound > target / 2 and n_terms < cap:
+            n_terms = min(2 * n_terms, cap)
+            correction, abel_bound = reciprocal_tail(sums, atoms, n_terms)
     length = 2 * n_terms if averaged else n_terms
     coeffs = coefficients(length)  # first: generating them may be the memory peak
     n = np.arange(1, length + 1)
     twisted = values[n % len(values)] * coeffs
     head = np.cumsum(twisted)[n_terms - 1 :].mean() if averaged else twisted.sum()
-    return prefactor * head, n_terms, weight / float(n_terms + 1) ** p
+    bound = abs(prefactor) * abel_bound + weight / float(n_terms + 1) ** p
+    return prefactor * (head + correction), n_terms, bound
 
 
 # --- L(1, chi) ----------------------------------------------------------------
@@ -320,21 +307,22 @@ def l_one(chi: DirichletCharacter, target_accuracy: float = 1e-9) -> LValue:
     """L(1, chi) = sum chi(n)/n for a non-principal character.
 
     Direct partial sum to N, with the tail recovered by repeated summation
-    by parts over complete periods (abel_series); N starts at max(1024, 4q)
-    and is doubled until the rigorous tail bound fits.
+    by parts over complete periods (character_series with the one atom 1/n);
+    N starts at max(1024, 4q) and is doubled until the rigorous tail bound fits.
     """
     if chi.is_principal:
         raise ValueError("L(s, chi_0) has a pole at s = 1 and is not representable")
     real = chi.is_real
     values = chi.values_real() if real else chi.values_complex()
     slack = 1e-13  # floating-point summation of the head
-    value, n_terms, bound, _ = abel_series(
+    value, n_terms, bound = character_series(
         values,
         lambda count: 1.0 / np.arange(1, count + 1),
-        [(1.0, 0.0)],
-        target_accuracy - slack,
+        1.0,
+        2.0 * (target_accuracy - slack),  # the engine spends half its target on the Abel tail
         max(1024, 4 * chi.modulus),
         2**22,
+        atoms=[(1.0, 0.0)],
     )
     value = float(value.real) if real else complex(value)
     return LValue(value, n_terms, float(bound + slack), chi.label)

@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", "--discriminant", type=int, required=True)
     p.add_argument("--y", default=None, help="rational in (0,1), e.g. 1/5 (identity 4 only)")
     p.add_argument("--tol", type=_positive_float, default=None)
-    p.add_argument("--terms", type=_positive_int, default=None)
+    p.add_argument("--terms", type=_positive_int, default=None, help="fix N (identity 4 only)")
     _add_common(p)
 
     p = sub.add_parser("sweep", help="all applicable checks per fundamental discriminant")

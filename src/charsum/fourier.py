@@ -8,12 +8,12 @@ Two routes are provided and compared:
   -2i tau(chi) sum conj(chi)(n) b_n (odd chi, sine coefficients),
   truncated with a rigorous tail bound.
 
-When the function declares rational coefficient atoms for the branch, the
-tail is summed exactly by analytic.abel_series.  Otherwise
-analytic.envelope_series sums the head and bounds the tail by the
-Polya-Vinogradov partial-sum bound times the total variation of the
-coefficient envelope; slowly convergent families (jump functions, the
-logarithm) are summed with Cesaro averaging of the partial sums over the
+Both are summed by one call of analytic.character_series.  The tail of the
+function's rational coefficient atoms for the branch is summed exactly; what
+the atoms leave (the whole coefficient when there are none) is bounded by the
+Polya-Vinogradov partial-sum bound times the total variation of its envelope.
+Slowly convergent families without atoms (jump functions, the sine side of
+the logarithm) are summed with Cesaro averaging of the partial sums over the
 window [N, 2N], which restores O(1/N) practical accuracy without changing
 the limit.
 
@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .analytic import abel_series, envelope_series
+from .analytic import character_series
 from .characters import DirichletCharacter
 from .functions import FunctionSpec, VariationClass, fstar
 from .gauss_sums import tau
@@ -218,10 +218,13 @@ class SeriesEvaluation:
 
 
 def _envelope(f: FunctionSpec, kind: str) -> tuple[float, int, str]:
+    """(C, p, source) of the envelope of coefficient - atoms for the kind."""
     declared = f.envelope_for(kind)
     if declared is not None:
         c, p = declared
         return c, p, "declared"
+    if f.atoms_for(kind):
+        return 0.0, 1, "zero: exact atoms"
     # measure C over an initial sample; the 1.1 inflation covers mild growth
     sample = _coefficients(f, kind, 256 if f.closed_form is not None else 64)
     p = 2 if (f.variation_class is VariationClass.SMOOTH_C2 and kind == "cos") else 1
@@ -239,15 +242,15 @@ def theorem_series(
 ) -> SeriesEvaluation:
     """Evaluate the theorem series for chi and f, choosing N from the tail bound.
 
-    When f declares atoms for the branch's coefficient kind, the tail beyond N
-    is summed by repeated summation by parts (tail method "abel"), so N stays
-    O(q).  Otherwise N is picked from the envelope bound (tail method
-    "envelope"); jump and singular variation classes are Cesaro-averaged over
-    the window [N, 2N] (tail method "cesaro").  When the bound cannot reach
-    target_accuracy within the cap the evaluation is best-effort with the bound
-    reported as is.  An explicit `terms` overrides the choice of N and must
-    not exceed terms_cap.  The head and tail are summed by one engine call:
-    analytic.abel_series with atoms, analytic.envelope_series without.
+    When f declares atoms for the branch's coefficient kind, the atoms' tail
+    beyond N is summed by repeated summation by parts (tail method "abel"), so
+    N stays O(q) unless the remainder envelope asks for more.  Otherwise N is
+    picked from the envelope bound (tail method "envelope"); jump and singular
+    variation classes are Cesaro-averaged over the window [N, 2N] (tail method
+    "cesaro").  When the bound cannot reach target_accuracy within the cap the
+    evaluation is best-effort with the bound reported as is.  An explicit
+    `terms` overrides the choice of N and must not exceed terms_cap.  The head
+    and tail are summed by one analytic.character_series call.
     """
     _require_primitive(chi)
     if f.variation_class is VariationClass.UNBOUNDED_VARIATION:
@@ -266,6 +269,7 @@ def theorem_series(
         VariationClass.PIECEWISE_SMOOTH,
         VariationClass.INTEGRABLE_SINGULAR_AT_ZERO,
     )
+    tail_method = "abel" if atoms else "cesaro" if averaged else "envelope"
 
     tau_value = tau(chi).value
     prefactor = 2.0 * tau_value if even else -2.0j * tau_value
@@ -274,27 +278,12 @@ def theorem_series(
 
     cap = terms_cap if f.closed_form is not None else min(terms_cap, _QUADRATURE_TERMS_CAP)
     coefficients = partial(_coefficients, f, kind)
-    if atoms:
-        tail_method = "abel"
-        series, n_terms, bound, levels = abel_series(
-            table,
-            coefficients,
-            atoms,
-            target_accuracy / (2.0 * pref_abs),
-            max(_MIN_TERMS, 8 * q),
-            cap,
-            terms,
-        )
-        value, tail = prefactor * series, pref_abs * bound
-        notes = f"abel tail over {levels} summation-by-parts levels"
-    else:
-        tail_method = "cesaro" if averaged else "envelope"
-        env_c, env_p, env_src = _envelope(f, kind)
-        value, n_terms, tail = envelope_series(
-            table, coefficients, (env_c, env_p), prefactor, target_accuracy,
-            _MIN_TERMS, cap, terms, averaged,
-        )
-        notes = f"envelope {env_src}"
+    start = max(_MIN_TERMS, 8 * q) if atoms else _MIN_TERMS
+    env_c, env_p, env_src = _envelope(f, kind)
+    value, n_terms, tail = character_series(
+        table, coefficients, prefactor, target_accuracy, start, cap,
+        atoms, (env_c, env_p), terms, averaged,
+    )
     best_effort = tail > target_accuracy
 
     length = 2 * n_terms if averaged else n_terms
@@ -321,7 +310,7 @@ def theorem_series(
         best_effort=best_effort,
         quadrature_budget=float(budget),
         tail_method=tail_method,
-        notes=notes,
+        notes=f"envelope {env_src}",
     )
 
 

@@ -2,10 +2,10 @@
 
 A FunctionSpec carries everything the series engine needs: a pointwise
 evaluator, the jump points with their one-sided limits, a flag for an
-integrable singularity at 0, optional closed-form Fourier coefficients, a
-proven coefficient envelope when one is known, optional rational atoms that
-let the series tail be summed exactly, and the variation class that drives
-truncation bounds.
+integrable singularity at 0, optional closed-form Fourier coefficients,
+optional rational atoms whose series tail is summed exactly, a proven
+envelope of what the atoms leave of the coefficient when one is known, and
+the variation class that drives truncation bounds.
 The built-in family covers the squared/linear/exponential/logarithm
 evaluands and indicator steps.
 """
@@ -49,9 +49,12 @@ class FunctionSpec:
 
     ``closed_form(n_array, kind)`` returns the Fourier coefficients
     integral_0^1 f(t) cos/sin(2 pi n t) dt when analytically known.
-    ``envelope[kind] = (C, p)`` asserts |coefficient_n| <= C / n**p for all n.
-    ``atoms[kind] = ((coef, c), ...)`` asserts coefficient_n equals
-    sum coef / (n + c) exactly for all n >= 1; each c needs Re(c) >= 0.
+    ``atoms[kind] = ((coef, c), ...)`` splits coefficient_n into
+    sum coef / (n + c) plus a remainder; each c needs Re(c) >= 0.
+    ``envelope[kind] = (C, p)`` asserts |coefficient_n - atoms| <= C / n**p
+    for all n >= 1, with C finite and >= 0 and p an integer >= 1.  Atoms
+    without an envelope for their kind are exact (zero remainder); a kind with
+    neither gets an envelope measured from its first coefficients.
     """
 
     name: str
@@ -73,6 +76,13 @@ class FunctionSpec:
                     raise ValueError(
                         f"atom shift c = {c} has negative real part; the Abel tail needs Re(c) >= 0"
                     )
+        for kind, c, p in self.envelope:
+            if kind not in ("cos", "sin"):
+                raise ValueError(f"envelope kind must be 'cos' or 'sin', got {kind!r}")
+            if not (math.isfinite(c) and c >= 0):
+                raise ValueError(f"envelope constant C = {c} must be finite and >= 0")
+            if not (isinstance(p, (int, np.integer)) and p >= 1):
+                raise ValueError(f"envelope power p = {p!r} must be an integer >= 1")
 
     def envelope_for(self, kind: str) -> tuple[float, int] | None:
         for k, c, p in self.envelope:
@@ -147,8 +157,6 @@ _EXP_ATOMS = (
              (-(math.e - 1.0) / (4.0 * math.pi), 1j / TWO_PI))),
 )
 
-_SI_MAX = 1.8519370519824665  # Si(pi), the global maximum of Si
-
 
 def _make_step(y: Fraction) -> FunctionSpec:
     yf = float(y)
@@ -176,7 +184,7 @@ def builtin_function(name: str) -> FunctionSpec:
             evaluator=lambda t: t * t,
             variation_class=VariationClass.SMOOTH_C2,
             closed_form=_t2_closed,
-            envelope=(("cos", 1.0 / (2.0 * math.pi**2), 2), ("sin", 1.0 / TWO_PI, 1)),
+            envelope=(("cos", 1.0 / (2.0 * math.pi**2), 2),),
             atoms=_HARMONIC_SIN_ATOMS,
         )
     if name == "t":
@@ -185,7 +193,7 @@ def builtin_function(name: str) -> FunctionSpec:
             evaluator=lambda t: t,
             variation_class=VariationClass.SMOOTH_C2,
             closed_form=_t_closed,
-            envelope=(("cos", 0.0, 2), ("sin", 1.0 / TWO_PI, 1)),
+            envelope=(("cos", 0.0, 2),),
             atoms=_HARMONIC_SIN_ATOMS,
         )
     if name == "exp":
@@ -194,22 +202,21 @@ def builtin_function(name: str) -> FunctionSpec:
             evaluator=math.exp,
             variation_class=VariationClass.SMOOTH_C2,
             closed_form=_exp_closed,
-            envelope=(
-                ("cos", (math.e - 1.0) / (4.0 * math.pi**2), 2),
-                ("sin", (math.e - 1.0) / TWO_PI, 1),
-            ),
             atoms=_EXP_ATOMS,
         )
     if name == "log":
-        # The sine coefficients grow like ln(n)/n, so only the cosine side
-        # carries a proven C/n envelope; the engine measures the other.
+        # The cosine coefficient -Si(2 pi n)/(2 pi n) is the atom -1/(4n) plus
+        # eps_n = (pi/2 - Si(2 pi n))/(2 pi n), and |eps_n| <= 1/(2 pi^2 n^2)
+        # since |pi/2 - Si(x)| <= 2/x.  The sine coefficients grow like
+        # ln(n)/n and have neither; the engine measures their envelope.
         return FunctionSpec(
             name="log",
             evaluator=math.log,
             variation_class=VariationClass.INTEGRABLE_SINGULAR_AT_ZERO,
             singular_at_zero=True,
             closed_form=_log_closed,
-            envelope=(("cos", _SI_MAX / TWO_PI, 1),),
+            envelope=(("cos", 1.0 / (2.0 * math.pi**2), 2),),
+            atoms=(("cos", ((-0.25, 0.0),)),),
         )
     if name.startswith("step:"):
         try:

@@ -12,12 +12,13 @@ Each check compares two independently computed sides at a stated tolerance:
    equals the theorem series for the step at y (constant term L(1, chi) in
    the odd case)
 
-Identities 3 and 4 sum their series with analytic.abel_series: a head to N
-plus the exact Abel tail, under a rigorous bound.  Identity 2 sums the exact
-eps_n correction series with analytic.envelope_series, whose Polya-Vinogradov
-tail bound for the O(1/n^2) envelope of eps_n keeps the comparison testable at
-fixed precision; the remainder over sqrt(q) is recorded without deciding
-whether it is character-independent.
+Identities 2, 3 and 4 sum their series with analytic.character_series.
+Identities 3 and 4 pass coefficient atoms, so the tail beyond N is an exact
+Abel tail under a rigorous bound.  Identity 2 sums the exact eps_n correction
+series, which is the logarithm's cosine coefficient minus its atom -1/(4n); the
+Polya-Vinogradov tail bound for the O(1/n^2) envelope the log spec declares for
+eps_n keeps the comparison testable at fixed precision.  The remainder over
+sqrt(q) is recorded without deciding whether it is character-independent.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ import numpy as np
 # PeriodicSums and reciprocal_tail stay bound here: perfbench/spans.py wraps them by name
 from .analytic import (  # noqa: F401
     PeriodicSums,
-    abel_series,
-    envelope_series,
+    character_series,
     l_one,
     reciprocal_tail,
     si_complement_array,
@@ -136,9 +136,10 @@ def check_log_identity(d: int, tol: float = DEFAULT_TOLERANCES[2]) -> IdentityCh
     lval = l_one(chi, min(tol / 8, 1e-9))
     remainder = log_sum + math.sqrt(q) / 2 * lval.value
 
-    # |eps_n| <= 1/(2 pi^2 n^2) since |pi/2 - Si(x)| <= 2/x
-    series, n_terms, series_tail = envelope_series(
-        vals, _eps_values, (1.0 / (2.0 * math.pi**2), 2), 2 * math.sqrt(q), tol / 2, 4096, 2**19
+    # eps_n is what the atom -1/(4n) leaves of log's cosine coefficient
+    series, n_terms, series_tail = character_series(
+        vals, _eps_values, 2 * math.sqrt(q), tol / 2, 4096, 2**19,
+        envelope=builtin_function("log").envelope_for("cos"),
     )
     tail = series_tail + math.sqrt(q) / 2 * lval.tail_bound
     notes = {"remainder_over_sqrt_q": remainder / math.sqrt(q)}
@@ -154,15 +155,16 @@ def check_exp_identity(d: int, tol: float = DEFAULT_TOLERANCES[3]) -> IdentityCh
     lhs = direct_sum(chi, f)
     kind = "cos" if chi.is_even else "sin"
     prefactor = 2.0 * math.sqrt(q)
-    series, n_terms, bound, _ = abel_series(
+    series, n_terms, bound = character_series(
         chi.values_real(),
         lambda count: f.closed_form(np.arange(1, count + 1), kind),
-        f.atoms_for(kind),
-        tol / (4.0 * prefactor),
+        prefactor,
+        tol / 2,
         max(2048, 8 * q),
         2**20,
+        atoms=f.atoms_for(kind),
     )
-    return _finish(3, d, None, lhs, prefactor * series.real, tol, n_terms, prefactor * bound)
+    return _finish(3, d, None, lhs, series.real, tol, n_terms, bound)
 
 
 def check_partial_sum_identity(
@@ -208,14 +210,15 @@ def check_partial_sum_identity(
     tau_value = tau(chi).value
     prefactor = tau_value / math.pi if chi.is_even else tau_value / (1j * math.pi)
     pref_abs = abs(prefactor)
-    series, n_terms, bound, _ = abel_series(
+    series, n_terms, bound = character_series(
         vals[r % q] * trig,
         lambda count: 1.0 / np.arange(1, count + 1),
-        [(1.0, 0.0)],
-        tol / (2.0 * pref_abs),
+        1.0,
+        tol / pref_abs,
         4 * period,
         _PARTIAL_SUM_TERMS_CAP,
-        terms,
+        atoms=[(1.0, 0.0)],
+        terms=terms,
     )
     tail = pref_abs * bound
     if chi.is_odd:
@@ -251,4 +254,6 @@ def run_identity(
         return check_partial_sum_identity(d, y, terms=terms, tol=tol)
     if y is not None:
         raise ValueError(f"identity {identity_id} does not take y")
+    if terms is not None:
+        raise ValueError(f"identity {identity_id} does not take terms; it picks N from tol")
     return IDENTITY_IDS[identity_id](d, tol=tol)

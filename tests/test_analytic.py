@@ -3,7 +3,8 @@
 Si is checked against a high-order Gauss-Legendre quadrature oracle written
 here from scratch, and Si, pi/2 - Si and Ci against 40-digit mpmath values
 (arrays and scalars); L-values against closed constants, a reversed identity,
-and a brute-force partial-sum value recorded before the build.
+and a brute-force partial-sum value recorded before the build; the series
+engine in each of its modes against long brute sums.
 """
 
 import math
@@ -14,10 +15,9 @@ import pytest
 
 from charsum.analytic import (
     PeriodicSums,
-    abel_series,
+    character_series,
     cosine_integral,
     cosine_integral_array,
-    envelope_series,
     l_one,
     partial_sum_bound,
     reciprocal_tail,
@@ -224,10 +224,11 @@ def _harmonic(count):
 
 
 def test_abel_series_known_value_and_brute_partial_sums():
-    # chi mod 4 against 1/n: the series is L(1, chi_-4) = pi/4
+    # the engine with atoms only: chi mod 4 against 1/n gives L(1, chi_-4) = pi/4
     chi = build_character_group(4).character_by_index(1)
     vals = chi.values_real()
-    value, n_terms, bound, _ = abel_series(vals, _harmonic, [(1.0, 0.0)], 1e-12, 64, 2**20)
+    atoms = [(1.0, 0.0)]
+    value, n_terms, bound = character_series(vals, _harmonic, 1.0, 2e-12, 64, 2**20, atoms)
     assert n_terms >= 64 and bound <= 1e-12
     assert abs(value - math.pi / 4) <= bound + 1e-15
 
@@ -241,7 +242,7 @@ def test_abel_series_known_value_and_brute_partial_sums():
         return -2 * math.pi * n / (1 + 4 * math.pi**2 * n**2)
 
     vals = real_primitive_character(5).values_real()
-    value, n_terms, bound, _ = abel_series(vals, coeffs, atoms, 1e-12, 40, 2**20)
+    value, n_terms, bound = character_series(vals, coeffs, 1.0, 2e-12, 40, 2**20, atoms)
     n = np.arange(1, 2 * 10**6 + 1)
     brute = float((vals[n % 5] * coeffs(len(n))).sum())
     assert abs(value.real - brute) <= 2 / (math.pi * len(n))
@@ -251,12 +252,14 @@ def test_abel_series_known_value_and_brute_partial_sums():
 def test_abel_series_explicit_terms_and_cap():
     vals = real_primitive_character(-163).values_real()
     atoms = [(1.0, 0.0)]
-    _, n_terms, _, _ = abel_series(vals, _harmonic, atoms, 1e-30, 1000, 2**22, terms=777)
-    assert n_terms == 777  # fixed N, even though the bound misses the budget
-    _, n_terms, bound, _ = abel_series(vals, _harmonic, atoms, 1e-30, 1000, 5000)
+    _, n_terms, _ = character_series(vals, _harmonic, 1.0, 1e-30, 1000, 2**22, atoms, terms=777)
+    assert n_terms == 777  # fixed N, even though the bound misses the target
+    _, n_terms, bound = character_series(vals, _harmonic, 1.0, 1e-30, 1000, 5000, atoms)
     assert n_terms == 5000 and bound > 1e-30  # doubling 1000 -> 2000 -> 4000 -> clamped
-    _, n_terms, _, _ = abel_series(vals, _harmonic, atoms, 1e-30, 1000, 600)
+    _, n_terms, _ = character_series(vals, _harmonic, 1.0, 1e-30, 1000, 600, atoms)
     assert n_terms == 600  # a start above the cap is clamped too
+    with pytest.raises(ValueError, match="Cesaro"):
+        character_series(vals, _harmonic, 1.0, 1e-8, 1000, 5000, atoms, averaged=True)
 
 
 def _counting(coefficients, lengths):
@@ -267,21 +270,30 @@ def _counting(coefficients, lengths):
     return counted
 
 
+def _remainder(f, kind):
+    """n -> coefficient_n minus the spec's atoms, for n = 1..count."""
+
+    def coeffs(count):
+        n = np.arange(1, count + 1)
+        return f.closed_form(n, kind) - sum(coef / (n + c) for coef, c in f.atoms_for(kind))
+
+    return coeffs
+
+
 @pytest.mark.parametrize("name, averaged", [("t2", False), ("log", True)])
 def test_envelope_series_within_bound_of_long_brute_sum(name, averaged):
-    # cosine coefficients against the even character mod 5: the plain partial
-    # sums of t2 (C/n^2) and the Cesaro mean of log (C/n); the brute partial
+    # the engine without atoms, on what the atoms leave of the cosine
+    # coefficients against the even character mod 5: the plain partial sums of
+    # t2 (C/n^2) and the Cesaro mean of log's eps_n (C/n^2); the brute partial
     # sum to M is within its own Polya-Vinogradov tail 2 K C / (M + 1)^p
     f = builtin_function(name)
     vals = real_primitive_character(5).values_real()
     env = f.envelope_for("cos")
-
-    def coeffs(count):
-        return f.closed_form(np.arange(1, count + 1), "cos")
+    coeffs = _remainder(f, "cos")
 
     lengths = []
-    value, n_terms, bound = envelope_series(
-        vals, _counting(coeffs, lengths), env, 1.0, 1e-4, 32, 10**6, averaged=averaged
+    value, n_terms, bound = character_series(
+        vals, _counting(coeffs, lengths), 1.0, 1e-4, 32, 10**6, envelope=env, averaged=averaged
     )
     assert lengths == [2 * n_terms if averaged else n_terms]
     assert 32 <= n_terms < 10**6 and 0 < bound <= 1e-4
@@ -292,25 +304,57 @@ def test_envelope_series_within_bound_of_long_brute_sum(name, averaged):
     assert abs(value - brute) <= bound + brute_tail
 
 
+def test_atoms_plus_remainder_within_bound_of_long_brute_sum():
+    # log's cosine side against the even character mod 5: the atom -1/(4n)
+    # sums to -L(1, chi)/4 = -ln(golden ratio)/(2 sqrt 5), and the remainder
+    # eps_n is brute-summed to M = 4e6 (its tail is under 2 K C / (M + 1)^2)
+    f = builtin_function("log")
+    vals = real_primitive_character(5).values_real()
+    c, p = f.envelope_for("cos")
+    prefactor = 2.0 * math.sqrt(5)
+
+    def coeffs(count):
+        return f.closed_form(np.arange(1, count + 1), "cos")
+
+    value, n_terms, bound = character_series(
+        vals, coeffs, prefactor, 1e-9, 40, 10**6, f.atoms_for("cos"), (c, p)
+    )
+    # the remainder bound alone meets half the target
+    weight = 2 * partial_sum_bound(5) * c * prefactor
+    assert n_terms == math.ceil((weight / 0.5e-9) ** (1 / p))
+    assert 0 < bound <= 1e-9
+    m = 4 * 10**6
+    n = np.arange(1, m + 1)
+    eps = si_complement_array(2 * math.pi * n) / (2 * math.pi * n)
+    l_one_mod5 = math.log((1 + math.sqrt(5)) / 2) * 2 / math.sqrt(5)
+    brute = prefactor * (float((vals[n % 5] * eps).sum()) - l_one_mod5 / 4)
+    brute_tail = 2 * partial_sum_bound(5) * c * prefactor / (m + 1) ** p
+    assert abs(value - brute) <= bound + brute_tail + 1e-13
+
+
 def test_envelope_series_choice_of_n():
     vals = real_primitive_character(-163).values_real()
     coeffs = _harmonic
-    value, n_terms, bound = envelope_series(vals, coeffs, (0.0, 2), 2.0, 1e-12, 40, 10**6)
+    value, n_terms, bound = character_series(vals, coeffs, 2.0, 1e-12, 40, 10**6, envelope=(0.0, 2))
     assert (n_terms, bound) == (40, 0.0)  # C = 0: N = start, bound 0
     n = np.arange(1, 41)
     assert value == 2.0 * (vals[n % 163] * coeffs(40)).sum()
     for averaged in (False, True):
         lengths = []
-        _, n_terms, bound = envelope_series(
-            vals, _counting(coeffs, lengths), (1.0, 1), 1.0, 1e-30, 40, 10**6, 777, averaged
+        _, n_terms, bound = character_series(
+            vals, _counting(coeffs, lengths), 1.0, 1e-30, 40, 10**6, (), (1.0, 1), 777, averaged
         )
         assert n_terms == 777 and bound > 1e-30  # fixed N, even though the bound misses
         assert lengths == [2 * 777 if averaged else 777]
     # a target so small that the needed N overflows a float is clamped to the cap
-    _, n_terms, _ = envelope_series(vals, coeffs, (1.0, 1), 1.0, 1e-310, 40, 5000, averaged=True)
+    _, n_terms, _ = character_series(
+        vals, coeffs, 1.0, 1e-310, 40, 5000, envelope=(1.0, 1), averaged=True
+    )
     assert n_terms == 2500
     # a Cesaro cap below 2 still sums the window [1, 2]
-    value, n_terms, _ = envelope_series(vals, coeffs, (1.0, 1), 1.0, 1e-30, 40, 1, averaged=True)
+    value, n_terms, _ = character_series(
+        vals, coeffs, 1.0, 1e-30, 40, 1, envelope=(1.0, 1), averaged=True
+    )
     assert n_terms == 1 and value == np.mean(np.cumsum(vals[[1, 2]] * coeffs(2)))
 
 

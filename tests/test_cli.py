@@ -139,7 +139,7 @@ def test_example_4_rejects_long_period_before_allocating(capsys, monkeypatch):
     def no_series(*args, **kwargs):
         raise AssertionError("the series must not be set up")
 
-    monkeypatch.setattr(identities, "abel_series", no_series)
+    monkeypatch.setattr(identities, "character_series", no_series)
     code, _, err = run_cli(capsys, "example", "--id", "4", "-d", "-499", "--y", "1/99991")
     assert code == 2
     assert "denominator 99991" in err and "fraction" in err and "Traceback" not in err
@@ -151,7 +151,7 @@ def test_example_4_rejects_terms_above_cap_before_allocating(capsys, monkeypatch
     def no_series(*args, **kwargs):
         raise AssertionError("the series must not be set up")
 
-    monkeypatch.setattr(identities, "abel_series", no_series)
+    monkeypatch.setattr(identities, "character_series", no_series)
     code, _, err = run_cli(capsys, "example", "--id", "4", "-d", "5", "--y", "1/5",
                            "--terms", str(2**22 + 1))
     assert code == 2
@@ -280,6 +280,7 @@ def test_invalid_numeric_arguments_exit_2(capsys, argv, message):
          "exceeds the supported modulus ceiling"),
         (("verify-theorem", "-q", "7", "--function", "t", "--terms", "11", "--terms-cap", "10"),
          "--terms 11 exceeds --terms-cap 10"),
+        (("example", "--id", "3", "-d", "5", "--terms", "3"), "identity 3 does not take terms"),
     ],
 )
 def test_domain_errors_exit_2_before_work(capsys, monkeypatch, argv, message):

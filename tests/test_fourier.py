@@ -168,9 +168,9 @@ def test_explicit_terms_above_cap_rejected_before_allocating(odd3, monkeypatch):
     def no_series(*args, **kwargs):
         raise AssertionError("the series must not be set up")
 
-    for name in ("_coefficients", "abel_series", "envelope_series"):
+    for name in ("_coefficients", "character_series"):
         monkeypatch.setattr(fourier, name, no_series)
-    for f in (builtin_function("t"), builtin_function("log")):  # abel and envelope branches
+    for f in (builtin_function("t"), builtin_function("log")):  # abel and cesaro tails
         with pytest.raises(ValueError, match="at most terms_cap = 1000000"):
             theorem_series(odd3, f, 1e-8, terms=10**12)
 
@@ -204,12 +204,14 @@ def test_quadrature_backed_spec_through_verify(odd3):
     assert chk.series.quadrature_budget > 0.0
 
 
-def test_cesaro_series_decay(chi5):
+def test_cesaro_series_decay(odd4):
+    # log's sine side has no atoms (its cosine side takes the Abel tail)
     f = builtin_function("log")
-    direct = direct_sum(chi5, f)
+    direct = direct_sum(odd4, f)
     counts = [500, 1000, 2000, 4000, 8000]
-    values = [theorem_series(chi5, f, 1e-8, terms=n).value for n in counts]
-    errors = [abs(v - direct) for v in values]
+    series = [theorem_series(odd4, f, 1e-8, terms=n) for n in counts]
+    assert {s.tail_method for s in series} == {"cesaro"}
+    errors = [abs(s.value - direct) for s in series]
     assert errors[-1] <= 5e-3
     slope = np.polyfit(np.log(counts), np.log(errors), 1)[0]
     assert slope <= -0.8

@@ -192,33 +192,41 @@ def test_nested_samples_evaluate_each_grid_point_once():
         samples(np.linspace(a, 0.9, 17))
 
 
+def _atom_sum(f, kind, n):
+    return sum(coef / (n + c) for coef, c in f.atoms_for(kind))
+
+
 def test_envelope_bounds_hold():
-    # declared envelopes must dominate |coefficient_n| over a long range
+    # declared envelopes must dominate |coefficient_n - atoms| over a long range
     n = np.arange(1, 2001)
     for name in ("t2", "t", "exp", "log", "step:1/4", "step:1/2", "step:4/5"):
         f = builtin_function(name)
         for kind, c, p in f.envelope:
-            coeffs = np.abs(f.closed_form(n, kind))
+            remainder = np.abs(f.closed_form(n, kind) - _atom_sum(f, kind, n))
             env = c / n.astype(float) ** p
             # equality is attained (e.g. step:1/2 sine at odd n); allow rounding
-            assert np.all(coeffs <= env * (1 + 1e-14) + 1e-18), (name, kind)
+            assert np.all(remainder <= env * (1 + 1e-14) + 1e-18), (name, kind)
 
 
 def test_atoms_match_closed_forms():
     # the series head trusts closed_form and the Abel tail trusts the atoms, so
-    # a wrong atom would give a silently wrong tail
+    # a wrong atom would give a silently wrong tail.  Atoms without a declared
+    # envelope must be exact; the remainder of the others (log's cosine atom)
+    # is checked against its envelope above
     n = np.arange(1, 10**5 + 1)
-    declared = 0
+    exact = 0
     for name in ("t2", "t", "exp", "log", "step:1/4"):
         f = builtin_function(name)
-        for kind, pairs in f.atoms:
-            declared += 1
+        for kind, _ in f.atoms:
+            if f.envelope_for(kind) is not None:
+                continue
+            exact += 1
             closed = f.closed_form(n, kind)
-            from_atoms = sum(coef / (n + c) for coef, c in pairs)
+            from_atoms = _atom_sum(f, kind, n)
             assert np.max(np.abs(from_atoms.imag)) <= 1e-14 * np.max(np.abs(closed)), (name, kind)
             rel = np.abs(from_atoms.real - closed) / np.abs(closed)
             assert np.max(rel) <= 1e-14, (name, kind)
-    assert declared == 4  # t2 sin, t sin, exp cos and exp sin
+    assert exact == 4  # t2 sin, t sin, exp cos and exp sin
 
 
 def test_atoms_validated_at_construction():
@@ -236,3 +244,19 @@ def test_atoms_validated_at_construction():
             variation_class=VariationClass.SMOOTH_C2,
             atoms=(("tan", ((1.0, 0.0),)),),
         )
+    bad_envelopes = [
+        (("cos", -1.0, 2), "finite and >= 0"),
+        (("cos", math.nan, 2), "finite and >= 0"),
+        (("sin", math.inf, 1), "finite and >= 0"),
+        (("cos", 1.0, 0), "integer >= 1"),
+        (("cos", 1.0, 1.5), "integer >= 1"),
+        (("cosine", 1.0, 2), "kind"),
+    ]
+    for envelope, message in bad_envelopes:
+        with pytest.raises(ValueError, match=message):
+            FunctionSpec(
+                name="bad-envelope",
+                evaluator=lambda t: t,
+                variation_class=VariationClass.SMOOTH_C2,
+                envelope=(envelope,),
+            )

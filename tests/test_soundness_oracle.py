@@ -1,8 +1,8 @@
 """High-precision oracle for the theorem series bounds and the direct sum.
 
-S(chi, f) = sum_{k<q} chi(k) f(k/q) is evaluated to 30 digits with mpmath
-from the exact character turns, independently of the float direct sum; the
-truncated series must then lie within its reported tail bound of it, and
+S(chi, f) = sum_{k<q} chi(k) f(k/q) is evaluated to 30 digits (40 for log)
+with mpmath from the exact character turns, independently of the float direct
+sum; the truncated series must then lie within its reported tail bound of it, and
 for complex characters each component of the float direct sum within
 (q - 1) 2^-53 max|f*| of it.  The same holds for identity 4 against the exact rational F*(y), and for L(1, chi)
 against its finite closed forms.
@@ -75,6 +75,26 @@ def test_series_within_bound_of_exact_sum(name):
             checked_odd += 1
             assert sev.tail_method == "abel", (chi.label, name)
     assert checked_odd == 10  # odd mod 3 and 4, two complex mod 7, six mod 13
+
+
+def test_even_log_series_within_bound_of_exact_sum():
+    # log's cosine side: the atom -1/(4n) on the exact Abel tail plus the
+    # eps_n remainder under its declared envelope, real and complex characters
+    f = builtin_function("log")
+    characters = [
+        chi
+        for q in (5, 7, 8, 12, 13, 29, 37)
+        for chi in build_character_group(q).primitive_characters()
+        if chi.is_even
+    ]
+    assert len(characters) == 40
+    for chi in characters:
+        sev = theorem_series(chi, f, 1e-8)
+        assert sev.tail_method == "abel" and not sev.best_effort, chi.label
+        assert sev.tail_bound <= 1e-8, chi.label
+        with mp.workdps(40):
+            exact = complex(exact_sum_mp(chi, mpmath.log))
+        assert abs(sev.value - exact) <= sev.tail_bound, chi.label
 
 
 @pytest.mark.parametrize("q", (7, 13, 29))
