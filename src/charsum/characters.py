@@ -30,8 +30,9 @@ __all__ = [
     "MODULUS_CEILING",
 ]
 
-# Full-group construction is O(phi(q) * q); intended desk scale is q <= 10^4.
-MODULUS_CEILING = 10**6
+MODULUS_CEILING = 10**6  # one character's table is O(q)
+# Full-group construction is O(phi(q) * q): phi(q) * q int64 turns, 0.8 GB near 10^4.
+_GROUP_CEILING = 10**4
 
 
 class Parity(enum.Enum):
@@ -342,8 +343,11 @@ def build_character_group(q: int) -> CharacterGroup:
     """Construct the full character group mod q with all characters materialized.
 
     Deterministic ordering: characters sorted by exponent vector on the fixed
-    canonical generators.  Raises ValueError for q < 1 or beyond the ceiling.
+    canonical generators.  Raises ValueError for q < 1 or q > 10^4 (before
+    any table is built).
     """
+    if q > _GROUP_CEILING:
+        raise ValueError(f"modulus {q} exceeds {_GROUP_CEILING}, the ceiling for a full character group")
     group = CharacterGroup(q)
     group.characters()
     return group

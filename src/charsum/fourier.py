@@ -38,7 +38,7 @@ from .analytic import character_series
 from .characters import DirichletCharacter
 from .functions import FunctionSpec, VariationClass, fstar
 from .gauss_sums import tau
-from .quadrature import NestedSamples, QuadratureError, filon_adaptive, graded_edges
+from .quadrature import ABS_FLOOR, REL_TOL, NestedSamples, QuadratureError, filon_adaptive, graded_edges
 
 __all__ = [
     "SeriesEvaluation",
@@ -52,8 +52,6 @@ __all__ = [
 DEFAULT_TERMS_CAP = 10**6
 _QUADRATURE_TERMS_CAP = 4096
 _MIN_TERMS = 32
-_REL_QUAD = 1e-12
-_ABS_QUAD = 1e-14
 
 # per-FunctionSpec caches, keyed by object identity
 _coeff_cache: "weakref.WeakKeyDictionary[FunctionSpec, dict]" = weakref.WeakKeyDictionary()
@@ -116,18 +114,14 @@ def direct_sum(chi: DirichletCharacter, f: FunctionSpec) -> float | complex:
 def _piece_evaluator(f: FunctionSpec, a: float, b: float):
     """Vectorized evaluator for one smooth piece, using one-sided limits at jumps."""
     base = np.vectorize(f.evaluator, otypes=[float])
-    overrides = {}
-    for t, left, right in f.jump_points:
-        if t == a:
-            overrides[a] = right
-        if t == b:
-            overrides[b] = left
-    if not overrides:
+    ends = [(a, right) for t, _, right in f.jump_points if t == a]
+    ends += [(b, left) for t, left, _ in f.jump_points if t == b]
+    if not ends:
         return base
 
     def piece(x: np.ndarray) -> np.ndarray:
         fx = base(x)
-        for point, value in overrides.items():
+        for point, value in ends:
             fx = np.where(x == point, value, fx)
         return fx
 
@@ -138,8 +132,8 @@ def _piece_samples(f: FunctionSpec) -> list[NestedSamples]:
     """The spec's quadrature pieces in summation order, each with its samples.
 
     A piece is an interval between jump points, or one interval of the graded
-    mesh toward 0 when f is singular there.  Each piece keeps one nested
-    sample grid, shared by every n, both kinds and every panel doubling.
+    mesh toward 0 when f is singular there.  Each piece holds its finest grid
+    and the samples on it, shared by every n, both kinds and every doubling.
     """
     pieces = _sample_cache.get(f)
     if pieces is None:
@@ -291,7 +285,7 @@ def theorem_series(
         budget = 0.0
     else:  # the coefficients are a cache hit after the series
         coeffs = coefficients(length)
-        budget = pref_abs * (_REL_QUAD * float(np.abs(coeffs).sum()) + length * _ABS_QUAD)
+        budget = pref_abs * (REL_TOL * float(np.abs(coeffs).sum()) + length * ABS_FLOOR)
 
     if chi.is_real:
         imag = abs(value.imag)

@@ -9,11 +9,11 @@ weights stable for small theta.
 
 Panel doubling never samples a point twice.  The grid linspace(a, b, 2P + 1)
 is bit-identical to the even entries of linspace(a, b, 4P + 1), because the
-step (b - a)/4P is the step (b - a)/2P halved exactly.  NestedSamples keeps f
-on the finest grid requested so far: a coarser request is a strided view of
-it and a finer one evaluates f only at the new points.  One NestedSamples per
-interval can therefore serve every omega, both kinds and every doubling, with
-results bit-identical to sampling f afresh on each grid.
+step (b - a)/4P is the step (b - a)/2P halved exactly.  NestedSamples holds
+the finest grid requested so far and f on it, and filon_integral asks it for
+both by panel count: a finer grid is built once, evaluating f only at the new
+points.  One NestedSamples per interval can therefore serve every omega, both
+kinds and every doubling, with results bit-identical to fresh sampling.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ __all__ = [
     "graded_edges",
 ]
 
+# the accuracy filon_adaptive asks of a doubling, and callers budget for
+REL_TOL = 1e-12
+ABS_FLOOR = 1e-14
+
 
 class QuadratureError(ArithmeticError):
     """Raised when panel refinement hits its cap; carries the achieved accuracy."""
@@ -43,40 +47,34 @@ class QuadratureError(ArithmeticError):
 class NestedSamples:
     """f on the nested grids linspace(a, b, 2P + 1) of one interval [a, b].
 
-    Call it with such a grid, as filon_integral does, and it returns f on it
-    as a read-only array.  Only the finest grid is held: a grid whose interval
-    count divides the held one by a power of two is a strided view of it, and
-    a grid that multiplies it by a power of two evaluates f only at the points
-    the held grid lacks.  `values` is the held grid (None before any call).
+    grid(P) returns (x, f(x)) on the grid of P panels, both read-only.  Only
+    the finest grid requested so far is held, as `x` and `values`: a coarser
+    grid is a strided view of them, and a finer one is built once and
+    evaluates f only at the points the held grid lacks.  Panel counts must
+    nest with the held one by a power of two.
     """
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
         self.f, self.a, self.b = f, a, b
+        self.x: np.ndarray | None = None
         self.values: np.ndarray | None = None
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if len(x) < 2 or x[0] != self.a or x[-1] != self.b:
-            raise ValueError(f"samples requested off the grids of [{self.a}, {self.b}]")
-        held = self.values
-        if held is None:
-            values = np.array(self.f(x), dtype=float)
-        else:
-            coarse, fine = sorted((len(held) - 1, len(x) - 1))
-            ratio, rest = divmod(fine, coarse)
-            if rest or ratio & (ratio - 1):
-                raise ValueError(
-                    f"a grid of {len(x)} points does not nest with {len(held)} held points"
-                )
-            if len(x) <= len(held):
-                return held[::ratio]
-            values = np.empty(len(x))
-            values[::ratio] = held
-            new = np.ones(len(x), dtype=bool)
-            new[::ratio] = False
-            values[new] = self.f(x[new])
-        values.flags.writeable = False
-        self.values = values
-        return values
+    def grid(self, panels: int) -> tuple[np.ndarray, np.ndarray]:
+        held = 2 * panels if self.x is None else len(self.x) - 1
+        coarse, fine = sorted((held, 2 * panels))
+        ratio, rest = divmod(fine, max(coarse, 1))
+        if panels < 1 or rest or ratio & (ratio - 1):
+            raise ValueError(f"{panels} panels do not nest with the {held // 2} held")
+        if self.x is not None and 2 * panels <= held:
+            return self.x[::ratio], self.values[::ratio]
+        x = np.linspace(self.a, self.b, 2 * panels + 1)
+        values, new = np.empty(len(x)), np.ones(len(x), dtype=bool)
+        if self.values is not None:
+            values[::ratio], new[::ratio] = self.values, False
+        values[new] = self.f(x[new])
+        x.flags.writeable = values.flags.writeable = False
+        self.x, self.values = x, values
+        return x, values
 
 
 def _filon_weights(theta: float) -> tuple[float, float, float]:
@@ -95,19 +93,25 @@ def _filon_weights(theta: float) -> tuple[float, float, float]:
 
 
 def filon_integral(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: NestedSamples | Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     omega: float,
     kind: str,
     panels: int,
 ) -> float:
-    """integral_a^b f(t) cos/sin(omega t) dt on 2*panels subintervals."""
+    """integral_a^b f(t) cos/sin(omega t) dt on 2*panels subintervals.
+
+    f is a NestedSamples of [a, b], whose grid and samples are reused, or a
+    vectorized callable, sampled afresh.
+    """
+    samples = f if isinstance(f, NestedSamples) else NestedSamples(f, a, b)
+    if (samples.a, samples.b) != (a, b):
+        raise ValueError(f"samples requested off the grids of [{samples.a}, {samples.b}]")
     h = (b - a) / (2 * panels)
     theta = omega * h
     alpha, beta, gamma = _filon_weights(theta)
-    x = np.linspace(a, b, 2 * panels + 1)  # exact endpoints for one-sided limits
-    fx = np.asarray(f(x), dtype=float)
+    x, fx = samples.grid(panels)  # exact endpoints for one-sided limits
     wx = omega * x
     if kind == "cos":
         g = np.cos(wx)
@@ -124,13 +128,11 @@ def filon_integral(
 
 
 def filon_adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: NestedSamples | Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     omega: float,
     kind: str,
-    rel_tol: float = 1e-12,
-    abs_floor: float = 1e-14,
     max_panels: int = 2**15,
 ) -> tuple[float, float]:
     """Panel-doubling Filon integration; returns (value, error estimate).
@@ -138,8 +140,8 @@ def filon_adaptive(
     Panels start at 8 and double while they are at most max_panels, so the
     finest rule has up to 2 * max_panels panels.  Raises QuadratureError when
     that cap is reached before the doubling increment falls under
-    max(rel_tol * |value|, abs_floor), and ValueError for max_panels < 8.
-    Pass a NestedSamples as f to keep the samples for the next call.
+    max(REL_TOL * |value|, ABS_FLOOR), and ValueError for max_panels < 8.
+    Pass a NestedSamples as f to keep the grid and samples for the next call.
     """
     if max_panels < 8:
         raise ValueError(f"max_panels must be at least 8, got {max_panels}")
@@ -149,7 +151,7 @@ def filon_adaptive(
         panels *= 2
         cur = filon_integral(f, a, b, omega, kind, panels)
         err = abs(cur - prev)
-        if err <= max(rel_tol * abs(cur), abs_floor):
+        if err <= max(REL_TOL * abs(cur), ABS_FLOOR):
             return cur, err
         prev = cur
     raise QuadratureError(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _json_str
 
 SCHEMA_VERSION = 1
 
@@ -55,9 +56,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_str(s: str) -> str:
-    escaped = s.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
 
 
 def _report_json(r: VerificationReport) -> str:

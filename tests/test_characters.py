@@ -102,6 +102,20 @@ def test_invalid_modulus():
         build_character_group(-3)
 
 
+def test_full_group_rejected_above_desk_scale_before_any_table(monkeypatch):
+    import charsum.characters as characters
+
+    # one real character stays available up to the modulus ceiling
+    assert characters.real_primitive_character(-99991).modulus == 99991
+
+    def no_group(q):
+        raise AssertionError("the group must not be built")
+
+    monkeypatch.setattr(characters, "CharacterGroup", no_group)
+    with pytest.raises(ValueError, match="exceeds 10000"):
+        build_character_group(10**4 + 1)
+
+
 # --- conductor ----------------------------------------------------------------
 
 

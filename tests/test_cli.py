@@ -51,6 +51,19 @@ def test_characters_bad_modulus(capsys):
     assert code == 2 and "positive" in err
 
 
+@pytest.mark.parametrize("argv", [["characters"], ["verify-theorem", "--function", "t"]])
+def test_full_group_above_desk_scale_exits_2_before_building(capsys, monkeypatch, argv):
+    import charsum.characters as characters
+
+    def no_group(q):
+        raise AssertionError("the group must not be built")
+
+    monkeypatch.setattr(characters, "CharacterGroup", no_group)
+    code, _, err = run_cli(capsys, *argv, "-q", "10007")
+    assert code == 2
+    assert "10007 exceeds 10000" in err and "Traceback" not in err
+
+
 def test_characters_output_file_matches_stdout(capsys, tmp_path):
     for fmt in ("pretty", "csv", "json"):
         _, out, _ = run_cli(capsys, "characters", "-q", "12", "--format", fmt)
@@ -228,6 +241,18 @@ def test_json_determinism_modulo_wall_time(capsys):
             r["wall_time_ms"] = None
         seen.append(json.dumps(reports, sort_keys=True))
     assert seen[0] == seen[1]
+
+
+def test_json_report_escapes_control_characters_in_command(capsys, tmp_path):
+    path = str(tmp_path / "tab\tname.json")
+    argv = ["example", "--id", "1", "-d", "-3", "--format", "json", "--output", path]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert "\t" not in text
+    (report,) = json.loads(text)
+    assert report["command"] == "charsum " + " ".join(argv)
 
 
 def test_csv_determinism_bytes(capsys):

@@ -176,20 +176,28 @@ def test_nested_samples_evaluate_each_grid_point_once():
     a, b = 0.1, 0.8
     samples = NestedSamples(f, a, b)
     for panels in (8, 16, 4, 64, 32):
-        x = np.linspace(a, b, 2 * panels + 1)
-        got = samples(x)
-        assert np.array_equal(got, f(x)) and not got.flags.writeable
-        del seen[-len(x):]  # the reference call above
+        x, fx = samples.grid(panels)
+        fresh = np.linspace(a, b, 2 * panels + 1)
+        assert x.tolist() == fresh.tolist() and np.array_equal(fx, f(fresh))
+        assert not x.flags.writeable and not fx.flags.writeable
+        del seen[-len(fresh):]  # the reference call above
     assert sorted(seen) == np.linspace(a, b, 129).tolist()
-    assert len(samples.values) == 129
+    assert len(samples.x) == len(samples.values) == 129
+    # a coarser request is a view of the held grid, not a new one
+    x, fx = samples.grid(16)
+    assert np.shares_memory(x, samples.x) and np.shares_memory(fx, samples.values)
     for omega, kind in ((0.5, "cos"), (40.0, "sin")):
         assert filon_integral(samples, a, b, omega, kind, 16) == filon_integral(
             f, a, b, omega, kind, 16
         )
+    evaluated = len(seen)
     with pytest.raises(ValueError, match="nest"):
-        samples(np.linspace(a, b, 49))
+        samples.grid(24)
+    with pytest.raises(ValueError, match="nest"):
+        samples.grid(0)
     with pytest.raises(ValueError, match="grids"):
-        samples(np.linspace(a, 0.9, 17))
+        filon_integral(samples, a, 0.9, 0.5, "cos", 8)
+    assert len(seen) == evaluated
 
 
 def _atom_sum(f, kind, n):

@@ -5,7 +5,7 @@ with mpmath from the exact character turns, independently of the float direct
 sum; the truncated series must then lie within its reported tail bound of it, and
 for complex characters each component of the float direct sum within
 (q - 1) 2^-53 max|f*| of it.  The same holds for identity 4 against the exact rational F*(y), and for L(1, chi)
-against its finite closed forms.
+against its finite closed forms (real chi) and its digamma form (every chi).
 """
 
 import math
@@ -164,6 +164,24 @@ def exact_l_one(d):
 def test_l_one_within_bound_of_closed_form(d):
     lval = l_one(real_primitive_character(d), 1e-12)
     assert abs(lval.value - exact_l_one(d)) <= lval.tail_bound, d
+
+
+def digamma_l_one(chi):
+    """L(1, chi) = -(1/q) sum_{k<q} chi(k) psi(k/q) for non-principal chi, to 40 digits."""
+    with mp.workdps(40):
+        return complex(-exact_sum_mp(chi, mpmath.digamma) / chi.modulus)
+
+
+def test_complex_l_one_within_bound_of_digamma_form():
+    # the digamma form itself against the real closed form
+    assert abs(digamma_l_one(real_primitive_character(-163)) - exact_l_one(-163)) < 1e-15
+    checked = 0
+    for q in (7, 13, 29, 37):
+        for chi in build_character_group(q).primitive_characters():
+            lval = l_one(chi, 1e-12)
+            assert abs(lval.value - digamma_l_one(chi)) <= lval.tail_bound, chi.label
+            checked += 1
+    assert checked == 78
 
 
 @settings(deadline=None, derandomize=True, database=None)
