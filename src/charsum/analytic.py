@@ -4,12 +4,14 @@ The L-value evaluator truncates sum chi(n)/n and recovers the discarded tail
 by repeated summation by parts: the iterated partial sums of a non-principal
 character are periodic, so each Abel step extracts an exact boundary term and
 leaves a remainder one order smaller.  The same machinery serves any tail
-sum_{n>N} chi(n) g(n) whose g is a combination of atoms 1/(n + c), since the
-forward differences of such atoms have closed forms.  character_series is the
-one series engine: a head to N, the exact Abel tail of the atoms, and the
-Polya-Vinogradov tail bound of a remainder known only through an envelope
-C/n^p (optionally Cesaro-averaged when there are no atoms).  L(1, chi), the
-theorem series and identities 2, 3 and 4 all call it.
+sum_{n>N} chi(n) g(n) whose g is a combination of atoms coef/(n + c), since the
+forward differences of such atoms have closed forms; a coef given as one
+period of weights w[n mod b] twists the character into the periodic sequence
+chi(n) w(n), of period lcm(q, b).  character_series is the one series engine:
+a head to N, the exact Abel tail of the atoms, and the Polya-Vinogradov tail
+bound of a remainder known only through an envelope C/n^p (optionally
+Cesaro-averaged when there are no atoms).  L(1, chi), the theorem series and
+identities 2, 3 and 4 all call it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .characters import DirichletCharacter
+from .characters import MODULUS_CEILING, DirichletCharacter
 
 __all__ = [
     "LValue",
@@ -228,6 +230,44 @@ def reciprocal_tail(
     return best_value, best
 
 
+def _abel_groups(values: np.ndarray, atoms: Sequence[tuple]) -> list[tuple[PeriodicSums, list]]:
+    """The atoms grouped by their period of weights, each group with its sums.
+
+    Scalar atoms share the sums of `values`.  The atoms whose coef is one and
+    the same array w of length b become unit atoms 1/(n + c) over the twisted
+    sequence values[n % m] w[n % b], of period lcm(m, b); a period above
+    MODULUS_CEILING is rejected before that sequence is allocated.
+    """
+    groups: dict[int | None, tuple[np.ndarray | None, list]] = {}
+    for coef, c in atoms:
+        if np.ndim(coef) == 0:
+            groups.setdefault(None, (None, []))[1].append((coef, c))
+        else:
+            groups.setdefault(id(coef), (coef, []))[1].append((1.0, c))
+    m = len(values)
+    out = []
+    for weights, group in groups.values():
+        period_values = values
+        if weights is not None:
+            b = len(weights)
+            period = math.lcm(m, b)
+            if period > MODULUS_CEILING:
+                raise ValueError(
+                    f"coefficient weights of period {b} make the series period "
+                    f"lcm({m}, {b}) = {period} exceed the modulus ceiling {MODULUS_CEILING}"
+                )
+            r = np.arange(period)
+            period_values = values[r % m] * weights[r % b]
+        out.append((PeriodicSums(np.roll(period_values, -1)), group))  # entry n - 1 holds n
+    return out
+
+
+def _abel_tail(groups: list[tuple[PeriodicSums, list]], start: int) -> tuple[complex, float]:
+    """reciprocal_tail summed over the atom groups: (value, error bound)."""
+    parts = [reciprocal_tail(sums, group, start) for sums, group in groups]
+    return sum(value for value, _ in parts), sum(bound for _, bound in parts)
+
+
 def character_series(
     values: np.ndarray,
     coefficients: Callable[[int], np.ndarray],
@@ -235,7 +275,7 @@ def character_series(
     target: float,
     start: int,
     cap: int,
-    atoms: Sequence[tuple[complex, complex]] = (),
+    atoms: Sequence[tuple] = (),
     envelope: tuple[float, int] = (0.0, 1),
     terms: int | None = None,
     averaged: bool = False,
@@ -245,7 +285,11 @@ def character_series(
     `values` is one period of length m, indexed by n mod m, and
     `coefficients(M)` returns a_1..a_M.  The coefficients are modelled as
     a_n = sum coef/(n + c) over the (coef, c) atoms plus a remainder r_n with
-    |r_n| <= C/n^p, envelope = (C, p); with atoms, `values` must have mean zero.
+    |r_n| <= C/n^p, envelope = (C, p).  A coef is a scalar, or one period of
+    weights (a 1-D array w of length b) meaning w[n % b]/(n + c).  With atoms,
+    each sequence the Abel tail runs over (`values`, and values[n % m] w[n % b]
+    of period lcm(m, b) <= MODULUS_CEILING for each weights array) must have
+    mean zero.
 
     The head sums prefactor * values[n % m] a_n to N; with `averaged` (legal
     only without atoms) the value is instead the Cesaro mean of the partial
@@ -259,6 +303,7 @@ def character_series(
     """
     if averaged and atoms:
         raise ValueError("Cesaro averaging applies only to series without atoms")
+    groups = _abel_groups(values, atoms)
     c, p = envelope
     weight = (4.0 if averaged else 2.0) * partial_sum_bound(len(values)) * c * abs(prefactor)
     if terms is not None:
@@ -271,11 +316,10 @@ def character_series(
             n_terms = max(1, min(n_terms, cap // 2))
     correction, abel_bound = 0.0, 0.0
     if atoms:
-        sums = PeriodicSums(np.roll(values, -1))  # entry n - 1 holds the value at n
-        correction, abel_bound = reciprocal_tail(sums, atoms, n_terms)
+        correction, abel_bound = _abel_tail(groups, n_terms)
         while terms is None and abs(prefactor) * abel_bound > target / 2 and n_terms < cap:
             n_terms = min(2 * n_terms, cap)
-            correction, abel_bound = reciprocal_tail(sums, atoms, n_terms)
+            correction, abel_bound = _abel_tail(groups, n_terms)
     length = 2 * n_terms if averaged else n_terms
     coeffs = coefficients(length)  # first: generating them may be the memory peak
     n = np.arange(1, length + 1)

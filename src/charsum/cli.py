@@ -195,14 +195,18 @@ def _cmd_verify_theorem(args, command: str) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     reports = []
-    for chi in group.primitive_characters():
-        started = time.perf_counter()
-        chk = verify_theorem(chi, f, args.tol, terms=args.terms, terms_cap=args.terms_cap)
-        reports.append(_row(
-            command, started, None, args.modulus, chi.label, chi.is_even,
-            f"theorem:{args.function}", chk.direct, chk.series.value, chk.abs_error,
-            chk.pass_tolerance, chk.series.terms_used, chk.series.tail_bound, chk.passed,
-        ))
+    try:  # a series period above the ceiling (step:a/b with lcm(q, b) too large)
+        for chi in group.primitive_characters():
+            started = time.perf_counter()
+            chk = verify_theorem(chi, f, args.tol, terms=args.terms, terms_cap=args.terms_cap)
+            reports.append(_row(
+                command, started, None, args.modulus, chi.label, chi.is_even,
+                f"theorem:{args.function}", chk.direct, chk.series.value, chk.abs_error,
+                chk.pass_tolerance, chk.series.terms_used, chk.series.tail_bound, chk.passed,
+            ))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     notice = None
     if not reports:
         notice = f"no primitive characters mod {args.modulus}"

@@ -9,13 +9,14 @@ Two routes are provided and compared:
   truncated with a rigorous tail bound.
 
 Both are summed by one call of analytic.character_series.  The tail of the
-function's rational coefficient atoms for the branch is summed exactly; what
-the atoms leave (the whole coefficient when there are none) is bounded by the
-Polya-Vinogradov partial-sum bound times the total variation of its envelope.
-Slowly convergent families without atoms (jump functions, the sine side of
-the logarithm) are summed with Cesaro averaging of the partial sums over the
-window [N, 2N], which restores O(1/N) practical accuracy without changing
-the limit.
+function's rational coefficient atoms for the branch is summed exactly (the
+step at y = a/b is exactly its atoms: periodic weights of period b over 1/n);
+what the atoms leave (the whole coefficient when there are none) is bounded
+by the Polya-Vinogradov partial-sum bound times the total variation of its
+envelope.  Slowly convergent families without atoms (user jump functions, the
+sine side of the logarithm) are summed with Cesaro averaging of the partial
+sums over the window [N, 2N], which restores O(1/N) practical accuracy
+without changing the limit.
 
 Coefficients without a closed form come from piecewise Filon quadrature.  f is
 sampled once per piece (an interval between jumps, or one interval of the
@@ -238,7 +239,8 @@ def theorem_series(
 
     When f declares atoms for the branch's coefficient kind, the atoms' tail
     beyond N is summed by repeated summation by parts (tail method "abel"), so
-    N stays O(q) unless the remainder envelope asks for more.  Otherwise N is
+    N stays O(q) (O(lcm(q, b)) for atoms with weights of period b) unless the
+    remainder envelope asks for more.  Otherwise N is
     picked from the envelope bound (tail method "envelope"); jump and singular
     variation classes are Cesaro-averaged over the window [N, 2N] (tail method
     "cesaro").  When the bound cannot reach target_accuracy within the cap the

@@ -3,11 +3,14 @@
 A FunctionSpec carries everything the series engine needs: a pointwise
 evaluator, the jump points with their one-sided limits, a flag for an
 integrable singularity at 0, optional closed-form Fourier coefficients,
-optional rational atoms whose series tail is summed exactly, a proven
-envelope of what the atoms leave of the coefficient when one is known, and
-the variation class that drives truncation bounds.
+optional rational atoms coef/(n + c), with coef a scalar or one period of
+weights, whose series tail is summed exactly, a proven envelope of what the
+atoms leave of the coefficient when one is known, and the variation class
+that drives truncation bounds.
 The built-in family covers the squared/linear/exponential/logarithm
-evaluands and indicator steps.
+evaluands and indicator steps; a step at y = a/b is exactly the atoms
+w[n mod b]/n on both sides, so its denominator b may not exceed the modulus
+ceiling.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic import EULER_GAMMA, cosine_integral_array, sine_integral_array
+from .characters import MODULUS_CEILING
 
 __all__ = [
     "VariationClass",
@@ -50,7 +54,9 @@ class FunctionSpec:
     ``closed_form(n_array, kind)`` returns the Fourier coefficients
     integral_0^1 f(t) cos/sin(2 pi n t) dt when analytically known.
     ``atoms[kind] = ((coef, c), ...)`` splits coefficient_n into
-    sum coef / (n + c) plus a remainder; each c needs Re(c) >= 0.
+    sum coef / (n + c) plus a remainder; each c needs Re(c) >= 0.  A coef is
+    a scalar or one period of weights: a non-empty, finite 1-D array w of
+    length b (kept read-only), meaning w[n mod b] / (n + c).
     ``envelope[kind] = (C, p)`` asserts |coefficient_n - atoms| <= C / n**p
     for all n >= 1, with C finite and >= 0 and p an integer >= 1.  Atoms
     without an envelope for their kind are exact (zero remainder); a kind with
@@ -64,14 +70,22 @@ class FunctionSpec:
     singular_at_zero: bool = False
     closed_form: Callable[[np.ndarray, str], np.ndarray] | None = None
     envelope: tuple[tuple[str, float, int], ...] = ()  # (kind, C, p)
-    # (kind, ((coef, c), ...))
-    atoms: tuple[tuple[str, tuple[tuple[complex, complex], ...]], ...] = ()
+    # (kind, ((coef, c), ...)); coef a scalar or a 1-D array of weights
+    atoms: tuple[tuple[str, tuple[tuple[complex | np.ndarray, complex], ...]], ...] = ()
 
     def __post_init__(self):
         for kind, pairs in self.atoms:
             if kind not in ("cos", "sin"):
                 raise ValueError(f"atom kind must be 'cos' or 'sin', got {kind!r}")
-            for _, c in pairs:
+            for coef, c in pairs:
+                if np.ndim(coef) != 0 and not (
+                    isinstance(coef, np.ndarray) and coef.ndim == 1 and coef.size
+                ):
+                    raise ValueError(
+                        f"a periodic atom coef must be a non-empty 1-D array, got {coef!r}"
+                    )
+                if not np.isfinite(coef).all():
+                    raise ValueError(f"atom coef {coef!r} is not finite")
                 if complex(c).real < 0:
                     raise ValueError(
                         f"atom shift c = {c} has negative real part; the Abel tail needs Re(c) >= 0"
@@ -90,7 +104,7 @@ class FunctionSpec:
                 return c, p
         return None
 
-    def atoms_for(self, kind: str) -> tuple[tuple[complex, complex], ...]:
+    def atoms_for(self, kind: str) -> tuple[tuple[complex | np.ndarray, complex], ...]:
         for k, pairs in self.atoms:
             if k == kind:
                 return pairs
@@ -137,16 +151,6 @@ def _log_closed(n: np.ndarray, kind: str) -> np.ndarray:
     return -(EULER_GAMMA + np.log(w) - cosine_integral_array(w)) / w
 
 
-def _step_closed(y: float) -> Callable[[np.ndarray, str], np.ndarray]:
-    def closed(n: np.ndarray, kind: str) -> np.ndarray:
-        w = TWO_PI * n.astype(float)
-        if kind == "cos":
-            return np.sin(w * y) / w
-        return (1.0 - np.cos(w * y)) / w
-
-    return closed
-
-
 # -1/(2 pi n): the sine coefficients of t and t2
 _HARMONIC_SIN_ATOMS = (("sin", ((-1.0 / TWO_PI, 0.0),)),)
 # 1 + 4 pi^2 n^2 = 4 pi^2 (n - i/2pi)(n + i/2pi), split into partial fractions
@@ -159,16 +163,32 @@ _EXP_ATOMS = (
 
 
 def _make_step(y: Fraction) -> FunctionSpec:
-    yf = float(y)
-    if not 0 < yf < 1:
+    """The step at y = a/b: coefficients w[n mod b]/n, w one period of
+    sin(2 pi r a/b)/(2 pi) (cosine) or (1 - cos(2 pi r a/b))/(2 pi) (sine)."""
+    if not 0 < y < 1:
         raise ValueError(f"step threshold must lie in (0, 1), got {y}")
+    b = y.denominator
+    if b > MODULUS_CEILING:
+        raise ValueError(
+            f"step threshold {y} has denominator {b}, above the modulus ceiling "
+            f"{MODULUS_CEILING}; pass it as a fraction with a small denominator, such as 1/5"
+        )
+    angles = (TWO_PI / b) * ((np.arange(b) * y.numerator) % b)  # exact reduction of 2 pi r y
+    weights = {"cos": np.sin(angles) / TWO_PI, "sin": (1.0 - np.cos(angles)) / TWO_PI}
+    for w in weights.values():
+        w.flags.writeable = False
+
+    def closed(n: np.ndarray, kind: str) -> np.ndarray:
+        return weights[kind][n % b] / n
+
+    yf = float(y)
     return FunctionSpec(
         name=f"step:{y}",
         evaluator=lambda t, _y=yf: 1.0 if t <= _y else 0.0,
         variation_class=VariationClass.PIECEWISE_SMOOTH,
         jump_points=((yf, 1.0, 0.0),),
-        closed_form=_step_closed(yf),
-        envelope=(("cos", 1.0 / TWO_PI, 1), ("sin", 1.0 / math.pi, 1)),
+        closed_form=closed,
+        atoms=tuple((kind, ((w, 0.0),)) for kind, w in weights.items()),
     )
 
 

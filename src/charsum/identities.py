@@ -9,16 +9,18 @@ Each check compares two independently computed sides at a stated tolerance:
 3. exp identity   (both parities):   sum chi(k) e^{k/q} equals the theorem
    series for f = exp with prefactor 2 sqrt(q)
 4. partial-sum identity:             F*(y) for F(y) = sum_{k <= qy} chi(k)
-   equals the theorem series for the step at y (constant term L(1, chi) in
-   the odd case)
+   is the direct sum for the step at y, and equals its theorem series with
+   prefactor 2 sqrt(q)
 
 Identities 2, 3 and 4 sum their series with analytic.character_series.
-Identities 3 and 4 pass coefficient atoms, so the tail beyond N is an exact
-Abel tail under a rigorous bound.  Identity 2 sums the exact eps_n correction
-series, which is the logarithm's cosine coefficient minus its atom -1/(4n); the
-Polya-Vinogradov tail bound for the O(1/n^2) envelope the log spec declares for
-eps_n keeps the comparison testable at fixed precision.  The remainder over
-sqrt(q) is recorded without deciding whether it is character-independent.
+Identities 3 and 4 are the theorem for the built-in exp and step:y specs,
+whose exact coefficient atoms (periodic weights over 1/n for the step) give
+an exact Abel tail under a rigorous bound.  Identity 2 sums the exact eps_n
+correction series, which is the logarithm's cosine coefficient minus its atom
+-1/(4n); the Polya-Vinogradov tail bound for the O(1/n^2) envelope the log
+spec declares for eps_n keeps the comparison testable at fixed precision.  The
+remainder over sqrt(q) is recorded without deciding whether it is
+character-independent.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-# PeriodicSums and reciprocal_tail stay bound here: perfbench/spans.py wraps them by name
+# PeriodicSums, reciprocal_tail and tau stay bound here: perfbench/spans.py wraps them by name
 from .analytic import (  # noqa: F401
     PeriodicSums,
     character_series,
@@ -40,7 +42,7 @@ from .analytic import (  # noqa: F401
 from .characters import MODULUS_CEILING, real_primitive_character
 from .fourier import direct_sum
 from .functions import TWO_PI, builtin_function
-from .gauss_sums import tau
+from .gauss_sums import tau  # noqa: F401
 
 __all__ = [
     "IdentityCheck",
@@ -146,25 +148,28 @@ def check_log_identity(d: int, tol: float = DEFAULT_TOLERANCES[2]) -> IdentityCh
     return _finish(2, d, None, remainder, series, tol, n_terms, tail, notes)
 
 
-def check_exp_identity(d: int, tol: float = DEFAULT_TOLERANCES[3]) -> IdentityCheck:
-    """Identity 3, both parities: the theorem for f = exp, whose prefactor is
-    2 sqrt(q) for either parity since tau(chi_d) is sqrt(q) or i sqrt(q)."""
+def _theorem_check(identity_id, d, y, f, tol, start, cap, terms=None) -> IdentityCheck:
+    """The theorem for the real primitive chi_d and a spec with exact atoms:
+    the direct sum against the series with prefactor 2 sqrt(q), exact for
+    either parity since tau(chi_d) is sqrt(q) or i sqrt(q)."""
     chi = real_primitive_character(d)
-    q = abs(d)
-    f = builtin_function("exp")
-    lhs = direct_sum(chi, f)
     kind = "cos" if chi.is_even else "sin"
-    prefactor = 2.0 * math.sqrt(q)
     series, n_terms, bound = character_series(
         chi.values_real(),
         lambda count: f.closed_form(np.arange(1, count + 1), kind),
-        prefactor,
+        2.0 * math.sqrt(abs(d)),
         tol / 2,
-        max(2048, 8 * q),
-        2**20,
+        start,
+        cap,
         atoms=f.atoms_for(kind),
+        terms=terms,
     )
-    return _finish(3, d, None, lhs, series.real, tol, n_terms, bound)
+    return _finish(identity_id, d, y, direct_sum(chi, f), series.real, tol, n_terms, bound)
+
+
+def check_exp_identity(d: int, tol: float = DEFAULT_TOLERANCES[3]) -> IdentityCheck:
+    """Identity 3, both parities: the theorem for f = exp."""
+    return _theorem_check(3, d, None, builtin_function("exp"), tol, max(2048, 8 * abs(d)), 2**20)
 
 
 def check_partial_sum_identity(
@@ -176,10 +181,12 @@ def check_partial_sum_identity(
     """Identity 4: F*(y) against the theorem series for the step at y.
 
     y must be rational in (0, 1); when q y is an integer, F* takes the
-    midpoint value (the k = q y term contributes chi(q y)/2).  With y = a/b
-    the series weight chi(n) sin(2 pi n y) (even chi) or chi(n) cos(2 pi n y)
-    (odd chi) has period lcm(q, b), so the tail beyond N is an Abel tail;
-    an explicit `terms` fixes N and must not exceed 2^22.
+    midpoint value (the k = q y term contributes chi(q y)/2).  F*(y) is the
+    direct sum for step:y, exact since every product is +-1, +-1/2 or 0.  With
+    y = a/b the step's atoms carry weights of period b, so the series tail
+    beyond N is an Abel tail over the period lcm(q, b), which must not exceed
+    MODULUS_CEILING; N starts at 4 lcm(q, b), and an explicit `terms` fixes N
+    and must not exceed 2^22.
     """
     if terms is not None and not 1 <= terms <= _PARTIAL_SUM_TERMS_CAP:
         raise ValueError(f"terms must be >= 1 and at most {_PARTIAL_SUM_TERMS_CAP}, got {terms}")
@@ -188,45 +195,15 @@ def check_partial_sum_identity(
         raise ValueError(f"y must lie in (0, 1); got {y}")
     q = abs(d)
     b = y.denominator
-    period = q * b // math.gcd(q, b)
+    period = math.lcm(q, b)
     if period > MODULUS_CEILING:
         raise ValueError(
             f"y = {y} has denominator {b}, so the series period lcm({q}, {b}) = {period} "
             f"exceeds {MODULUS_CEILING}; pass y as a fraction string with a small "
             "denominator, such as 1/5"
         )
-    chi = real_primitive_character(d)
-    vals = chi.values_real()
-
-    qy = q * y
-    whole = qy.numerator // qy.denominator
-    lhs = math.fsum(vals[k] for k in range(1, whole + 1) if vals[k] != 0.0)
-    if qy.denominator == 1:
-        lhs -= vals[whole] / 2.0  # midpoint convention at the jump
-
-    r = np.arange(period, dtype=np.int64)
-    angles = (TWO_PI / b) * ((r * y.numerator) % b)  # exact reduction of 2 pi r y
-    trig = np.sin(angles) if chi.is_even else np.cos(angles)
-    tau_value = tau(chi).value
-    prefactor = tau_value / math.pi if chi.is_even else tau_value / (1j * math.pi)
-    pref_abs = abs(prefactor)
-    series, n_terms, bound = character_series(
-        vals[r % q] * trig,
-        lambda count: 1.0 / np.arange(1, count + 1),
-        1.0,
-        tol / pref_abs,
-        4 * period,
-        _PARTIAL_SUM_TERMS_CAP,
-        atoms=[(1.0, 0.0)],
-        terms=terms,
-    )
-    tail = pref_abs * bound
-    if chi.is_odd:
-        lval = l_one(chi, min(tol / (2.0 * pref_abs), 1e-10))
-        series = lval.value - series
-        tail += pref_abs * lval.tail_bound
-    rhs = float((prefactor * series).real)
-    return _finish(4, d, y, lhs, rhs, tol, n_terms, tail)
+    f = builtin_function(f"step:{y}")
+    return _theorem_check(4, d, y, f, tol, 4 * period, _PARTIAL_SUM_TERMS_CAP, terms)
 
 
 IDENTITY_IDS = {

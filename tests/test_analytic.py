@@ -262,6 +262,58 @@ def test_abel_series_explicit_terms_and_cap():
         character_series(vals, _harmonic, 1.0, 1e-8, 1000, 5000, atoms, averaged=True)
 
 
+def test_periodic_atoms_are_unit_atoms_over_the_twisted_period():
+    # coef = w (period 3) against the even character mod 5 is the unit atom
+    # 1/n over the twisted sequence chi(n) w(n mod 3) of period 15; a scalar
+    # atom alongside forms its own group, and the groups' tails add
+    vals = real_primitive_character(5).values_real()
+    w = np.array([0.25, -1.0, 0.5])
+    r = np.arange(15)
+    twisted = vals[r % 5] * w[r % 3]
+
+    def coeffs(count):
+        n = np.arange(1, count + 1)
+        return w[n % 3] / n
+
+    value, n_terms, bound = character_series(vals, coeffs, 2.0, 1e-12, 40, 2**20, [(w, 0.0)])
+    ref, ref_terms, ref_bound = character_series(
+        twisted, _harmonic, 2.0, 1e-12, 40, 2**20, [(1.0, 0.0)]
+    )
+    assert (n_terms, bound) == (ref_terms, ref_bound)
+    assert abs(value - ref) <= 1e-15
+    mixed, _, mixed_bound = character_series(
+        vals, lambda count: coeffs(count) - 0.5 * _harmonic(count), 2.0, 1e-12, 40, 2**20,
+        [(w, 0.0), (-0.5, 0.0)], terms=n_terms,
+    )
+    scalar, _, scalar_bound = character_series(
+        vals, lambda count: -0.5 * _harmonic(count), 2.0, 1e-12, 40, 2**20, [(-0.5, 0.0)],
+        terms=n_terms,
+    )
+    assert abs(mixed - (value + scalar)) <= 1e-15
+    assert mixed_bound == pytest.approx(bound + scalar_bound, rel=1e-15)
+
+
+def test_twisted_period_ceiling(monkeypatch):
+    import charsum.analytic as analytic
+
+    def no_sums(*args, **kwargs):
+        raise AssertionError("the twisted sums must not be built")
+
+    # lcm(1009, 997) = 1,005,973 > 10^6 is rejected before anything is built
+    vals = real_primitive_character(1009).values_real()
+    with monkeypatch.context() as patch:
+        patch.setattr(analytic, "PeriodicSums", no_sums)
+        with pytest.raises(ValueError, match=r"lcm\(1009, 997\) = 1005973 exceed"):
+            character_series(vals, _harmonic, 1.0, 1e-8, 40, 2**20, [(np.zeros(997), 0.0)])
+    # the boundary itself, under a ceiling of 15: lcm(5, 3) passes, lcm(5, 4) does not
+    monkeypatch.setattr(analytic, "MODULUS_CEILING", 15)
+    vals = real_primitive_character(5).values_real()
+    value, _, _ = character_series(vals, _harmonic, 1.0, 1e-8, 40, 2**20, [(np.ones(3), 0.0)])
+    assert math.isfinite(value.real)
+    with pytest.raises(ValueError, match="= 20 exceed the modulus ceiling 15"):
+        character_series(vals, _harmonic, 1.0, 1e-8, 40, 2**20, [(np.ones(4), 0.0)])
+
+
 def _counting(coefficients, lengths):
     def counted(count):
         lengths.append(count)

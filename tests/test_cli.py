@@ -104,17 +104,31 @@ def test_verify_theorem_q9_exp_sweeps_all_primitive(capsys):
 
 
 @pytest.mark.parametrize("function", ["log", "step:1/4"])
-def test_cesaro_with_terms_cap_below_two(capsys, function):
-    # the Cesaro window [N, 2N] keeps N >= 1 when the cap halves to 0
+def test_cesaro_with_terms_cap_below_two(capsys, monkeypatch, function):
+    # the Cesaro window [N, 2N] keeps N >= 1 when the cap halves to 0 (odd
+    # characters with log), and the Abel tail stops doubling at the cap (even
+    # ones with log, and every character with a step)
+    methods = {"abel", "cesaro"} if function == "log" else {"abel"}
+    checks = []
+    verify_theorem = cli.verify_theorem
+
+    def recording(*args, **kwargs):
+        checks.append(verify_theorem(*args, **kwargs))
+        return checks[-1]
+
+    monkeypatch.setattr(cli, "verify_theorem", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, _ = run_cli(capsys, "verify-theorem", "-q", "5", "--function", function,
                                "--terms-cap", "1", "--format", "json")
     rows = json.loads(out)
     assert code in (0, 1) and rows
+    assert {chk.series.tail_method for chk in checks} == methods
     for row in rows:
         assert math.isfinite(row["rhs"]["re"]) and math.isfinite(row["rhs"]["im"])
         assert row["terms_used"] >= 1
+    if methods == {"abel"}:
+        assert all(row["terms_used"] == 1 for row in rows)
 
 
 def test_verify_theorem_q6_no_primitive_characters(capsys):
@@ -156,6 +170,14 @@ def test_example_4_rejects_long_period_before_allocating(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "example", "--id", "4", "-d", "-499", "--y", "1/99991")
     assert code == 2
     assert "denominator 99991" in err and "fraction" in err and "Traceback" not in err
+
+
+def test_verify_theorem_rejects_step_period_above_ceiling(capsys):
+    # lcm(1009, 997) = 1,005,973: the series engine refuses the twisted period
+    code, out, err = run_cli(capsys, "verify-theorem", "-q", "1009", "--function", "step:1/997",
+                             "--format", "csv")
+    assert code == 2 and out == ""
+    assert "lcm(1009, 997) = 1005973" in err and "Traceback" not in err
 
 
 def test_example_4_rejects_terms_above_cap_before_allocating(capsys, monkeypatch):

@@ -66,12 +66,22 @@ def test_series_matches_direct_even_mod5_exp(chi5):
     assert sev.parity_branch == "cosine_even" and sev.tail_method == "abel"
 
 
-def test_series_step_function_with_averaging(odd4):
+def test_series_step_function_abel_tail(odd4):
     # the partial character sum F*(1/2) = chi(1) = 1 through the step spec
-    sev = theorem_series(odd4, builtin_function("step:1/2"), 1e-8, terms=10**4)
-    assert sev.averaged and sev.tail_method == "cesaro"
-    assert sev.value == pytest.approx(direct_sum(odd4, builtin_function("step:1/2")), abs=5e-3)
-    assert direct_sum(odd4, builtin_function("step:1/2")) == pytest.approx(1.0, abs=1e-15)
+    assert direct_sum(odd4, builtin_function("step:1/2")) == 1.0
+    # the step's periodic atoms put every character on the exact Abel tail.  Its
+    # bound covers truncation only; the float head's own rounding (at most
+    # 6.5e-15 measured here) is allowed for apart, as in the identity 4 checks
+    rounding = 1e-12
+    steps = [builtin_function(f"step:{y}") for y in ("1/4", "1/2", "4/5")]
+    for q in range(3, 101):
+        for chi in build_character_group(q).primitive_characters():
+            for f in steps:
+                chk = verify_theorem(chi, f, 1e-8)
+                sev = chk.series
+                assert chk.passed and sev.tail_method == "abel" and not sev.best_effort
+                assert sev.tail_bound <= 1e-8, (chi.label, f.name)
+                assert chk.abs_error <= sev.tail_bound + rounding, (chi.label, f.name)
 
 
 def test_verify_theorem_spot_cases(odd4, chi5):

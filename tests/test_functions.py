@@ -6,11 +6,13 @@ the integrate-by-parts reduction to quadrature-evaluated sine integrals.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from charsum import functions
 from charsum.functions import FunctionSpec, VariationClass, builtin_function, fstar
 from charsum.fourier import fourier_coefficient
 from charsum.quadrature import NestedSamples, QuadratureError, filon_adaptive, filon_integral
@@ -54,6 +56,18 @@ def test_builtin_names():
         builtin_function("cosh")
     with pytest.raises(ValueError):
         builtin_function("step:3/2")
+
+
+def test_step_denominator_ceiling(monkeypatch):
+    # a step holds one period of b weights per side, so b is capped before any
+    # allocation; the boundary is tested under a ceiling of 12
+    with pytest.raises(ValueError, match="denominator 1000001, above the modulus ceiling"):
+        builtin_function("step:1/1000001")
+    monkeypatch.setattr(functions, "MODULUS_CEILING", 12)
+    (weights, _), = builtin_function("step:5/12").atoms_for("cos")
+    assert weights.shape == (12,) and not weights.flags.writeable
+    with pytest.raises(ValueError, match="denominator 13, above the modulus ceiling 12"):
+        builtin_function("step:5/13")
 
 
 def test_t2_sin_coefficient_closed_form():
@@ -201,7 +215,11 @@ def test_nested_samples_evaluate_each_grid_point_once():
 
 
 def _atom_sum(f, kind, n):
-    return sum(coef / (n + c) for coef, c in f.atoms_for(kind))
+    # a periodic coef is one period of weights, indexed by n mod b
+    return sum(
+        (coef if np.ndim(coef) == 0 else coef[n % len(coef)]) / (n + c)
+        for coef, c in f.atoms_for(kind)
+    )
 
 
 def test_envelope_bounds_hold():
@@ -223,18 +241,26 @@ def test_atoms_match_closed_forms():
     # is checked against its envelope above
     n = np.arange(1, 10**5 + 1)
     exact = 0
-    for name in ("t2", "t", "exp", "log", "step:1/4"):
+    steps = ("step:1/4", "step:1/2", "step:4/5", "step:2/7")
+    for name in ("t2", "t", "exp", "log") + steps:
         f = builtin_function(name)
         for kind, _ in f.atoms:
             if f.envelope_for(kind) is not None:
                 continue
             exact += 1
             closed = f.closed_form(n, kind)
-            from_atoms = _atom_sum(f, kind, n)
+            if name in steps:  # the step's closed form against its definition
+                y = Fraction(name[5:])
+                angle = (2 * math.pi / y.denominator) * ((n * y.numerator) % y.denominator)
+                trig = np.sin(angle) if kind == "cos" else 1.0 - np.cos(angle)
+                ref = trig / (2 * math.pi * n)
+                assert np.all(np.abs(closed - ref) <= 1e-14 * np.abs(ref)), (name, kind)
+            from_atoms = np.asarray(_atom_sum(f, kind, n), dtype=complex)
             assert np.max(np.abs(from_atoms.imag)) <= 1e-14 * np.max(np.abs(closed)), (name, kind)
-            rel = np.abs(from_atoms.real - closed) / np.abs(closed)
-            assert np.max(rel) <= 1e-14, (name, kind)
-    assert exact == 4  # t2 sin, t sin, exp cos and exp sin
+            # relative to each coefficient; a step's exact zeros must stay zero
+            err = np.abs(from_atoms.real - closed)
+            assert np.all(err <= 1e-14 * np.abs(closed)), (name, kind)
+    assert exact == 4 + 2 * len(steps)  # t2 sin, t sin, exp cos and sin; both sides of steps
 
 
 def test_atoms_validated_at_construction():
@@ -252,6 +278,22 @@ def test_atoms_validated_at_construction():
             variation_class=VariationClass.SMOOTH_C2,
             atoms=(("tan", ((1.0, 0.0),)),),
         )
+    bad_coefs = [
+        (np.array([]), "non-empty 1-D array"),
+        (np.ones((2, 2)), "non-empty 1-D array"),
+        ([0.5, -0.5], "non-empty 1-D array"),
+        (np.array([0.0, np.nan]), "not finite"),
+        (np.array([np.inf, 1.0]), "not finite"),
+        (math.nan, "not finite"),
+    ]
+    for coef, message in bad_coefs:
+        with pytest.raises(ValueError, match=message):
+            FunctionSpec(
+                name="bad-coef",
+                evaluator=lambda t: t,
+                variation_class=VariationClass.SMOOTH_C2,
+                atoms=(("sin", ((coef, 0.0),)),),
+            )
     bad_envelopes = [
         (("cos", -1.0, 2), "finite and >= 0"),
         (("cos", math.nan, 2), "finite and >= 0"),

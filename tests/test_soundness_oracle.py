@@ -1,11 +1,13 @@
 """High-precision oracle for the theorem series bounds and the direct sum.
 
-S(chi, f) = sum_{k<q} chi(k) f(k/q) is evaluated to 30 digits (40 for log)
-with mpmath from the exact character turns, independently of the float direct
-sum; the truncated series must then lie within its reported tail bound of it, and
-for complex characters each component of the float direct sum within
-(q - 1) 2^-53 max|f*| of it.  The same holds for identity 4 against the exact rational F*(y), and for L(1, chi)
-against its finite closed forms (real chi) and its digamma form (every chi).
+S(chi, f) = sum_{k<q} chi(k) f(k/q) is evaluated to 30 digits (40 for log and
+the steps) with mpmath from the exact character turns, independently of the
+float direct sum; the truncated series must then lie within its reported tail
+bound of it, and for complex characters each component of the float direct sum
+within (q - 1) 2^-53 max|f*| of it.  The same holds for identity 4 and for the
+theorem series of step:y with real chi against the exact rational F*(y), and
+for L(1, chi) against its finite closed forms (real chi) and its digamma form
+(every chi).
 """
 
 import math
@@ -95,6 +97,39 @@ def test_even_log_series_within_bound_of_exact_sum():
         with mp.workdps(40):
             exact = complex(exact_sum_mp(chi, mpmath.log))
         assert abs(sev.value - exact) <= sev.tail_bound, chi.label
+
+
+def step_oracle(y):
+    """step*(x) at 40 digits: 1, 1/2 or 0 as x <, = or > y.  x = k/q and y are
+    rounded alike, so they compare equal exactly when the rationals do."""
+    y_mp = mp.mpf(y.numerator) / y.denominator
+    return lambda x: mp.mpf(1) if x < y_mp else mp.mpf(0.5) if x == y_mp else mp.mpf(0)
+
+
+def test_step_series_within_bound_of_exact_sum():
+    # per character: a y with b | q (then q y is an integer: the midpoint case)
+    # and a y with gcd(b, q) = 1; real characters against the exact rational
+    # F*(y), complex ones against 40-digit sums
+    characters = [(d, real_primitive_character(d)) for d in (-3, -4, 5, -7, 8, 12, 13)]
+    characters += [(None, chi) for chi in _characters() if not chi.is_real]
+    cases = {"divides": 0, "coprime": 0}
+    for d, chi in characters:
+        q = chi.modulus
+        coprime = Fraction(2, 9) if q % 5 == 0 else Fraction(2, 5)
+        for y in (Fraction(1, q), Fraction(q - 1, q), coprime, Fraction(3, 11)):
+            cases["divides" if q % y.denominator == 0 else "coprime"] += 1
+            sev = theorem_series(chi, builtin_function(f"step:{y}"), 1e-8)
+            assert sev.tail_method == "abel" and not sev.best_effort, (chi.label, y)
+            assert sev.tail_bound <= 1e-8, (chi.label, y)
+            allowed = sev.tail_bound + ORACLE_SLACK
+            if d is not None:
+                exact = exact_partial_sum(d, y)
+                assert abs(Fraction(sev.value) - exact) <= Fraction(allowed), (chi.label, y)
+            else:
+                with mp.workdps(40):
+                    exact = complex(exact_sum_mp(chi, step_oracle(y)))
+                assert abs(sev.value - exact) <= allowed, (chi.label, y)
+    assert cases == {"divides": 42, "coprime": 42}
 
 
 @pytest.mark.parametrize("q", (7, 13, 29))
