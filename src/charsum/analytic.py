@@ -11,7 +11,7 @@ chi(n) w(n), of period lcm(q, b).  character_series is the one series engine:
 a head to N, the exact Abel tail of the atoms, and the Polya-Vinogradov tail
 bound of a remainder known only through an envelope C/n^p (optionally
 Cesaro-averaged when there are no atoms).  L(1, chi), the theorem series and
-identities 2, 3 and 4 all call it.
+the four identities all call it.
 """
 
 from __future__ import annotations

@@ -44,6 +44,7 @@ from .quadrature import ABS_FLOOR, REL_TOL, NestedSamples, QuadratureError, filo
 __all__ = [
     "SeriesEvaluation",
     "TheoremCheck",
+    "cached_coefficients",
     "direct_sum",
     "fourier_coefficient",
     "theorem_series",
@@ -177,8 +178,13 @@ def fourier_coefficient(f: FunctionSpec, n: int, kind: str) -> float:
     return _coefficient_quadrature(f, n, kind)
 
 
-def _coefficients(f: FunctionSpec, kind: str, count: int) -> np.ndarray:
-    """Coefficients for n = 1..count, cached and grown on demand."""
+def cached_coefficients(f: FunctionSpec, kind: str, count: int) -> np.ndarray:
+    """Coefficients for n = 1..count, cached per spec and kind and grown on demand.
+
+    theorem_series and the identity checks share this cache.  The built-in
+    closed forms are elementwise, so their values do not depend on how the
+    cache grew.
+    """
     per_f = _coeff_cache.setdefault(f, {})
     arr = per_f.get(kind)
     if arr is None or len(arr) < count:
@@ -221,7 +227,7 @@ def _envelope(f: FunctionSpec, kind: str) -> tuple[float, int, str]:
     if f.atoms_for(kind):
         return 0.0, 1, "zero: exact atoms"
     # measure C over an initial sample; the 1.1 inflation covers mild growth
-    sample = _coefficients(f, kind, 256 if f.closed_form is not None else 64)
+    sample = cached_coefficients(f, kind, 256 if f.closed_form is not None else 64)
     p = 2 if (f.variation_class is VariationClass.SMOOTH_C2 and kind == "cos") else 1
     n = np.arange(1, len(sample) + 1)
     c = 1.1 * float(np.max(np.abs(sample) * n.astype(float) ** p))
@@ -273,7 +279,7 @@ def theorem_series(
     table = chi.values_real() if chi.is_real else np.conj(chi.values_complex())
 
     cap = terms_cap if f.closed_form is not None else min(terms_cap, _QUADRATURE_TERMS_CAP)
-    coefficients = partial(_coefficients, f, kind)
+    coefficients = partial(cached_coefficients, f, kind)
     start = max(_MIN_TERMS, 8 * q) if atoms else _MIN_TERMS
     env_c, env_p, env_src = _envelope(f, kind)
     value, n_terms, tail = character_series(

@@ -1,37 +1,30 @@
 """The four closed-form character-sum identities, as verifiable computations.
 
-Each check compares two independently computed sides at a stated tolerance:
+Each is the theorem for a real primitive character chi_d and one built-in
+spec, checked by _theorem_check: the direct sum of chi(k) f*(k/q) against one
+analytic.character_series call with prefactor 2 sqrt(q) (exact for either
+parity, since tau(chi_d) is sqrt(q) or i sqrt(q)), the spec's atoms and
+declared envelope for chi's kind, and the coefficients fourier caches per spec.
 
-1. square identity (odd real chi):   sum chi(k) (k/q)^2 = -(sqrt(q)/pi) L(1, chi)
-2. log identity   (even real chi):   the remainder R = sum chi(k) log k
-   + (sqrt(q)/2) L(1, chi) is reproduced by the exact sine-integral
-   correction series 2 sqrt(q) sum chi(n) eps_n, eps_n = (pi/2 - Si(2 pi n))/(2 pi n)
-3. exp identity   (both parities):   sum chi(k) e^{k/q} equals the theorem
-   series for f = exp with prefactor 2 sqrt(q)
-4. partial-sum identity:             F*(y) for F(y) = sum_{k <= qy} chi(k)
-   is the direct sum for the step at y, and equals its theorem series with
-   prefactor 2 sqrt(q)
-
-Identities 2, 3 and 4 sum their series with analytic.character_series.
-Identities 3 and 4 are the theorem for the built-in exp and step:y specs,
-whose exact coefficient atoms (periodic weights over 1/n for the step) give
-an exact Abel tail under a rigorous bound.  Identity 2 sums the exact eps_n
-correction series, which is the logarithm's cosine coefficient minus its atom
--1/(4n); the Polya-Vinogradov tail bound for the O(1/n^2) envelope the log
-spec declares for eps_n keeps the comparison testable at fixed precision.  The
-remainder over sqrt(q) is recorded without deciding whether it is
-character-independent.
+1. square (odd chi), f = t2:      sum chi(k) (k/q)^2 = -(sqrt(q)/pi) L(1, chi)
+2. log (even chi), f = log:       the remainder R = sum chi(k) log k
+   + (sqrt(q)/2) L(1, chi) equals the correction series
+   2 sqrt(q) sum chi(n) eps_n, eps_n = (pi/2 - Si(2 pi n))/(2 pi n); R over
+   sqrt(q) is recorded without deciding whether it is character-independent
+3. exp (both parities), f = exp:  sum chi(k) e^{k/q} equals its series
+4. partial sums, f = step:y:      F*(y) for F(y) = sum_{k <= qy} chi(k)
+   equals its series
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 
-import numpy as np
-
-# PeriodicSums, reciprocal_tail and tau stay bound here: perfbench/spans.py wraps them by name
+# PeriodicSums, reciprocal_tail, si_complement_array and tau stay bound here:
+# perfbench/spans.py wraps them by name
 from .analytic import (  # noqa: F401
     PeriodicSums,
     character_series,
@@ -40,8 +33,8 @@ from .analytic import (  # noqa: F401
     si_complement_array,
 )
 from .characters import MODULUS_CEILING, real_primitive_character
-from .fourier import direct_sum
-from .functions import TWO_PI, builtin_function
+from .fourier import cached_coefficients, direct_sum
+from .functions import builtin_function
 from .gauss_sums import tau  # noqa: F401
 
 __all__ = [
@@ -76,7 +69,25 @@ class IdentityCheck:
     notes: dict = field(default_factory=dict)
 
 
-def _finish(identity_id, d, y, lhs, rhs, tol, terms, tail, notes=None) -> IdentityCheck:
+def _theorem_check(identity_id, d, y, f, tol, target, start, cap, terms=None) -> IdentityCheck:
+    """The direct sum for chi_d and f against its series, from N = start to
+    the target; passes iff they agree within tol, which must be finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    chi = real_primitive_character(d)
+    kind = "cos" if chi.is_even else "sin"
+    series, n_terms, bound = character_series(
+        chi.values_real(),
+        partial(cached_coefficients, f, kind),
+        2.0 * math.sqrt(abs(d)),
+        target,
+        start,
+        cap,
+        atoms=f.atoms_for(kind),
+        envelope=f.envelope_for(kind) or (0.0, 1),
+        terms=terms,
+    )
+    lhs, rhs = direct_sum(chi, f), series.real
     err = abs(lhs - rhs)
     return IdentityCheck(
         identity_id=identity_id,
@@ -87,89 +98,52 @@ def _finish(identity_id, d, y, lhs, rhs, tol, terms, tail, notes=None) -> Identi
         abs_error=float(err),
         tolerance=float(tol),
         passed=bool(err <= tol),
-        terms_used=int(terms),
-        tail_bound=float(tail),
-        notes=notes or {},
+        terms_used=int(n_terms),
+        tail_bound=float(bound),
     )
 
 
 def check_square_identity(d: int, tol: float = DEFAULT_TOLERANCES[1]) -> IdentityCheck:
-    """Identity 1: needs chi(-1) = -1, i.e. a negative fundamental discriminant."""
+    """Identity 1, the theorem for f = t2: needs chi(-1) = -1, i.e. a negative
+    fundamental discriminant.  The series is 2 sqrt(q) sum chi(n) (-1/(2 pi n))
+    = -(sqrt(q)/pi) L(1, chi), its tail the exact Abel tail of that atom."""
     if d >= 0:
         raise ValueError(
             f"identity 1 requires chi(-1) = -1 (negative fundamental discriminant); got d = {d}"
         )
-    chi = real_primitive_character(d)
-    q = abs(d)
-    lhs = direct_sum(chi, builtin_function("t2"))
-    lval = l_one(chi, min(tol / 8, 1e-9))
-    rhs = -math.sqrt(q) / math.pi * lval.value
-    tail = math.sqrt(q) / math.pi * lval.tail_bound
-    return _finish(1, d, None, lhs, rhs, tol, lval.terms_used, tail)
-
-
-# eps_n depends on n only; grown once and shared across the discriminant sweep
-_eps_cache = np.empty(0)
-
-
-def _eps_values(count: int) -> np.ndarray:
-    global _eps_cache
-    if len(_eps_cache) < count:
-        n = np.arange(len(_eps_cache) + 1, count + 1)
-        w = TWO_PI * n
-        _eps_cache = np.concatenate([_eps_cache, si_complement_array(w) / w])
-    return _eps_cache[:count]
+    t2 = builtin_function("t2")
+    return _theorem_check(1, d, None, t2, tol, tol / 2, max(2048, 8 * abs(d)), 2**20)
 
 
 def check_log_identity(d: int, tol: float = DEFAULT_TOLERANCES[2]) -> IdentityCheck:
-    """Identity 2: needs chi(-1) = +1, i.e. a fundamental discriminant d > 1.
+    """Identity 2, the theorem for f = log: needs chi(-1) = +1, i.e. a
+    fundamental discriminant d > 1.
 
-    lhs is the directly computed remainder R = sum chi(k) log k
-    + (sqrt(q)/2) L(1, chi); rhs is the sine-integral correction series.
+    The direct sum is sum chi(k) log k, since sum chi(k) = 0, and the atom
+    -1/(4n) of log's cosine coefficient gives -(sqrt(q)/2) L(1, chi) of the
+    series.  Both sides are reported shifted by (sqrt(q)/2) L(1, chi), so lhs
+    is R and rhs the correction series; abs_error and tail_bound stay the
+    theorem's, free of the L-value's error.
     """
     if d <= 1:
         raise ValueError(
             f"identity 2 requires chi(-1) = +1 (fundamental discriminant d > 1); got d = {d}"
         )
-    chi = real_primitive_character(d)
-    q = d
-    vals = chi.values_real()
-    log_sum = math.fsum(vals[k] * math.log(k) for k in range(2, q) if vals[k] != 0.0)
-    lval = l_one(chi, min(tol / 8, 1e-9))
-    remainder = log_sum + math.sqrt(q) / 2 * lval.value
-
-    # eps_n is what the atom -1/(4n) leaves of log's cosine coefficient
-    series, n_terms, series_tail = character_series(
-        vals, _eps_values, 2 * math.sqrt(q), tol / 2, 4096, 2**19,
-        envelope=builtin_function("log").envelope_for("cos"),
+    check = _theorem_check(2, d, None, builtin_function("log"), tol, tol, 4096, 2**19)
+    shift = math.sqrt(d) / 2 * l_one(real_primitive_character(d), min(tol / 8, 1e-9)).value
+    remainder = check.lhs + shift
+    return replace(
+        check,
+        lhs=remainder,
+        rhs=check.rhs + shift,
+        notes={"remainder_over_sqrt_q": remainder / math.sqrt(d)},
     )
-    tail = series_tail + math.sqrt(q) / 2 * lval.tail_bound
-    notes = {"remainder_over_sqrt_q": remainder / math.sqrt(q)}
-    return _finish(2, d, None, remainder, series, tol, n_terms, tail, notes)
-
-
-def _theorem_check(identity_id, d, y, f, tol, start, cap, terms=None) -> IdentityCheck:
-    """The theorem for the real primitive chi_d and a spec with exact atoms:
-    the direct sum against the series with prefactor 2 sqrt(q), exact for
-    either parity since tau(chi_d) is sqrt(q) or i sqrt(q)."""
-    chi = real_primitive_character(d)
-    kind = "cos" if chi.is_even else "sin"
-    series, n_terms, bound = character_series(
-        chi.values_real(),
-        lambda count: f.closed_form(np.arange(1, count + 1), kind),
-        2.0 * math.sqrt(abs(d)),
-        tol / 2,
-        start,
-        cap,
-        atoms=f.atoms_for(kind),
-        terms=terms,
-    )
-    return _finish(identity_id, d, y, direct_sum(chi, f), series.real, tol, n_terms, bound)
 
 
 def check_exp_identity(d: int, tol: float = DEFAULT_TOLERANCES[3]) -> IdentityCheck:
     """Identity 3, both parities: the theorem for f = exp."""
-    return _theorem_check(3, d, None, builtin_function("exp"), tol, max(2048, 8 * abs(d)), 2**20)
+    exp = builtin_function("exp")
+    return _theorem_check(3, d, None, exp, tol, tol / 2, max(2048, 8 * abs(d)), 2**20)
 
 
 def check_partial_sum_identity(
@@ -203,7 +177,7 @@ def check_partial_sum_identity(
             "denominator, such as 1/5"
         )
     f = builtin_function(f"step:{y}")
-    return _theorem_check(4, d, y, f, tol, 4 * period, _PARTIAL_SUM_TERMS_CAP, terms)
+    return _theorem_check(4, d, y, f, tol, tol / 2, 4 * period, _PARTIAL_SUM_TERMS_CAP, terms)
 
 
 IDENTITY_IDS = {

@@ -178,7 +178,7 @@ def test_explicit_terms_above_cap_rejected_before_allocating(odd3, monkeypatch):
     def no_series(*args, **kwargs):
         raise AssertionError("the series must not be set up")
 
-    for name in ("_coefficients", "character_series"):
+    for name in ("cached_coefficients", "character_series"):
         monkeypatch.setattr(fourier, name, no_series)
     for f in (builtin_function("t"), builtin_function("log")):  # abel and cesaro tails
         with pytest.raises(ValueError, match="at most terms_cap = 1000000"):
@@ -307,7 +307,7 @@ def _cold_coefficient(f, n, kind, **options):
 def test_sampled_coefficients_bit_identical_to_cold_quadrature(index):
     f = _user_specs()[index]
     count = 128
-    cached = {kind: fourier._coefficients(f, kind, count) for kind in ("cos", "sin")}
+    cached = {kind: fourier.cached_coefficients(f, kind, count) for kind in ("cos", "sin")}
     calls = f.evaluator.calls
     # each grid point of each piece is evaluated once, whatever n, kind or doubling
     pieces = fourier._sample_cache[f]

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from charsum.characters import fundamental_discriminants
+from charsum import fourier
+from charsum.characters import fundamental_discriminants, real_primitive_character
+from charsum.fourier import theorem_series
+from charsum.functions import builtin_function
 from charsum.identities import (
     check_exp_identity,
     check_log_identity,
@@ -57,6 +60,20 @@ def test_log_identity_gates():
         check_log_identity(-3)
     with pytest.raises(ValueError):
         check_log_identity(45)
+
+
+def test_log_identity_shares_the_coefficient_cache():
+    # identity 2 reads log's cosine coefficients from the cache theorem_series
+    # fills; its result must not depend on how far or in what steps it grew
+    log = builtin_function("log")
+    fourier._coeff_cache.pop(log, None)
+    cold = check_log_identity(497)
+    fourier._coeff_cache.pop(log, None)
+    check_log_identity(5)  # grows the cache in two steps: N for d = 5, then for 497
+    assert check_log_identity(497) == cold
+    theorem_series(real_primitive_character(101), log, 1e-8)
+    assert len(fourier._coeff_cache[log]["cos"]) > cold.terms_used
+    assert check_log_identity(497) == cold
 
 
 def test_exp_identity_both_parities():
@@ -118,6 +135,15 @@ def test_run_identity_dispatch():
         run_identity(4, 5)  # missing y
     with pytest.raises(ValueError):
         run_identity(1, -3, y="1/2")  # y not accepted
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "identity_id, d, y", [(1, -3, None), (2, 5, None), (3, 5, None), (4, -3, "1/2")]
+)
+def test_identity_rejects_tolerance_not_finite_and_positive(identity_id, d, y, tol):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        run_identity(identity_id, d, y=y, tol=tol)
 
 
 def test_identity_sweep_small():

@@ -27,7 +27,7 @@ from charsum.characters import (
 )
 from charsum.fourier import direct_sum, theorem_series
 from charsum.functions import builtin_function, fstar
-from charsum.identities import check_partial_sum_identity
+from charsum.identities import check_log_identity, check_partial_sum_identity, check_square_identity
 
 mp = mpmath.mp
 
@@ -199,6 +199,37 @@ def exact_l_one(d):
 def test_l_one_within_bound_of_closed_form(d):
     lval = l_one(real_primitive_character(d), 1e-12)
     assert abs(lval.value - exact_l_one(d)) <= lval.tail_bound, d
+
+
+def test_square_identity_within_bound_of_exact():
+    # lhs: each f*(k/q) = fl(fl(k/q)^2) is within 3.01 u (k/q)^2 of (k/q)^2, and
+    # fsum rounds once more, u = 2^-53.  rhs: the series sums to -(sqrt(q)/pi) L(1, chi)
+    discriminants = [d for d in fundamental_discriminants(500) if d < 0]
+    assert len(discriminants) == 153
+    u = 2.0**-53
+    for d in discriminants:
+        q = -d
+        check = check_square_identity(d)
+        exact = Fraction(sum(kronecker_symbol(d, k) * k * k for k in range(1, q)), q * q)
+        squares = (q - 1) * (2 * q - 1) / (6 * q)  # sum of (k/q)^2 over 1 <= k < q
+        assert abs(Fraction(check.lhs) - exact) <= u * (3.01 * squares + abs(float(exact))), d
+        l_value = -math.sqrt(q) / math.pi * exact_l_one(d)
+        assert abs(check.rhs - l_value) <= check.tail_bound + 1e-12, d
+        assert check.passed and check.tail_bound <= check.tolerance, d
+
+
+@pytest.mark.parametrize("d", [5, 8, 12, 13, 497])
+def test_log_identity_within_bound_of_exact(d):
+    # lhs is the remainder R = sum chi(k) log k + (sqrt(q)/2) L(1, chi), and rhs
+    # the correction series, which reproduces R within the theorem's tail bound
+    check = check_log_identity(d)
+    with mp.workdps(30):
+        log_sum = mp.fsum(kronecker_symbol(d, k) * mp.log(k) for k in range(2, d))
+        remainder = log_sum + mp.sqrt(d) / 2 * exact_l_one(d)
+        assert abs(check.lhs - remainder) <= 1e-9, d
+        assert abs(check.rhs - remainder) <= check.tail_bound + 1e-9, d
+    assert check.abs_error <= check.tail_bound + 1e-12, d
+    assert check.passed and check.tail_bound <= check.tolerance, d
 
 
 def digamma_l_one(chi):
