@@ -12,6 +12,14 @@ a head to N, the exact Abel tail of the atoms, and the Polya-Vinogradov tail
 bound of a remainder known only through an envelope C/n^p (optionally
 Cesaro-averaged when there are no atoms).  L(1, chi), the theorem series and
 the four identities all call it.
+
+The values are periodic mod m, so the head sum_n v[n mod m] w_n a_n equals
+sum_r v[r] A[r] with A[r] the weighted coefficients of class r.  The engine
+takes the coefficients only as that fold (residue_fold, built once per
+modulus and N by the caller, who may cache it), so a head costs O(m): the
+classes are summed with their high parts exact and their low parts pairwise,
+and the m products by math.fsum after an exact split of each (fold_head,
+head_rounding_bound).
 """
 
 from __future__ import annotations
@@ -35,6 +43,10 @@ __all__ = [
     "si_complement_array",
     "PeriodicSums",
     "reciprocal_tail",
+    "residue_fold",
+    "fold_head",
+    "head_rounding_bound",
+    "coefficient_fold",
     "character_series",
     "partial_sum_bound",
 ]
@@ -268,9 +280,142 @@ def _abel_tail(groups: list[tuple[PeriodicSums, list]], start: int) -> tuple[com
     return sum(value for value, _ in parts), sum(bound for _, bound in parts)
 
 
+_UNIT = 2.0**-53  # unit roundoff of float64
+
+
+def _split_scale(max_term: float, rows: int) -> float:
+    """A power of two sigma >= (rows + 2) max_term: the high parts
+    (sigma + x) - sigma of terms |x| <= max_term are multiples of 2^-53 sigma,
+    so any sum of `rows` of them is exact (Rump, Ogita and Oishi's ExtractVector)."""
+    return math.ldexp(1.0, math.frexp(max_term)[1] + (rows + 1).bit_length())
+
+
+def residue_fold(coeffs: np.ndarray, m: int, averaged: bool = False) -> np.ndarray:
+    """The real coefficients a_1..a_L folded by n mod m: a (2, m) array whose
+    column r sums to A[r] = sum_{n <= L, n = r mod m} w_n a_n.
+
+    w_n = 1, except that with `averaged` (L = 2N even) w_n = (2N - n + 1)/(N + 1)
+    for n > N, so that sum_r v[r] A[r] is the mean of the partial sums S_N ...
+    S_2N of v[n mod m] a_n.  Each weighted term x_n is split exactly into a
+    high part, a multiple of 2^-53 sigma (_split_scale), and a low part
+    |x_n - high| <= min(|x_n|, 2^-53 sigma).  Row 0 holds the class sums of
+    the high parts, which are exact in any order; row 1 those of the low
+    parts, each class summed pairwise along a contiguous row of a transposed
+    copy.  The result is a new array, never a view of coeffs.
+    """
+    length = len(coeffs)
+    rows = length // m + 1  # n = 0 .. length
+    terms = np.zeros(rows * m)
+    terms[1 : length + 1] = coeffs
+    if averaged:
+        n_terms = length // 2
+        upper = terms[n_terms + 1 : length + 1]
+        upper *= np.arange(n_terms, 0, -1)
+        upper /= n_terms + 1
+    sigma = _split_scale(float(np.abs(terms).max()), rows)
+    high = terms + sigma
+    high -= sigma
+    terms -= high  # exact: the low parts
+    folded = np.empty((2, m))
+    folded[0] = high.reshape(rows, m).sum(axis=0)
+    del high
+    folded[1] = terms.reshape(rows, m).T.copy().sum(axis=1)
+    return folded
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker, Veltkamp split)."""
+
+    def split(x):
+        c = 134217729.0 * x  # 2^27 + 1
+        hi = c - (c - x)
+        return hi, x - hi
+
+    p = a * b
+    a_hi, a_lo = split(a)
+    b_hi, b_lo = split(b)
+    return p, a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+
+
+def fold_head(values: np.ndarray, folded: np.ndarray) -> float | complex:
+    """sum_r values[r] (folded[0, r] + folded[1, r]), real and imaginary parts apart.
+
+    Each product with a high part is split exactly into its rounded value and
+    its error; the rounded values go to math.fsum together with one pairwise
+    sum of the errors and of the products with the low parts.  Both of those
+    are second order in the rounding unit next to the head, so the head is
+    the correctly rounded sum up to them (head_rounding_bound).
+    """
+
+    def dot(v):
+        products, errors = _two_product(v, folded[0])
+        rest = errors.sum() + (v * folded[1]).sum()
+        return math.fsum(products.tolist() + [float(rest)])
+
+    if np.iscomplexobj(values):
+        return complex(dot(values.real), dot(values.imag))
+    return dot(values)
+
+
+def _pairwise_depth(count: int) -> int:
+    """A bound on the additions any term passes through in NumPy's pairwise sum
+    of `count` terms: blocks of at most 128 are summed in 8 running sums of 16
+    terms (15 additions), combined in 3, then up to 7 leftover terms one by
+    one; a longer run is halved recursively (halves rounded to multiples of
+    8), one addition per level."""
+    depth = 25
+    while count > 128:
+        count = (count + 1) // 2 + 8
+        depth += 1
+    return depth
+
+
+def head_rounding_bound(values: np.ndarray, coeffs: np.ndarray, averaged: bool = False) -> float:
+    """A bound on the rounding of fold_head(values, residue_fold(coeffs, m,
+    averaged)), m = len(values), against the exact sum it stands for, for each
+    of its real and imaginary parts.  With V = max|values|, S = sum |a_n| (the
+    weights are at most 1), L the number of coefficients, sigma the split
+    scale and Lo = min(S, L 2^-53 sigma) a bound on the low parts' sum of
+    magnitudes, it is
+
+        V (u S + 2u S [Cesaro weights] + gamma_h Lo + gamma_k (2u S + (1 + gamma_h) Lo))
+
+    with u = 2^-53, gamma_j = j u/(1 - j u), h = _pairwise_depth(L // m + 1)
+    for the low parts' class sums and k = _pairwise_depth(m) + 2 for the sum
+    of the product errors and low-part products: one final rounding, the
+    weights, and two second-order terms.  A last factor 1 + 2^-50 covers the
+    products of small terms left out.  The coefficients are taken as exact.
+    """
+    coeffs = np.abs(coeffs)
+    m = len(values)
+    rows = len(coeffs) // m + 1
+    total = math.fsum(coeffs.tolist())
+    low = min(total, len(coeffs) * _UNIT * _split_scale(float(coeffs.max(initial=0.0)), rows))
+
+    def gamma(j):
+        return j * _UNIT / (1.0 - j * _UNIT)
+
+    rows_gamma, rest_gamma = gamma(_pairwise_depth(rows)), gamma(_pairwise_depth(m) + 2)
+    spread = (3.0 if averaged else 1.0) * _UNIT * total + rows_gamma * low
+    spread += rest_gamma * (2.0 * _UNIT * total + (1.0 + rows_gamma) * low)
+    return float(np.abs(values).max()) * spread * (1.0 + 2.0**-50)
+
+
+def coefficient_fold(
+    coefficients: Callable[[int], np.ndarray],
+) -> Callable[[int, int, bool], np.ndarray]:
+    """The fold callable of character_series for `coefficients(L)` = a_1..a_L:
+    (m, N, averaged) -> residue_fold of a_1..a_L, L = 2N if averaged else N."""
+
+    def fold(m: int, n_terms: int, averaged: bool) -> np.ndarray:
+        return residue_fold(coefficients(2 * n_terms if averaged else n_terms), m, averaged)
+
+    return fold
+
+
 def character_series(
     values: np.ndarray,
-    coefficients: Callable[[int], np.ndarray],
+    fold: Callable[[int, int, bool], np.ndarray],
     prefactor: complex,
     target: float,
     start: int,
@@ -283,7 +428,9 @@ def character_series(
     """(value, N, tail bound) for prefactor * sum_{n >= 1} values[n % m] a_n.
 
     `values` is one period of length m, indexed by n mod m, and
-    `coefficients(M)` returns a_1..a_M.  The coefficients are modelled as
+    `fold(m, N, averaged)` returns the coefficients a_n folded by n mod m as
+    residue_fold does (coefficient_fold builds it from a coefficient
+    function).  The coefficients are modelled as
     a_n = sum coef/(n + c) over the (coef, c) atoms plus a remainder r_n with
     |r_n| <= C/n^p, envelope = (C, p).  A coef is a scalar, or one period of
     weights (a 1-D array w of length b) meaning w[n % b]/(n + c).  With atoms,
@@ -293,13 +440,15 @@ def character_series(
 
     The head sums prefactor * values[n % m] a_n to N; with `averaged` (legal
     only without atoms) the value is instead the Cesaro mean of the partial
-    sums over [N, 2N] and the remainder bound is doubled.  The atoms' tail is
+    sums over [N, 2N] and the remainder bound is doubled.  Either way the head
+    is fold_head over the m residue classes.  The atoms' tail is
     the exact Abel correction; the remainder's tail is bounded by
     2 K C |prefactor| / (N + 1)^p, K = partial_sum_bound(m).  N is the least
     integer >= start whose remainder bound meets the target (half the target
     with atoms), clamped to the cap (cap // 2, but at least 1, when averaged);
     N then doubles, clamped to the cap, while |prefactor| times the Abel bound
-    exceeds half the target.  An explicit `terms` fixes N.
+    exceeds half the target.  An explicit `terms` fixes N.  The bound covers
+    truncation only; head_rounding_bound bounds the head's rounding.
     """
     if averaged and atoms:
         raise ValueError("Cesaro averaging applies only to series without atoms")
@@ -320,11 +469,7 @@ def character_series(
         while terms is None and abs(prefactor) * abel_bound > target / 2 and n_terms < cap:
             n_terms = min(2 * n_terms, cap)
             correction, abel_bound = _abel_tail(groups, n_terms)
-    length = 2 * n_terms if averaged else n_terms
-    coeffs = coefficients(length)  # first: generating them may be the memory peak
-    n = np.arange(1, length + 1)
-    twisted = values[n % len(values)] * coeffs
-    head = np.cumsum(twisted)[n_terms - 1 :].mean() if averaged else twisted.sum()
+    head = fold_head(values, fold(len(values), n_terms, averaged))
     bound = abs(prefactor) * abel_bound + weight / float(n_terms + 1) ** p
     return prefactor * (head + correction), n_terms, bound
 
@@ -361,7 +506,7 @@ def l_one(chi: DirichletCharacter, target_accuracy: float = 1e-9) -> LValue:
     slack = 1e-13  # floating-point summation of the head
     value, n_terms, bound = character_series(
         values,
-        lambda count: 1.0 / np.arange(1, count + 1),
+        coefficient_fold(lambda count: 1.0 / np.arange(1, count + 1)),
         1.0,
         2.0 * (target_accuracy - slack),  # the engine spends half its target on the Abel tail
         max(1024, 4 * chi.modulus),

@@ -8,7 +8,11 @@ Two routes are provided and compared:
   -2i tau(chi) sum conj(chi)(n) b_n (odd chi, sine coefficients),
   truncated with a rigorous tail bound.
 
-Both are summed by one call of analytic.character_series.  The tail of the
+Both are summed by one call of analytic.character_series, which takes the
+coefficients folded by n mod q (cached_fold): one fold per spec, kind, modulus,
+N and window serves every character with that N, and folds, not long
+coefficient arrays, are what is kept (cached_coefficients retains at most
+RETAINED_TERMS per spec and kind).  The tail of the
 function's rational coefficient atoms for the branch is summed exactly (the
 step at y = a/b is exactly its atoms: periodic weights of period b over 1/n);
 what the atoms leave (the whole coefficient when there are none) is bounded
@@ -35,7 +39,7 @@ from functools import partial
 
 import numpy as np
 
-from .analytic import character_series
+from .analytic import character_series, residue_fold
 from .characters import DirichletCharacter
 from .functions import FunctionSpec, VariationClass, fstar
 from .gauss_sums import tau
@@ -45,6 +49,7 @@ __all__ = [
     "SeriesEvaluation",
     "TheoremCheck",
     "cached_coefficients",
+    "cached_fold",
     "direct_sum",
     "fourier_coefficient",
     "theorem_series",
@@ -59,8 +64,12 @@ _MIN_TERMS = 32
 _coeff_cache: "weakref.WeakKeyDictionary[FunctionSpec, dict]" = weakref.WeakKeyDictionary()
 _fstar_cache: "weakref.WeakKeyDictionary[FunctionSpec, OrderedDict]" = weakref.WeakKeyDictionary()
 _sample_cache: "weakref.WeakKeyDictionary[FunctionSpec, list]" = weakref.WeakKeyDictionary()
-# f* tables kept per spec, most recent moduli only
+_fold_cache: "weakref.WeakKeyDictionary[FunctionSpec, OrderedDict]" = weakref.WeakKeyDictionary()
+# f* tables and coefficient folds kept per spec, most recent moduli only
 _FSTAR_MODULI = 8
+_FOLD_MODULI = 4
+# the longest coefficient array cached_coefficients keeps per spec and kind
+RETAINED_TERMS = 2**20
 
 
 def _require_primitive(chi: DirichletCharacter) -> None:
@@ -103,11 +112,12 @@ def direct_sum(chi: DirichletCharacter, f: FunctionSpec) -> float | complex:
     fs = _fstar_values(f, q)
     if chi.is_real:
         vals = chi.values_real()[1:]
-        return math.fsum(v * s for v, s in zip(vals, fs) if v != 0.0)
+        live = vals != 0.0
+        return math.fsum((vals[live] * fs[live]).tolist())
     vals = chi.values_complex()[1:]
-    re = math.fsum(v.real * s for v, s in zip(vals, fs) if v != 0.0)
-    im = math.fsum(v.imag * s for v, s in zip(vals, fs) if v != 0.0)
-    return complex(re, im)
+    live = vals != 0.0
+    vals, fs = vals[live], fs[live]
+    return complex(math.fsum((vals.real * fs).tolist()), math.fsum((vals.imag * fs).tolist()))
 
 
 # --- Fourier coefficients -----------------------------------------------------
@@ -181,9 +191,10 @@ def fourier_coefficient(f: FunctionSpec, n: int, kind: str) -> float:
 def cached_coefficients(f: FunctionSpec, kind: str, count: int) -> np.ndarray:
     """Coefficients for n = 1..count, cached per spec and kind and grown on demand.
 
-    theorem_series and the identity checks share this cache.  The built-in
+    cached_fold and the envelope measurement share this cache.  The built-in
     closed forms are elementwise, so their values do not depend on how the
-    cache grew.
+    cache grew.  An array longer than RETAINED_TERMS is returned but not
+    kept: it is only needed to build a fold, which is cached instead.
     """
     per_f = _coeff_cache.setdefault(f, {})
     arr = per_f.get(kind)
@@ -196,8 +207,33 @@ def cached_coefficients(f: FunctionSpec, kind: str, count: int) -> np.ndarray:
             new = np.array([_coefficient_quadrature(f, int(n), kind) for n in n_new])
         arr = new if arr is None else np.concatenate([arr, new])
         arr.flags.writeable = False
-        per_f[kind] = arr
+        if count <= RETAINED_TERMS:
+            per_f[kind] = arr
     return arr[:count]
+
+
+def cached_fold(f: FunctionSpec, kind: str, m: int, n_terms: int, averaged: bool) -> np.ndarray:
+    """The spec's coefficients of one kind folded by n mod m (analytic.residue_fold)
+    for the head to N, or over the Cesaro window [N, 2N] when averaged.
+
+    This is the fold callable of every theorem series (partial(cached_fold, f,
+    kind)).  Folds are cached per spec and keyed by (kind, m, N, averaged),
+    for the _FOLD_MODULI most recent moduli; a fold is a new (2, m) array
+    and keeps no reference to the coefficients it was built from.
+    """
+    per_f = _fold_cache.setdefault(f, OrderedDict())
+    folds = per_f.setdefault(m, {})
+    per_f.move_to_end(m)
+    if len(per_f) > _FOLD_MODULI:
+        per_f.popitem(last=False)
+    key = (kind, n_terms, averaged)
+    folded = folds.get(key)
+    if folded is None:
+        coeffs = cached_coefficients(f, kind, 2 * n_terms if averaged else n_terms)
+        folded = residue_fold(coeffs, m, averaged)
+        folded.flags.writeable = False
+        folds[key] = folded
+    return folded
 
 
 # --- truncated series with tail bound ----------------------------------------
@@ -279,11 +315,10 @@ def theorem_series(
     table = chi.values_real() if chi.is_real else np.conj(chi.values_complex())
 
     cap = terms_cap if f.closed_form is not None else min(terms_cap, _QUADRATURE_TERMS_CAP)
-    coefficients = partial(cached_coefficients, f, kind)
     start = max(_MIN_TERMS, 8 * q) if atoms else _MIN_TERMS
     env_c, env_p, env_src = _envelope(f, kind)
     value, n_terms, tail = character_series(
-        table, coefficients, prefactor, target_accuracy, start, cap,
+        table, partial(cached_fold, f, kind), prefactor, target_accuracy, start, cap,
         atoms, (env_c, env_p), terms, averaged,
     )
     best_effort = tail > target_accuracy
@@ -291,8 +326,8 @@ def theorem_series(
     length = 2 * n_terms if averaged else n_terms
     if f.closed_form is not None:
         budget = 0.0
-    else:  # the coefficients are a cache hit after the series
-        coeffs = coefficients(length)
+    else:  # a cache hit after the series, which folded the same coefficients
+        coeffs = cached_coefficients(f, kind, length)
         budget = pref_abs * (REL_TOL * float(np.abs(coeffs).sum()) + length * ABS_FLOOR)
 
     if chi.is_real:

@@ -4,7 +4,8 @@ Each is the theorem for a real primitive character chi_d and one built-in
 spec, checked by _theorem_check: the direct sum of chi(k) f*(k/q) against one
 analytic.character_series call with prefactor 2 sqrt(q) (exact for either
 parity, since tau(chi_d) is sqrt(q) or i sqrt(q)), the spec's atoms and
-declared envelope for chi's kind, and the coefficients fourier caches per spec.
+declared envelope for chi's kind, and the coefficient folds fourier caches per
+spec.
 
 1. square (odd chi), f = t2:      sum chi(k) (k/q)^2 = -(sqrt(q)/pi) L(1, chi)
 2. log (even chi), f = log:       the remainder R = sum chi(k) log k
@@ -33,7 +34,7 @@ from .analytic import (  # noqa: F401
     si_complement_array,
 )
 from .characters import MODULUS_CEILING, real_primitive_character
-from .fourier import cached_coefficients, direct_sum
+from .fourier import cached_fold, direct_sum
 from .functions import builtin_function
 from .gauss_sums import tau  # noqa: F401
 
@@ -78,7 +79,7 @@ def _theorem_check(identity_id, d, y, f, tol, target, start, cap, terms=None) ->
     kind = "cos" if chi.is_even else "sin"
     series, n_terms, bound = character_series(
         chi.values_real(),
-        partial(cached_coefficients, f, kind),
+        partial(cached_fold, f, kind),
         2.0 * math.sqrt(abs(d)),
         target,
         start,

@@ -8,6 +8,7 @@ engine in each of its modes against long brute sums.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -16,11 +17,15 @@ import pytest
 from charsum.analytic import (
     PeriodicSums,
     character_series,
+    coefficient_fold,
     cosine_integral,
     cosine_integral_array,
+    fold_head,
+    head_rounding_bound,
     l_one,
     partial_sum_bound,
     reciprocal_tail,
+    residue_fold,
     si_complement,
     si_complement_array,
     sine_integral,
@@ -223,12 +228,15 @@ def _harmonic(count):
     return 1.0 / np.arange(1, count + 1)
 
 
+_harmonic_fold = coefficient_fold(_harmonic)
+
+
 def test_abel_series_known_value_and_brute_partial_sums():
     # the engine with atoms only: chi mod 4 against 1/n gives L(1, chi_-4) = pi/4
     chi = build_character_group(4).character_by_index(1)
     vals = chi.values_real()
     atoms = [(1.0, 0.0)]
-    value, n_terms, bound = character_series(vals, _harmonic, 1.0, 2e-12, 64, 2**20, atoms)
+    value, n_terms, bound = character_series(vals, _harmonic_fold, 1.0, 2e-12, 64, 2**20, atoms)
     assert n_terms >= 64 and bound <= 1e-12
     assert abs(value - math.pi / 4) <= bound + 1e-15
 
@@ -242,7 +250,9 @@ def test_abel_series_known_value_and_brute_partial_sums():
         return -2 * math.pi * n / (1 + 4 * math.pi**2 * n**2)
 
     vals = real_primitive_character(5).values_real()
-    value, n_terms, bound = character_series(vals, coeffs, 1.0, 2e-12, 40, 2**20, atoms)
+    value, n_terms, bound = character_series(
+        vals, coefficient_fold(coeffs), 1.0, 2e-12, 40, 2**20, atoms
+    )
     n = np.arange(1, 2 * 10**6 + 1)
     brute = float((vals[n % 5] * coeffs(len(n))).sum())
     assert abs(value.real - brute) <= 2 / (math.pi * len(n))
@@ -252,14 +262,16 @@ def test_abel_series_known_value_and_brute_partial_sums():
 def test_abel_series_explicit_terms_and_cap():
     vals = real_primitive_character(-163).values_real()
     atoms = [(1.0, 0.0)]
-    _, n_terms, _ = character_series(vals, _harmonic, 1.0, 1e-30, 1000, 2**22, atoms, terms=777)
+    _, n_terms, _ = character_series(
+        vals, _harmonic_fold, 1.0, 1e-30, 1000, 2**22, atoms, terms=777
+    )
     assert n_terms == 777  # fixed N, even though the bound misses the target
-    _, n_terms, bound = character_series(vals, _harmonic, 1.0, 1e-30, 1000, 5000, atoms)
+    _, n_terms, bound = character_series(vals, _harmonic_fold, 1.0, 1e-30, 1000, 5000, atoms)
     assert n_terms == 5000 and bound > 1e-30  # doubling 1000 -> 2000 -> 4000 -> clamped
-    _, n_terms, _ = character_series(vals, _harmonic, 1.0, 1e-30, 1000, 600, atoms)
+    _, n_terms, _ = character_series(vals, _harmonic_fold, 1.0, 1e-30, 1000, 600, atoms)
     assert n_terms == 600  # a start above the cap is clamped too
     with pytest.raises(ValueError, match="Cesaro"):
-        character_series(vals, _harmonic, 1.0, 1e-8, 1000, 5000, atoms, averaged=True)
+        character_series(vals, _harmonic_fold, 1.0, 1e-8, 1000, 5000, atoms, averaged=True)
 
 
 def test_periodic_atoms_are_unit_atoms_over_the_twisted_period():
@@ -275,18 +287,22 @@ def test_periodic_atoms_are_unit_atoms_over_the_twisted_period():
         n = np.arange(1, count + 1)
         return w[n % 3] / n
 
-    value, n_terms, bound = character_series(vals, coeffs, 2.0, 1e-12, 40, 2**20, [(w, 0.0)])
+    value, n_terms, bound = character_series(
+        vals, coefficient_fold(coeffs), 2.0, 1e-12, 40, 2**20, [(w, 0.0)]
+    )
     ref, ref_terms, ref_bound = character_series(
-        twisted, _harmonic, 2.0, 1e-12, 40, 2**20, [(1.0, 0.0)]
+        twisted, _harmonic_fold, 2.0, 1e-12, 40, 2**20, [(1.0, 0.0)]
     )
     assert (n_terms, bound) == (ref_terms, ref_bound)
     assert abs(value - ref) <= 1e-15
     mixed, _, mixed_bound = character_series(
-        vals, lambda count: coeffs(count) - 0.5 * _harmonic(count), 2.0, 1e-12, 40, 2**20,
+        vals, coefficient_fold(lambda count: coeffs(count) - 0.5 * _harmonic(count)),
+        2.0, 1e-12, 40, 2**20,
         [(w, 0.0), (-0.5, 0.0)], terms=n_terms,
     )
     scalar, _, scalar_bound = character_series(
-        vals, lambda count: -0.5 * _harmonic(count), 2.0, 1e-12, 40, 2**20, [(-0.5, 0.0)],
+        vals, coefficient_fold(lambda count: -0.5 * _harmonic(count)), 2.0, 1e-12, 40, 2**20,
+        [(-0.5, 0.0)],
         terms=n_terms,
     )
     assert abs(mixed - (value + scalar)) <= 1e-15
@@ -304,14 +320,14 @@ def test_twisted_period_ceiling(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(analytic, "PeriodicSums", no_sums)
         with pytest.raises(ValueError, match=r"lcm\(1009, 997\) = 1005973 exceed"):
-            character_series(vals, _harmonic, 1.0, 1e-8, 40, 2**20, [(np.zeros(997), 0.0)])
+            character_series(vals, _harmonic_fold, 1.0, 1e-8, 40, 2**20, [(np.zeros(997), 0.0)])
     # the boundary itself, under a ceiling of 15: lcm(5, 3) passes, lcm(5, 4) does not
     monkeypatch.setattr(analytic, "MODULUS_CEILING", 15)
     vals = real_primitive_character(5).values_real()
-    value, _, _ = character_series(vals, _harmonic, 1.0, 1e-8, 40, 2**20, [(np.ones(3), 0.0)])
+    value, _, _ = character_series(vals, _harmonic_fold, 1.0, 1e-8, 40, 2**20, [(np.ones(3), 0.0)])
     assert math.isfinite(value.real)
     with pytest.raises(ValueError, match="= 20 exceed the modulus ceiling 15"):
-        character_series(vals, _harmonic, 1.0, 1e-8, 40, 2**20, [(np.ones(4), 0.0)])
+        character_series(vals, _harmonic_fold, 1.0, 1e-8, 40, 2**20, [(np.ones(4), 0.0)])
 
 
 def _counting(coefficients, lengths):
@@ -345,7 +361,8 @@ def test_envelope_series_within_bound_of_long_brute_sum(name, averaged):
 
     lengths = []
     value, n_terms, bound = character_series(
-        vals, _counting(coeffs, lengths), 1.0, 1e-4, 32, 10**6, envelope=env, averaged=averaged
+        vals, coefficient_fold(_counting(coeffs, lengths)), 1.0, 1e-4, 32, 10**6,
+        envelope=env, averaged=averaged,
     )
     assert lengths == [2 * n_terms if averaged else n_terms]
     assert 32 <= n_terms < 10**6 and 0 < bound <= 1e-4
@@ -369,7 +386,7 @@ def test_atoms_plus_remainder_within_bound_of_long_brute_sum():
         return f.closed_form(np.arange(1, count + 1), "cos")
 
     value, n_terms, bound = character_series(
-        vals, coeffs, prefactor, 1e-9, 40, 10**6, f.atoms_for("cos"), (c, p)
+        vals, coefficient_fold(coeffs), prefactor, 1e-9, 40, 10**6, f.atoms_for("cos"), (c, p)
     )
     # the remainder bound alone meets half the target
     weight = 2 * partial_sum_bound(5) * c * prefactor
@@ -387,27 +404,32 @@ def test_atoms_plus_remainder_within_bound_of_long_brute_sum():
 def test_envelope_series_choice_of_n():
     vals = real_primitive_character(-163).values_real()
     coeffs = _harmonic
-    value, n_terms, bound = character_series(vals, coeffs, 2.0, 1e-12, 40, 10**6, envelope=(0.0, 2))
+    fold = coefficient_fold(coeffs)
+    value, n_terms, bound = character_series(vals, fold, 2.0, 1e-12, 40, 10**6, envelope=(0.0, 2))
     assert (n_terms, bound) == (40, 0.0)  # C = 0: N = start, bound 0
     n = np.arange(1, 41)
-    assert value == 2.0 * (vals[n % 163] * coeffs(40)).sum()
+    exact = 2.0 * math.fsum((vals[n % 163] * coeffs(40)).tolist())
+    assert abs(value - exact) <= 2.0 * head_rounding_bound(vals, coeffs(40))
     for averaged in (False, True):
         lengths = []
         _, n_terms, bound = character_series(
-            vals, _counting(coeffs, lengths), 1.0, 1e-30, 40, 10**6, (), (1.0, 1), 777, averaged
+            vals, coefficient_fold(_counting(coeffs, lengths)), 1.0, 1e-30, 40, 10**6, (),
+            (1.0, 1), 777, averaged,
         )
         assert n_terms == 777 and bound > 1e-30  # fixed N, even though the bound misses
         assert lengths == [2 * 777 if averaged else 777]
     # a target so small that the needed N overflows a float is clamped to the cap
     _, n_terms, _ = character_series(
-        vals, coeffs, 1.0, 1e-310, 40, 5000, envelope=(1.0, 1), averaged=True
+        vals, fold, 1.0, 1e-310, 40, 5000, envelope=(1.0, 1), averaged=True
     )
     assert n_terms == 2500
-    # a Cesaro cap below 2 still sums the window [1, 2]
+    # a Cesaro cap below 2 still sums the window [1, 2]: (S_1 + S_2)/2 = p_1 + p_2/2
     value, n_terms, _ = character_series(
-        vals, coeffs, 1.0, 1e-30, 40, 1, envelope=(1.0, 1), averaged=True
+        vals, fold, 1.0, 1e-30, 40, 1, envelope=(1.0, 1), averaged=True
     )
-    assert n_terms == 1 and value == np.mean(np.cumsum(vals[[1, 2]] * coeffs(2)))
+    p1, p2 = (vals[[1, 2]] * coeffs(2)).tolist()
+    assert n_terms == 1
+    assert abs(value - math.fsum([p1, p1, p2]) / 2) <= head_rounding_bound(vals, coeffs(2), True)
 
 
 def test_periodic_sums_rejects_nonzero_mean():
@@ -418,3 +440,78 @@ def test_periodic_sums_rejects_nonzero_mean():
 def test_partial_sum_bound_monotone():
     assert partial_sum_bound(1) == 1.0
     assert partial_sum_bound(100) == pytest.approx(math.sqrt(100) * math.log(100) + 1)
+
+
+def _exact_head(values, coeffs, averaged):
+    """sum v[n mod m] a_n, or the mean of its partial sums S_N .. S_2N, exactly;
+    (real part, imaginary part) as Fractions."""
+    m = len(values)
+    heads = []
+    for part in (values.real, values.imag):
+        terms = [Fraction(part[n % m]) * Fraction(a) for n, a in enumerate(coeffs.tolist(), 1)]
+        if not averaged:
+            heads.append(sum(terms, Fraction(0)))
+            continue
+        n_terms = len(coeffs) // 2
+        partial, window = Fraction(0), Fraction(0)
+        for n, term in enumerate(terms, 1):
+            partial += term
+            if n >= n_terms:
+                window += partial
+        heads.append(window / (n_terms + 1))
+    return heads
+
+
+def _head_errors(head, exact):
+    return [abs(Fraction(part) - ref) for part, ref in zip((head.real, head.imag), exact)]
+
+
+@pytest.mark.parametrize("m, length", [(7, 100), (7, 7), (13, 6), (13, 5), (1, 9), (101, 2000)])
+@pytest.mark.parametrize("complex_period", [False, True])
+@pytest.mark.parametrize("averaged", [False, True])
+def test_fold_head_is_the_exact_series_head(m, length, complex_period, averaged):
+    # real and complex periods, L a multiple of m or not, L below m: the head
+    # from the residue fold is the sum, or with `averaged` the mean of the
+    # partial sums S_N .. S_2N, within head_rounding_bound of the exact value
+    rng = np.random.default_rng(m * length)
+    values = rng.choice([-1.0, 0.0, 1.0], m)
+    if complex_period:
+        values = np.exp(2j * math.pi * rng.random(m)) * (values != 0)
+    coeffs = rng.standard_normal(length) / np.arange(1, length + 1)
+    if averaged and length % 2:
+        coeffs = coeffs[:-1]
+    folded = residue_fold(coeffs, m, averaged)
+    assert folded.shape == (2, m) and not np.shares_memory(folded, coeffs)
+    head = fold_head(values, folded)
+    assert isinstance(head, complex if complex_period else float)
+    bound = head_rounding_bound(values, coeffs, averaged)
+    for error in _head_errors(complex(head), _exact_head(values, coeffs, averaged)):
+        assert error <= bound
+
+
+def test_fold_head_no_worse_than_the_pairwise_head():
+    # over random periods and coefficients, the fold's head is at least as
+    # close to the exact value as the pairwise sum of the products, and the
+    # Cesaro head as close as the mean of the cumulative sums
+    rng = np.random.default_rng(2024)
+    for trial in range(24):
+        m = int(rng.integers(2, 300))
+        length = 2 * int(rng.integers(1, 1500))
+        values = rng.choice([-1.0, 1.0], m)
+        if trial % 2:
+            values = np.exp(2j * math.pi * rng.random(m))
+        if trial % 3:
+            coeffs = rng.standard_normal(length) / np.arange(1, length + 1)
+        else:
+            coeffs = rng.random(length)
+        products = values[np.arange(1, length + 1) % m] * coeffs
+        for averaged, pairwise in (
+            (False, products.sum()),
+            (True, np.cumsum(products)[length // 2 - 1 :].mean()),
+        ):
+            exact = _exact_head(values, coeffs, averaged)
+            head = fold_head(values, residue_fold(coeffs, m, averaged))
+            fold_errors = _head_errors(complex(head), exact)
+            pairwise_errors = _head_errors(complex(pairwise), exact)
+            for fold_error, pairwise_error in zip(fold_errors, pairwise_errors):
+                assert fold_error <= pairwise_error, (trial, averaged)

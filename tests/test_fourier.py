@@ -1,12 +1,15 @@
 """Direct sums vs the coefficient series: hand values, equivalence, invariants."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from charsum import fourier
+from charsum.analytic import head_rounding_bound, residue_fold
 from charsum.characters import build_character_group, real_primitive_character
 from charsum.fourier import direct_sum, theorem_series, verify_theorem
 from charsum.functions import FunctionSpec, VariationClass, builtin_function
@@ -170,8 +173,12 @@ def test_abel_tail_explicit_terms_fix_n(odd3):
     fine = theorem_series(odd3, t, 1e-8, terms=700)
     assert (coarse.terms_used, fine.terms_used) == (7, 700)
     assert fine.tail_bound < coarse.tail_bound
+    # the tail bound covers truncation only; the head adds its rounding, at
+    # N = 700 more than the tail bound itself
     for sev in (coarse, fine):
-        assert abs(sev.value - direct_sum(odd3, t)) <= sev.tail_bound
+        coeffs = fourier.cached_coefficients(t, "sin", sev.terms_used)
+        rounding = 2 * math.sqrt(3) * head_rounding_bound(odd3.values_real(), coeffs)
+        assert abs(sev.value - direct_sum(odd3, t)) <= sev.tail_bound + rounding
 
 
 def test_explicit_terms_above_cap_rejected_before_allocating(odd3, monkeypatch):
@@ -348,3 +355,52 @@ def test_fstar_cache_keeps_recent_moduli_only():
     fourier._fstar_values(f, 200 - fourier._FSTAR_MODULI)
     fourier._fstar_values(f, 200)
     assert 200 - fourier._FSTAR_MODULI in fourier._fstar_cache[f]
+
+
+def test_group_folds_the_coefficients_once_per_n(monkeypatch):
+    # every character of one group with one spec reaches the coefficients
+    # through one fold per (kind, q, N, window); a second pass folds nothing
+    log = builtin_function("log")
+    fourier._fold_cache.pop(log, None)
+    folds = []
+
+    def counted(coeffs, m, averaged=False):
+        folds.append((m, len(coeffs), averaged))
+        return residue_fold(coeffs, m, averaged)
+
+    monkeypatch.setattr(fourier, "residue_fold", counted)
+    group = build_character_group(13)
+    series = [theorem_series(chi, log, 1e-8) for chi in group.characters() if chi.is_primitive]
+    expected = {(13, s.terms_used * (2 if s.averaged else 1), s.averaged) for s in series}
+    assert {s.averaged for s in series} == {False, True}  # both parities, both windows
+    assert sorted(folds) == sorted(expected)
+    again = [theorem_series(chi, log, 1e-8) for chi in group.characters() if chi.is_primitive]
+    assert len(folds) == len(expected) and again == series
+
+
+def test_fold_cache_holds_no_coefficient_array():
+    t2 = dataclasses.replace(builtin_function("t2"), name="t2#fold")
+    folded = fourier.cached_fold(t2, "sin", 7, 5000, False)
+    coeffs = weakref.ref(fourier._coeff_cache[t2]["sin"])
+    assert not np.shares_memory(folded, coeffs())
+    fourier._coeff_cache.pop(t2)
+    gc.collect()
+    assert coeffs() is None  # nothing but the coefficient cache held the array
+    assert fourier.cached_fold(t2, "sin", 7, 5000, False) is folded
+
+
+def test_fold_cache_keeps_recent_moduli_only():
+    t2 = dataclasses.replace(builtin_function("t2"), name="t2#moduli")
+    for m in range(3, 20):
+        fourier.cached_fold(t2, "sin", m, 64, False)
+        assert len(fourier._fold_cache[t2]) <= fourier._FOLD_MODULI
+    assert list(fourier._fold_cache[t2]) == list(range(20 - fourier._FOLD_MODULI, 20))
+
+
+def test_coefficients_beyond_the_retained_length_are_not_kept():
+    t2 = dataclasses.replace(builtin_function("t2"), name="t2#retain")
+    short = fourier.cached_coefficients(t2, "cos", 1000)
+    count = fourier.RETAINED_TERMS + 1
+    long = fourier.cached_coefficients(t2, "cos", count)
+    assert len(long) == count and np.array_equal(long[:1000], short)
+    assert len(fourier._coeff_cache[t2]["cos"]) == 1000

@@ -153,3 +153,15 @@ def test_identity_sweep_small():
         else:
             assert check_log_identity(d).passed, d
         assert check_exp_identity(d).passed, d
+
+
+def test_partial_sum_identity_keeps_no_long_coefficient_array():
+    # an explicit N = 2^22 folds 2^22 coefficients per check, but the cache
+    # keeps no coefficient array longer than fourier.RETAINED_TERMS
+    for d in (5, -3):
+        for y in ("1/2", "1/3", "1/4", "2/5"):
+            check = run_identity(4, d, y, terms=2**22)
+            assert check.terms_used == 2**22 and check.passed
+            f = builtin_function(f"step:{y}")
+            for coeffs in fourier._coeff_cache.get(f, {}).values():
+                assert len(coeffs) <= fourier.RETAINED_TERMS
