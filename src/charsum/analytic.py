@@ -25,6 +25,7 @@ head_rounding_bound).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,6 +49,7 @@ __all__ = [
     "head_rounding_bound",
     "coefficient_fold",
     "character_series",
+    "check_tolerance",
     "partial_sum_bound",
 ]
 
@@ -171,26 +173,27 @@ def si_complement(x: float) -> float:
 
 # --- character-twisted tails by repeated summation by parts ------------------
 
+ABEL_LEVELS = 6
+
 
 class PeriodicSums:
     """Iterated partial sums of a mean-zero periodic sequence (one period given).
 
-    Level j holds the periodic array U^j with mean mu_j, where U^1 are the
-    partial sums of the input and U^{j+1} are the partial sums of U^j - mu_j.
-    max |U^j - mu_j| bounds the level-j fluctuation.
+    Level j = 1..ABEL_LEVELS holds the periodic array U^j with mean mu_j, where
+    U^1 are the partial sums of the input and U^{j+1} are the partial sums of
+    U^j - mu_j.  max |U^j - mu_j| bounds the level-j fluctuation.
     """
 
-    def __init__(self, period_values: np.ndarray, levels: int = 6):
+    def __init__(self, period_values: np.ndarray):
         vals = np.asarray(period_values)
         if abs(complex(vals.sum())) > 1e-9:
             raise ValueError("sequence must have mean zero over a period (non-principal character)")
         self.period = len(vals)
-        self.levels = levels
         self._U: list[np.ndarray] = []
         self.means: list[complex] = []
         self.fluctuation: list[float] = []
         u = vals.astype(complex) if np.iscomplexobj(vals) else vals.astype(float)
-        for _ in range(levels):
+        for _ in range(ABEL_LEVELS):
             U = np.cumsum(u)
             mu = U.mean()
             self._U.append(U)
@@ -227,7 +230,7 @@ def reciprocal_tail(
     value = 0j
     best = math.inf
     best_value = 0j
-    for level in range(1, sums.levels + 1):
+    for level in range(1, len(sums.means) + 1):
         dg = sum(coef * _atom_delta(c, level - 1, start + 1) for coef, c in atoms)
         value += (sums.means[level - 1] - sums.partial(level, start)) * dg
         # remainder after this level: |u^level| * sum|coef| * (L-1)!/prod(start+j)
@@ -413,6 +416,14 @@ def coefficient_fold(
     return fold
 
 
+def check_tolerance(value: float, name: str) -> None:
+    """Raise ValueError naming `name` unless value is finite and at least
+    sys.float_info.min, the one rule for every tolerance and target accuracy:
+    the engine halves its target, and a subnormal target halves to 0."""
+    if not (math.isfinite(value) and value >= sys.float_info.min):
+        raise ValueError(f"{name} must be finite and > 0 (at least {sys.float_info.min}), got {value}")
+
+
 def character_series(
     values: np.ndarray,
     fold: Callable[[int, int, bool], np.ndarray],
@@ -498,7 +509,11 @@ def l_one(chi: DirichletCharacter, target_accuracy: float = 1e-9) -> LValue:
     Direct partial sum to N, with the tail recovered by repeated summation
     by parts over complete periods (character_series with the one atom 1/n);
     N starts at max(1024, 4q) and is doubled until the rigorous tail bound fits.
+    target_accuracy must be finite and > 0; unlike check_tolerance, a subnormal
+    one is accepted, since the engine's target 2 (target - 1e-13) never halves to 0.
     """
+    if not (math.isfinite(target_accuracy) and target_accuracy > 0):
+        raise ValueError(f"target_accuracy must be finite and > 0, got {target_accuracy}")
     if chi.is_principal:
         raise ValueError("L(s, chi_0) has a pole at s = 1 and is not representable")
     real = chi.is_real

@@ -8,7 +8,8 @@ example         run one identity check (id 1..4) for a discriminant
 sweep           run all applicable checks per fundamental discriminant
 
 Exit code 0 iff every executed check passed; 1 if any failed; 2 on usage or
-domain errors.
+domain errors.  The subcommands raise ValueError for a domain error (an
+argument, or a write that failed); main alone turns it into exit 2.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import sys
 import time
 from fractions import Fraction
 
+from .analytic import check_tolerance
 from .characters import (
     MODULUS_CEILING,
     build_character_group,
@@ -33,12 +35,15 @@ from .identities import run_identity
 from .reporting import VerificationReport, render_csv, render_json, render_pretty
 
 
-def _positive_float(text: str) -> float:
+def _tolerance(text: str) -> float:
+    """A --tol value that analytic.check_tolerance accepts, or argparse's error."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    try:
+        check_tolerance(value, "--tol")
+    except ValueError:
+        rule = ("> 0" if not value > 0 else "finite" if math.isinf(value)
+                else f"at least {sys.float_info.min}, the smallest normal float")
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text}") from None
     return value
 
 
@@ -70,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-q", "--modulus", type=int, required=True)
     p.add_argument("--function", required=True,
                    help="one of t2, t, exp, log, step:<y> (y rational in (0,1))")
-    p.add_argument("--tol", type=_positive_float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--terms-cap", type=_positive_int, default=DEFAULT_TERMS_CAP)
     p.add_argument("--terms", type=_positive_int, default=None,
                    help="fix the truncation N instead of choosing it from the tail bound")
@@ -80,14 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", type=int, required=True, choices=(1, 2, 3, 4))
     p.add_argument("-d", "--discriminant", type=int, required=True)
     p.add_argument("--y", default=None, help="rational in (0,1), e.g. 1/5 (identity 4 only)")
-    p.add_argument("--tol", type=_positive_float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.add_argument("--terms", type=_positive_int, default=None, help="fix N (identity 4 only)")
     _add_common(p)
 
     p = sub.add_parser("sweep", help="all applicable checks per fundamental discriminant")
     p.add_argument("--max-abs-d", type=int, required=True)
     p.add_argument("--min-abs-d", type=int, default=2)
-    p.add_argument("--tol", type=_positive_float, default=None,
+    p.add_argument("--tol", type=_tolerance, default=None,
                    help="override the per-check default tolerances")
     _add_common(p)
 
@@ -103,15 +108,14 @@ def _emit(reports, fmt: str, output: str | None, notice: str | None = None) -> i
         text = render_pretty(reports)
         if notice:
             text += notice + "\n"
-    if not _write(text, output):
-        return 2
+    _write(text, output)
     if notice and fmt != "pretty":
         print(notice, file=sys.stderr)
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _write(text: str, output: str | None) -> bool:
-    """Write to the output path, or stdout without one; False after an OSError."""
+def _write(text: str, output: str | None) -> None:
+    """Write to the output path, or stdout without one; ValueError after an OSError."""
     try:
         if output:
             with open(output, "w", encoding="utf-8") as fh:
@@ -122,9 +126,7 @@ def _write(text: str, output: str | None) -> bool:
     except OSError as exc:
         if not output:  # e.g. a closed pipe: keep the flush at exit from failing again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write {output or 'stdout'}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise ValueError(f"cannot write {output or 'stdout'}: {exc}") from None
 
 
 def _row(command, started, d, q, label, even, check, lhs, rhs, error, tol, terms, tail, passed):
@@ -140,14 +142,9 @@ def _row(command, started, d, q, label, even, check, lhs, rhs, error, tol, terms
     )
 
 
-def _cmd_characters(args) -> int:
-    try:
-        group = build_character_group(args.modulus)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_characters(args, command: str) -> int:
     rows = []
-    for chi in group.characters():
+    for chi in build_character_group(args.modulus).characters():
         rows.append(
             {
                 "q": chi.modulus,
@@ -178,50 +175,34 @@ def _cmd_characters(args) -> int:
                 f"real={str(r['is_real']).lower():<5} primitive={str(r['is_primitive']).lower()}"
             )
         text = "\n".join(lines) + "\n"
-    return 0 if _write(text, args.output) else 2
+    _write(text, args.output)
+    return 0
 
 
 def _cmd_verify_theorem(args, command: str) -> int:
     if args.modulus < 3:
-        print(f"error: the series identity needs modulus >= 3, got {args.modulus}", file=sys.stderr)
-        return 2
+        raise ValueError(f"the series identity needs modulus >= 3, got {args.modulus}")
     if args.terms is not None and args.terms > args.terms_cap:
-        print(f"error: --terms {args.terms} exceeds --terms-cap {args.terms_cap}", file=sys.stderr)
-        return 2
-    try:
-        f = builtin_function(args.function)
-        group = build_character_group(args.modulus)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--terms {args.terms} exceeds --terms-cap {args.terms_cap}")
+    f = builtin_function(args.function)
     reports = []
-    try:  # a series period above the ceiling (step:a/b with lcm(q, b) too large)
-        for chi in group.primitive_characters():
-            started = time.perf_counter()
-            chk = verify_theorem(chi, f, args.tol, terms=args.terms, terms_cap=args.terms_cap)
-            reports.append(_row(
-                command, started, None, args.modulus, chi.label, chi.is_even,
-                f"theorem:{args.function}", chk.direct, chk.series.value, chk.abs_error,
-                chk.pass_tolerance, chk.series.terms_used, chk.series.tail_bound, chk.passed,
-            ))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    notice = None
-    if not reports:
-        notice = f"no primitive characters mod {args.modulus}"
+    for chi in build_character_group(args.modulus).primitive_characters():
+        started = time.perf_counter()
+        chk = verify_theorem(chi, f, args.tol, terms=args.terms, terms_cap=args.terms_cap)
+        reports.append(_row(
+            command, started, None, args.modulus, chi.label, chi.is_even,
+            f"theorem:{args.function}", chk.direct, chk.series.value, chk.abs_error,
+            chk.pass_tolerance, chk.series.terms_used, chk.series.tail_bound, chk.passed,
+        ))
+    notice = None if reports else f"no primitive characters mod {args.modulus}"
     return _emit(reports, args.format, args.output, notice)
 
 
 def _cmd_example(args, command: str) -> int:
     started = time.perf_counter()
-    try:
-        y = Fraction(args.y) if args.y is not None else None
-        check = run_identity(args.id, args.discriminant, y=y, tol=args.tol, terms=args.terms)
-        label = real_primitive_character(args.discriminant).label
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    y = Fraction(args.y) if args.y is not None else None
+    check = run_identity(args.id, args.discriminant, y=y, tol=args.tol, terms=args.terms)
+    label = real_primitive_character(args.discriminant).label
     d = args.discriminant
     report = _row(command, started, d, abs(d), label, d > 0, f"identity:{args.id}", check.lhs,
                   check.rhs, check.abs_error, check.tolerance, check.terms_used,
@@ -231,13 +212,12 @@ def _cmd_example(args, command: str) -> int:
 
 def _cmd_sweep(args, command: str) -> int:
     if args.max_abs_d > MODULUS_CEILING:
-        print(f"error: --max-abs-d {args.max_abs_d} exceeds the supported modulus ceiling "
-              f"{MODULUS_CEILING}", file=sys.stderr)
-        return 2
-    if args.max_abs_d < args.min_abs_d:
-        print("error: empty sweep range", file=sys.stderr)
-        # header-only output for an empty range
-        return _emit([], args.format, args.output)
+        raise ValueError(f"--max-abs-d {args.max_abs_d} exceeds the supported modulus ceiling "
+                         f"{MODULUS_CEILING}")
+    if args.max_abs_d > MODULUS_CEILING // 2:
+        raise ValueError(f"--max-abs-d {args.max_abs_d} exceeds {MODULUS_CEILING // 2}: identity 4 "
+                         f"at y = 1/2 needs the series period lcm(|d|, 2), which must not exceed "
+                         f"the modulus ceiling {MODULUS_CEILING}")
     reports = []
     for d in fundamental_discriminants(args.max_abs_d, args.min_abs_d):
         chi = real_primitive_character(d)
@@ -256,21 +236,28 @@ def _cmd_sweep(args, command: str) -> int:
             c = run_identity(identity_id, d, y=y, tol=args.tol)
             reports.append(_row(command, started, *where, f"identity:{identity_id}", c.lhs, c.rhs,
                                 c.abs_error, c.tolerance, c.terms_used, c.tail_bound, c.passed))
-    return _emit(reports, args.format, args.output)
+    notice = None if reports else (
+        f"no fundamental discriminants with {args.min_abs_d} <= |d| <= {args.max_abs_d}"
+    )
+    return _emit(reports, args.format, args.output, notice)
+
+
+_COMMANDS = {
+    "characters": _cmd_characters,
+    "verify-theorem": _cmd_verify_theorem,
+    "example": _cmd_example,
+    "sweep": _cmd_sweep,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     command = "charsum " + " ".join(argv if argv is not None else sys.argv[1:])
-    if args.cmd == "characters":
-        return _cmd_characters(args)
-    if args.cmd == "verify-theorem":
-        return _cmd_verify_theorem(args, command)
-    if args.cmd == "example":
-        return _cmd_example(args, command)
-    if args.cmd == "sweep":
-        return _cmd_sweep(args, command)
-    raise AssertionError("unreachable")
+    try:
+        return _COMMANDS[args.cmd](args, command)
+    except (ValueError, ZeroDivisionError) as exc:  # the one exit for domain errors
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,18 +9,19 @@ Two routes are provided and compared:
   truncated with a rigorous tail bound.
 
 Both are summed by one call of analytic.character_series, which takes the
-coefficients folded by n mod q (cached_fold): one fold per spec, kind, modulus,
-N and window serves every character with that N, and folds, not long
+coefficients folded by n mod q (cached_fold): one fold per spec, kind,
+modulus, N and window serves every character with that N, and folds, not long
 coefficient arrays, are what is kept (cached_coefficients retains at most
-RETAINED_TERMS per spec and kind).  The tail of the
-function's rational coefficient atoms for the branch is summed exactly (the
-step at y = a/b is exactly its atoms: periodic weights of period b over 1/n);
-what the atoms leave (the whole coefficient when there are none) is bounded
-by the Polya-Vinogradov partial-sum bound times the total variation of its
-envelope.  Slowly convergent families without atoms (user jump functions, the
-sine side of the logarithm) are summed with Cesaro averaging of the partial
-sums over the window [N, 2N], which restores O(1/N) practical accuracy
-without changing the limit.
+RETAINED_TERMS per spec and kind).  A spec holds its f* table and folds for
+the modulus in use only, since every command runs one modulus at a time.  The
+tail of the function's rational coefficient atoms for the branch is summed
+exactly (the step at y = a/b is exactly its atoms: periodic weights of period
+b over 1/n); what the atoms leave (the whole coefficient when there are none)
+is bounded by the Polya-Vinogradov partial-sum bound times the total variation
+of its envelope.  Slowly convergent families without atoms (user jump
+functions, the sine side of the logarithm) are summed with Cesaro averaging of
+the partial sums over the window [N, 2N], which restores O(1/N) practical
+accuracy without changing the limit.
 
 Coefficients without a closed form come from piecewise Filon quadrature.  f is
 sampled once per piece (an interval between jumps, or one interval of the
@@ -33,13 +34,12 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .analytic import character_series, residue_fold
+from .analytic import character_series, check_tolerance, residue_fold
 from .characters import DirichletCharacter
 from .functions import FunctionSpec, VariationClass, fstar
 from .gauss_sums import tau
@@ -60,14 +60,11 @@ DEFAULT_TERMS_CAP = 10**6
 _QUADRATURE_TERMS_CAP = 4096
 _MIN_TERMS = 32
 
-# per-FunctionSpec caches, keyed by object identity
+# per-FunctionSpec caches, keyed by object identity; _modulus_cache holds
+# (q, {"fstar": table, (kind, N, averaged): fold}) for the modulus in use
 _coeff_cache: "weakref.WeakKeyDictionary[FunctionSpec, dict]" = weakref.WeakKeyDictionary()
-_fstar_cache: "weakref.WeakKeyDictionary[FunctionSpec, OrderedDict]" = weakref.WeakKeyDictionary()
 _sample_cache: "weakref.WeakKeyDictionary[FunctionSpec, list]" = weakref.WeakKeyDictionary()
-_fold_cache: "weakref.WeakKeyDictionary[FunctionSpec, OrderedDict]" = weakref.WeakKeyDictionary()
-# f* tables and coefficient folds kept per spec, most recent moduli only
-_FSTAR_MODULI = 8
-_FOLD_MODULI = 4
+_modulus_cache: "weakref.WeakKeyDictionary[FunctionSpec, tuple]" = weakref.WeakKeyDictionary()
 # the longest coefficient array cached_coefficients keeps per spec and kind
 RETAINED_TERMS = 2**20
 
@@ -82,17 +79,20 @@ def _require_primitive(chi: DirichletCharacter) -> None:
         )
 
 
+def _modulus_tables(f: FunctionSpec, q: int) -> dict:
+    """The spec's tables for modulus q; a new modulus replaces the held one."""
+    held = _modulus_cache.get(f)
+    if held is None or held[0] != q:
+        held = _modulus_cache[f] = (q, {})
+    return held[1]
+
+
 def _fstar_values(f: FunctionSpec, q: int) -> np.ndarray:
-    per_f = _fstar_cache.setdefault(f, OrderedDict())
-    arr = per_f.get(q)
+    tables = _modulus_tables(f, q)
+    arr = tables.get("fstar")
     if arr is None:
-        arr = np.array([fstar(f, k / q) for k in range(1, q)])
+        arr = tables["fstar"] = np.array([fstar(f, k / q) for k in range(1, q)])
         arr.flags.writeable = False
-        per_f[q] = arr
-        if len(per_f) > _FSTAR_MODULI:
-            per_f.popitem(last=False)
-    else:
-        per_f.move_to_end(q)
     return arr
 
 
@@ -217,22 +217,17 @@ def cached_fold(f: FunctionSpec, kind: str, m: int, n_terms: int, averaged: bool
     for the head to N, or over the Cesaro window [N, 2N] when averaged.
 
     This is the fold callable of every theorem series (partial(cached_fold, f,
-    kind)).  Folds are cached per spec and keyed by (kind, m, N, averaged),
-    for the _FOLD_MODULI most recent moduli; a fold is a new (2, m) array
-    and keeps no reference to the coefficients it was built from.
+    kind)).  Folds are cached per spec and keyed by (kind, N, averaged), for
+    the modulus in use only; a fold is a new (2, m) array and keeps no
+    reference to the coefficients it was built from.
     """
-    per_f = _fold_cache.setdefault(f, OrderedDict())
-    folds = per_f.setdefault(m, {})
-    per_f.move_to_end(m)
-    if len(per_f) > _FOLD_MODULI:
-        per_f.popitem(last=False)
+    tables = _modulus_tables(f, m)
     key = (kind, n_terms, averaged)
-    folded = folds.get(key)
+    folded = tables.get(key)
     if folded is None:
         coeffs = cached_coefficients(f, kind, 2 * n_terms if averaged else n_terms)
-        folded = residue_fold(coeffs, m, averaged)
+        folded = tables[key] = residue_fold(coeffs, m, averaged)
         folded.flags.writeable = False
-        folds[key] = folded
     return folded
 
 
@@ -251,23 +246,22 @@ class SeriesEvaluation:
     best_effort: bool
     quadrature_budget: float
     tail_method: str  # "abel", "envelope" or "cesaro"
-    notes: str = ""
 
 
-def _envelope(f: FunctionSpec, kind: str) -> tuple[float, int, str]:
-    """(C, p, source) of the envelope of coefficient - atoms for the kind."""
+def _envelope(f: FunctionSpec, kind: str) -> tuple[float, int]:
+    """(C, p) of the envelope of coefficient - atoms for the kind: declared,
+    zero for exact atoms, or measured."""
     declared = f.envelope_for(kind)
     if declared is not None:
-        c, p = declared
-        return c, p, "declared"
+        return declared
     if f.atoms_for(kind):
-        return 0.0, 1, "zero: exact atoms"
+        return 0.0, 1
     # measure C over an initial sample; the 1.1 inflation covers mild growth
     sample = cached_coefficients(f, kind, 256 if f.closed_form is not None else 64)
     p = 2 if (f.variation_class is VariationClass.SMOOTH_C2 and kind == "cos") else 1
     n = np.arange(1, len(sample) + 1)
     c = 1.1 * float(np.max(np.abs(sample) * n.astype(float) ** p))
-    return c, p, "measured"
+    return c, p
 
 
 def theorem_series(
@@ -289,12 +283,12 @@ def theorem_series(
     evaluation is best-effort with the bound reported as is.  An explicit
     `terms` overrides the choice of N and must not exceed terms_cap.  The head
     and tail are summed by one analytic.character_series call.
+    target_accuracy obeys analytic.check_tolerance.
     """
     _require_primitive(chi)
     if f.variation_class is VariationClass.UNBOUNDED_VARIATION:
         raise ValueError(f"function {f.name!r} declares unbounded variation; series diverges")
-    if target_accuracy <= 0:
-        raise ValueError("target_accuracy must be positive")
+    check_tolerance(target_accuracy, "target_accuracy")
     if terms is not None and not 1 <= terms <= terms_cap:
         raise ValueError(f"terms must be >= 1 and at most terms_cap = {terms_cap}, got {terms}")
 
@@ -316,10 +310,9 @@ def theorem_series(
 
     cap = terms_cap if f.closed_form is not None else min(terms_cap, _QUADRATURE_TERMS_CAP)
     start = max(_MIN_TERMS, 8 * q) if atoms else _MIN_TERMS
-    env_c, env_p, env_src = _envelope(f, kind)
     value, n_terms, tail = character_series(
         table, partial(cached_fold, f, kind), prefactor, target_accuracy, start, cap,
-        atoms, (env_c, env_p), terms, averaged,
+        atoms, _envelope(f, kind), terms, averaged,
     )
     best_effort = tail > target_accuracy
 
@@ -347,7 +340,6 @@ def theorem_series(
         best_effort=best_effort,
         quadrature_budget=float(budget),
         tail_method=tail_method,
-        notes=f"envelope {env_src}",
     )
 
 

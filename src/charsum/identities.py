@@ -29,6 +29,7 @@ from functools import partial
 from .analytic import (  # noqa: F401
     PeriodicSums,
     character_series,
+    check_tolerance,
     l_one,
     reciprocal_tail,
     si_complement_array,
@@ -72,9 +73,8 @@ class IdentityCheck:
 
 def _theorem_check(identity_id, d, y, f, tol, target, start, cap, terms=None) -> IdentityCheck:
     """The direct sum for chi_d and f against its series, from N = start to
-    the target; passes iff they agree within tol, which must be finite and > 0."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    the target; passes iff they agree within tol, which obeys check_tolerance."""
+    check_tolerance(tol, "tol")
     chi = real_primitive_character(d)
     kind = "cos" if chi.is_even else "sin"
     series, n_terms, bound = character_series(

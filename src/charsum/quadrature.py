@@ -34,6 +34,9 @@ __all__ = [
 # the accuracy filon_adaptive asks of a doubling, and callers budget for
 REL_TOL = 1e-12
 ABS_FLOOR = 1e-14
+# filon_adaptive's panel cap and the graded mesh's stop toward 0 (graded_edges)
+MAX_PANELS = 2**15
+GRADED_CUTOFF = 1e-18
 
 
 class QuadratureError(ArithmeticError):
@@ -133,21 +136,18 @@ def filon_adaptive(
     b: float,
     omega: float,
     kind: str,
-    max_panels: int = 2**15,
 ) -> tuple[float, float]:
     """Panel-doubling Filon integration; returns (value, error estimate).
 
-    Panels start at 8 and double while they are at most max_panels, so the
-    finest rule has up to 2 * max_panels panels.  Raises QuadratureError when
+    Panels start at 8 and double while they are at most MAX_PANELS, so the
+    finest rule has up to 2 * MAX_PANELS panels.  Raises QuadratureError when
     that cap is reached before the doubling increment falls under
-    max(REL_TOL * |value|, ABS_FLOOR), and ValueError for max_panels < 8.
-    Pass a NestedSamples as f to keep the grid and samples for the next call.
+    max(REL_TOL * |value|, ABS_FLOOR).  Pass a NestedSamples as f to keep the
+    grid and samples for the next call.
     """
-    if max_panels < 8:
-        raise ValueError(f"max_panels must be at least 8, got {max_panels}")
     panels = 8
     prev = filon_integral(f, a, b, omega, kind, panels)
-    while panels <= max_panels:
+    while panels <= MAX_PANELS:
         panels *= 2
         cur = filon_integral(f, a, b, omega, kind, panels)
         err = abs(cur - prev)
@@ -159,15 +159,15 @@ def filon_adaptive(
     )
 
 
-def graded_edges(lo: float, hi: float, cutoff: float = 1e-18) -> list[tuple[float, float]]:
+def graded_edges(lo: float, hi: float) -> list[tuple[float, float]]:
     """Geometrically graded panels (as (a, b) pairs) from hi down toward lo.
 
     Used for integrable endpoint singularities: panels halve toward the
-    endpoint and stop at `cutoff`, below which the remaining mass of any
+    endpoint and stop at GRADED_CUTOFF, below which the remaining mass of any
     f with |f(t)| <= 1 + |log t| is under 1e-16.
     """
     edges = [hi]
-    while edges[-1] / 2.0 > max(lo, cutoff):
+    while edges[-1] / 2.0 > max(lo, GRADED_CUTOFF):
         edges.append(edges[-1] / 2.0)
-    edges.append(max(lo, cutoff))
+    edges.append(max(lo, GRADED_CUTOFF))
     return [(edges[i + 1], edges[i]) for i in range(len(edges) - 1)][::-1]

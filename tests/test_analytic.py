@@ -169,6 +169,20 @@ def test_l_one_real_characters_are_real_and_positive():
         assert lval.value > 0.0, d
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1.0])
+def test_l_one_rejects_target_not_finite_and_positive(target):
+    with pytest.raises(ValueError, match="target_accuracy must be finite and > 0"):
+        l_one(real_primitive_character(5), target)
+
+
+def test_l_one_accepts_subnormal_target_and_stops_at_its_cap():
+    # its engine target 2 (target - 1e-13) never halves to 0, so a subnormal
+    # target is legal and only asks for the 2^22-term cap
+    lval = l_one(real_primitive_character(5), 4.9e-324)
+    assert lval.terms_used == 2**22
+    assert lval.value == pytest.approx(L_ONE_MOD5_BRUTE, abs=1e-7)
+
+
 def test_l_one_positive_sweep():
     from charsum.characters import fundamental_discriminants
 

@@ -1,5 +1,6 @@
 """CLI behavior: listings, reports, formats, exit codes, and determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -10,6 +11,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import charsum.cli as cli
 from charsum.cli import main
@@ -309,6 +312,14 @@ def test_exit_code_reflects_failures(capsys):
          "--tol: must be finite"),
         (("example", "--id", "1", "-d", "-3", "--tol", "nan"), "--tol: must be > 0"),
         (("sweep", "--max-abs-d", "8", "--tol", "inf"), "--tol: must be finite"),
+        # a subnormal tolerance halves to 0 in the series engine
+        (("verify-theorem", "-q", "7", "--function", "t", "--tol", "4.9e-324"),
+         "--tol: must be at least 2.2250738585072014e-308"),
+        (("example", "--id", "3", "-d", "5", "--tol", "4.9e-324"),
+         "--tol: must be at least 2.2250738585072014e-308"),
+        (("sweep", "--max-abs-d", "5", "--tol", "4.9e-324"),
+         "--tol: must be at least 2.2250738585072014e-308"),
+        (("sweep", "--max-abs-d", "5", "--tol", "1e-400"), "--tol: must be > 0"),
     ],
 )
 def test_invalid_numeric_arguments_exit_2(capsys, argv, message):
@@ -328,6 +339,9 @@ def test_invalid_numeric_arguments_exit_2(capsys, argv, message):
         (("verify-theorem", "-q", "7", "--function", "t", "--terms", "11", "--terms-cap", "10"),
          "--terms 11 exceeds --terms-cap 10"),
         (("example", "--id", "3", "-d", "5", "--terms", "3"), "identity 3 does not take terms"),
+        # identity 4 at y = 1/2 would need the period lcm(999997, 2) > 10^6
+        (("sweep", "--min-abs-d", "999997", "--max-abs-d", "999997"),
+         "identity 4 at y = 1/2 needs the series period lcm(|d|, 2)"),
     ],
 )
 def test_domain_errors_exit_2_before_work(capsys, monkeypatch, argv, message):
@@ -345,3 +359,62 @@ def test_domain_errors_exit_2_before_work(capsys, monkeypatch, argv, message):
 def test_run_identity_rejects_zero_terms():
     with pytest.raises(ValueError, match="terms must be >= 1"):
         run_identity(4, 5, y="1/5", terms=0)
+
+
+def _mostly(valid, malformed):
+    """A valid value, or a malformed one in one draw of four."""
+    return st.integers(0, 3).flatmap(lambda i: malformed if i == 0 else valid)
+
+
+# strings that no numeric option accepts: zero, negative, not finite,
+# subnormal, underflowing to 0, and not a number
+_BAD_NUMBERS = st.sampled_from(("0", "-1", "nan", "inf", "4.9e-324", "1e-400", "1/0"))
+# values in [-40, 40], or past the full-group and modulus ceilings and, for
+# a sweep, past the bound that identity 4's period sets
+_INTEGERS = _mostly(st.integers(-40, 40), st.sampled_from([10007, 1000001]))
+_SWEEP_BOUNDS = _mostly(st.integers(-40, 40), st.sampled_from([500001, 1000001]))
+_FUNCTIONS = _mostly(st.sampled_from(("t2", "t", "exp", "log", "step:1/4")),
+                     st.sampled_from(("step:1/0", "step:3/2", "step:x", "foo")))
+
+
+def _option(draw, flag, *valid, required=False):
+    """[flag, value] with a valid or a malformed value, or [] unless required."""
+    value = draw(_mostly(st.sampled_from(valid), _BAD_NUMBERS))
+    return [flag, value] if required or draw(st.booleans()) else []
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["characters", "verify-theorem", "example", "sweep"]))
+    if cmd in ("characters", "verify-theorem"):
+        args = [cmd, "-q", str(draw(_INTEGERS))]
+    elif cmd == "example":
+        args = [cmd, "-d", str(draw(_INTEGERS))]
+        args += _option(draw, "--id", "1", "2", "3", "4", required=True)
+        if args[-1] == "4" or draw(st.booleans()):  # only identity 4 takes y and terms
+            args += _option(draw, "--y", "1/2", "1/5", "0.25", required=True)
+            args += _option(draw, "--terms", "64")
+    else:
+        args = [cmd, "--max-abs-d", str(draw(_SWEEP_BOUNDS))]
+        args += ["--min-abs-d", str(draw(_SWEEP_BOUNDS))] if draw(st.booleans()) else []
+    if cmd == "verify-theorem":
+        args += ["--function", draw(_FUNCTIONS)]
+        # the cap keeps every valid run short
+        args += _option(draw, "--terms-cap", "64", "4096", required=True)
+        args += _option(draw, "--terms", "1", "64")
+    if cmd != "characters":
+        args += _option(draw, "--tol", "1e-6", "0.01")
+    return args + ["--format", draw(st.sampled_from(["json", "csv", "pretty"]))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_cli_exits_0_1_or_2_with_a_message(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            assert exc.code == 2 and f"charsum {argv[0]}: error: " in err.getvalue()
+            return
+    assert code in (0, 1) or (code == 2 and err.getvalue().startswith("error: ")), err.getvalue()

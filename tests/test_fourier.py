@@ -12,7 +12,7 @@ from charsum import fourier
 from charsum.analytic import head_rounding_bound, residue_fold
 from charsum.characters import build_character_group, real_primitive_character
 from charsum.fourier import direct_sum, theorem_series, verify_theorem
-from charsum.functions import FunctionSpec, VariationClass, builtin_function
+from charsum.functions import FunctionSpec, VariationClass, builtin_function, fstar
 from charsum.quadrature import QuadratureError, filon_adaptive, graded_edges
 
 
@@ -202,6 +202,13 @@ def test_unbounded_variation_rejected(chi5):
         theorem_series(chi5, f, 1e-8)
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1.0, 4.9e-324])
+def test_theorem_series_rejects_target_below_the_tolerance_rule(chi5, target):
+    # 4.9e-324 would halve to 0 inside the engine
+    with pytest.raises(ValueError, match="target_accuracy must be finite and > 0"):
+        theorem_series(chi5, builtin_function("t"), target)
+
+
 def test_theorem_series_rejects_imprimitive():
     induced = [
         c for c in build_character_group(8).characters() if c.conductor == 4
@@ -287,7 +294,7 @@ def _user_specs():
     ]
 
 
-def _cold_coefficient(f, n, kind, **options):
+def _cold_coefficient(f, n, kind):
     """One coefficient with a fresh evaluator per piece and no sample reuse."""
     omega = 2.0 * math.pi * n
     breakpoints = [0.0] + [t for t, _, _ in f.jump_points] + [1.0]
@@ -306,7 +313,7 @@ def _cold_coefficient(f, n, kind, **options):
 
         edges = graded_edges(0.0, b) if f.singular_at_zero and a == 0.0 else [(a, b)]
         for lo, hi in edges:
-            total += filon_adaptive(evaluator, lo, hi, omega, kind, **options)[0]
+            total += filon_adaptive(evaluator, lo, hi, omega, kind)[0]
     return total
 
 
@@ -344,24 +351,29 @@ def test_sample_cache_keeps_quadrature_error_accuracy():
     assert first.value.achieved == cold.value.achieved
 
 
-def test_fstar_cache_keeps_recent_moduli_only():
-    f = builtin_function("t2")
-    for q in range(3, 200):
-        table = fourier._fstar_values(f, q)
-        assert len(fourier._fstar_cache[f]) <= fourier._FSTAR_MODULI
-    assert fourier._fstar_values(f, 199) is table
-    assert list(fourier._fstar_cache[f]) == list(range(200 - fourier._FSTAR_MODULI, 200))
-    # a hit moves its modulus to the recent end
-    fourier._fstar_values(f, 200 - fourier._FSTAR_MODULI)
-    fourier._fstar_values(f, 200)
-    assert 200 - fourier._FSTAR_MODULI in fourier._fstar_cache[f]
+def test_spec_holds_tables_for_the_modulus_in_use_only():
+    t2 = dataclasses.replace(builtin_function("t2"), name="t2#moduli")
+    table = fourier._fstar_values(t2, 7)
+    folded = fourier.cached_fold(t2, "sin", 7, 64, False)
+    assert fourier._fstar_values(t2, 7) is table
+    assert fourier.cached_fold(t2, "sin", 7, 64, False) is folded
+    old = [weakref.ref(table), weakref.ref(folded)]
+    del table, folded
+    # a new modulus replaces the held f* table and folds, and releases them
+    fourier.cached_fold(t2, "sin", 11, 64, False)
+    table = fourier._fstar_values(t2, 11)
+    assert fourier._modulus_cache[t2][0] == 11
+    assert set(fourier._modulus_cache[t2][1]) == {"fstar", ("sin", 64, False)}
+    gc.collect()
+    assert [ref() for ref in old] == [None, None]
+    assert np.array_equal(table, [fstar(t2, k / 11) for k in range(1, 11)])
 
 
 def test_group_folds_the_coefficients_once_per_n(monkeypatch):
     # every character of one group with one spec reaches the coefficients
     # through one fold per (kind, q, N, window); a second pass folds nothing
     log = builtin_function("log")
-    fourier._fold_cache.pop(log, None)
+    fourier._modulus_cache.pop(log, None)
     folds = []
 
     def counted(coeffs, m, averaged=False):
@@ -387,14 +399,6 @@ def test_fold_cache_holds_no_coefficient_array():
     gc.collect()
     assert coeffs() is None  # nothing but the coefficient cache held the array
     assert fourier.cached_fold(t2, "sin", 7, 5000, False) is folded
-
-
-def test_fold_cache_keeps_recent_moduli_only():
-    t2 = dataclasses.replace(builtin_function("t2"), name="t2#moduli")
-    for m in range(3, 20):
-        fourier.cached_fold(t2, "sin", m, 64, False)
-        assert len(fourier._fold_cache[t2]) <= fourier._FOLD_MODULI
-    assert list(fourier._fold_cache[t2]) == list(range(20 - fourier._FOLD_MODULI, 20))
 
 
 def test_coefficients_beyond_the_retained_length_are_not_kept():

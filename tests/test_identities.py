@@ -137,7 +137,7 @@ def test_run_identity_dispatch():
         run_identity(1, -3, y="1/2")  # y not accepted
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf, 4.9e-324])
 @pytest.mark.parametrize(
     "identity_id, d, y", [(1, -3, None), (2, 5, None), (3, 5, None), (4, -3, "1/2")]
 )
