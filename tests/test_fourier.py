@@ -351,22 +351,37 @@ def test_sample_cache_keeps_quadrature_error_accuracy():
     assert first.value.achieved == cold.value.achieved
 
 
-def test_spec_holds_tables_for_the_modulus_in_use_only():
+def test_fstar_cache_keeps_recent_moduli_only():
+    t2 = dataclasses.replace(builtin_function("t2"), name="t2#fstar")
+    for q in range(3, 40):
+        table = fourier._fstar_values(t2, q)
+        assert fourier._modulus_cache[t2][0] == q  # only the modulus in use is held
+        assert set(fourier._modulus_cache[t2][1]) == {"fstar"}
+    assert fourier._fstar_values(t2, 39) is table
+    assert np.array_equal(table, [fstar(t2, k / 39) for k in range(1, 39)])
+    # a new modulus replaces the held f* table and releases it
+    old = weakref.ref(table)
+    del table
+    fourier._fstar_values(t2, 40)
+    gc.collect()
+    assert old() is None
+
+
+def test_fold_cache_keeps_recent_moduli_only():
     t2 = dataclasses.replace(builtin_function("t2"), name="t2#moduli")
-    table = fourier._fstar_values(t2, 7)
-    folded = fourier.cached_fold(t2, "sin", 7, 64, False)
-    assert fourier._fstar_values(t2, 7) is table
-    assert fourier.cached_fold(t2, "sin", 7, 64, False) is folded
+    for m in range(3, 20):
+        folded = fourier.cached_fold(t2, "sin", m, 64, False)
+        assert fourier._modulus_cache[t2][0] == m  # only the modulus in use is held
+        assert set(fourier._modulus_cache[t2][1]) == {("sin", 64, False)}
+    assert fourier.cached_fold(t2, "sin", 19, 64, False) is folded
+    # the f* table and the folds of one modulus share its tables
+    table = fourier._fstar_values(t2, 19)
+    assert set(fourier._modulus_cache[t2][1]) == {"fstar", ("sin", 64, False)}
     old = [weakref.ref(table), weakref.ref(folded)]
     del table, folded
-    # a new modulus replaces the held f* table and folds, and releases them
-    fourier.cached_fold(t2, "sin", 11, 64, False)
-    table = fourier._fstar_values(t2, 11)
-    assert fourier._modulus_cache[t2][0] == 11
-    assert set(fourier._modulus_cache[t2][1]) == {"fstar", ("sin", 64, False)}
+    fourier.cached_fold(t2, "sin", 20, 64, False)
     gc.collect()
     assert [ref() for ref in old] == [None, None]
-    assert np.array_equal(table, [fstar(t2, k / 11) for k in range(1, 11)])
 
 
 def test_group_folds_the_coefficients_once_per_n(monkeypatch):
