@@ -4,9 +4,9 @@ The L-value evaluator truncates sum chi(n)/n and recovers the discarded tail
 by repeated summation by parts: the iterated partial sums of a non-principal
 character are periodic, so each Abel step extracts an exact boundary term and
 leaves a remainder one order smaller.  The same machinery serves any tail
-sum_{n>N} chi(n) g(n) whose g is a combination of atoms coef/(n + c), since the
-forward differences of such atoms have closed forms; a coef given as one
-period of weights w[n mod b] twists the character into the periodic sequence
+sum_{n>N} chi(n) g(n) whose g is a combination of atoms coef/(n + c)^m (m = 1,
+or c = 0), whose forward differences are exact (_atom_delta); a coef given as
+one period of weights w[n mod b] twists the character into the periodic sequence
 chi(n) w(n), of period lcm(q, b).  character_series is the one series engine:
 a head to N, the exact Abel tail of the atoms, and the Polya-Vinogradov tail
 bound of a remainder known only through an envelope C/n^p (optionally
@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -206,59 +208,69 @@ class PeriodicSums:
         return self._U[level - 1][(n - 1) % self.period]
 
 
-def _atom_delta(c: complex, k: int, n: int) -> complex:
-    """Delta^k g(n) for g(n) = 1/(n+c), with Delta g(n) = g(n) - g(n+1)."""
-    num = float(math.factorial(k))
+@lru_cache(maxsize=4096)
+def _power_difference(k: int, n: int, m: int) -> float:
+    """Delta^k n^-m, rounded from the exact sum_i (-1)^i C(k, i)/(n + i)^m,
+    whose terms cancel too many digits to be summed in floats."""
+    return float(sum(Fraction((-1) ** i * math.comb(k, i), (n + i) ** m) for i in range(k + 1)))
+
+
+def _atom_delta(coef, c: complex, k: int, n: int, m: int = 1) -> complex:
+    """coef Delta^k g(n) for g(n) = 1/(n + c)^m, Delta g(n) = g(n) - g(n + 1): the
+    product coef k!/prod_{j <= k} (n + j + c) for m = 1, else (c = 0) the exact form."""
+    if m != 1:
+        return coef * _power_difference(k, n, m)
     den = complex(1.0)
     for j in range(k + 1):
         den *= n + j + c
-    return num / den
+    return coef * float(math.factorial(k)) / den
 
 
-def reciprocal_tail(
-    sums: PeriodicSums,
-    atoms: list[tuple[complex, complex]],
-    start: int,
-) -> tuple[complex, float]:
+def reciprocal_tail(sums: PeriodicSums, atoms: Sequence[tuple], start: int) -> tuple[complex, float]:
     """(value, error bound) for sum_{n > start} a_n g(n).
 
-    a_n is the periodic sequence behind `sums`; g(n) = sum of coef/(n + c)
-    over the given (coef, c) atoms, each with Re(c) >= 0 and |n + c| >= n.
-    The value is the sum of exact Abel boundary terms over all levels; the
-    bound covers the remaining fluctuation term at the deepest level.
+    a_n is the periodic sequence behind `sums`; g(n) = sum of coef/(n + c)^m
+    over the (coef, c) or (coef, c, m) atoms (m = 1 when omitted), each with
+    Re(c) >= 0, and c = 0 when m > 1.  The value is the sum of exact Abel
+    boundary terms over the levels; the bound covers the remaining fluctuation
+    term at the best level L, with sum_{n > N} |Delta^L g(n)| at most
+    sum |coef| Delta^{L-1} n^-m (N + 1): 1/n^m is completely monotone, so the
+    sum telescopes, and |n + c| >= n for m = 1.
     """
-    value = 0j
-    best = math.inf
-    best_value = 0j
+    sizes: dict[int, float] = {}  # sum |coef| per exponent m
+    for coef, c, *power in atoms:
+        m = power[0] if power else 1
+        if m != 1 and c != 0:
+            raise ValueError(f"a power atom 1/(n + c)^{m} needs c = 0, got c = {c}")
+        sizes[m] = sizes.get(m, 0.0) + abs(coef)
+    value, best = 0j, (math.inf, 0j)
     for level in range(1, len(sums.means) + 1):
-        dg = sum(coef * _atom_delta(c, level - 1, start + 1) for coef, c in atoms)
+        dg = sum(_atom_delta(coef, c, level - 1, start + 1, *power) for coef, c, *power in atoms)
         value += (sums.means[level - 1] - sums.partial(level, start)) * dg
-        # remainder after this level: |u^level| * sum|coef| * (L-1)!/prod(start+j)
-        prod = 1.0
-        for j in range(1, level + 1):
-            prod *= start + j
-        bound = sums.fluctuation[level - 1] * sum(abs(coef) for coef, _ in atoms) \
-            * math.factorial(level - 1) / prod
-        if bound < best:
-            best = bound
-            best_value = value
-    return best_value, best
+        fluctuation = sums.fluctuation[level - 1]
+        bound = sum(
+            _atom_delta(fluctuation * size, 0.0, level - 1, start + 1, m).real
+            for m, size in sizes.items()
+        )
+        if bound < best[0]:
+            best = bound, value
+    return best[1], best[0]
 
 
 def _abel_groups(values: np.ndarray, atoms: Sequence[tuple]) -> list[tuple[PeriodicSums, list]]:
     """The atoms grouped by their period of weights, each group with its sums.
 
     Scalar atoms share the sums of `values`.  The atoms whose coef is one and
-    the same array w of length b become unit atoms 1/(n + c) over the twisted
+    the same array w of length b become unit atoms 1/(n + c)^m over the twisted
     sequence values[n % m] w[n % b], of period lcm(m, b); a period above
     MODULUS_CEILING is rejected before that sequence is allocated.
     """
     groups: dict[int | None, tuple[np.ndarray | None, list]] = {}
-    for coef, c in atoms:
+    for coef, *rest in atoms:
         if np.ndim(coef) == 0:
-            groups.setdefault(None, (None, []))[1].append((coef, c))
+            groups.setdefault(None, (None, []))[1].append((coef, *rest))
         else:
-            groups.setdefault(id(coef), (coef, []))[1].append((1.0, c))
+            groups.setdefault(id(coef), (coef, []))[1].append((1.0, *rest))
     m = len(values)
     out = []
     for weights, group in groups.values():
@@ -442,9 +454,10 @@ def character_series(
     `fold(m, N, averaged)` returns the coefficients a_n folded by n mod m as
     residue_fold does (coefficient_fold builds it from a coefficient
     function).  The coefficients are modelled as
-    a_n = sum coef/(n + c) over the (coef, c) atoms plus a remainder r_n with
+    a_n = sum coef/(n + c)^e over the atoms (coef, c) or (coef, c, e), as in
+    reciprocal_tail, plus a remainder r_n with
     |r_n| <= C/n^p, envelope = (C, p).  A coef is a scalar, or one period of
-    weights (a 1-D array w of length b) meaning w[n % b]/(n + c).  With atoms,
+    weights (a 1-D array w of length b) meaning w[n % b]/(n + c)^e.  With atoms,
     each sequence the Abel tail runs over (`values`, and values[n % m] w[n % b]
     of period lcm(m, b) <= MODULUS_CEILING for each weights array) must have
     mean zero.
@@ -474,12 +487,10 @@ def character_series(
         n_terms = min(max(start, math.ceil(min(need, cap))), cap)
         if averaged:
             n_terms = max(1, min(n_terms, cap // 2))
-    correction, abel_bound = 0.0, 0.0
-    if atoms:
+    correction, abel_bound = _abel_tail(groups, n_terms)  # (0, 0) without atoms
+    while terms is None and abs(prefactor) * abel_bound > target / 2 and n_terms < cap:
+        n_terms = min(2 * n_terms, cap)
         correction, abel_bound = _abel_tail(groups, n_terms)
-        while terms is None and abs(prefactor) * abel_bound > target / 2 and n_terms < cap:
-            n_terms = min(2 * n_terms, cap)
-            correction, abel_bound = _abel_tail(groups, n_terms)
     head = fold_head(values, fold(len(values), n_terms, averaged))
     bound = abs(prefactor) * abel_bound + weight / float(n_terms + 1) ** p
     return prefactor * (head + correction), n_terms, bound
@@ -509,16 +520,17 @@ def l_one(chi: DirichletCharacter, target_accuracy: float = 1e-9) -> LValue:
     Direct partial sum to N, with the tail recovered by repeated summation
     by parts over complete periods (character_series with the one atom 1/n);
     N starts at max(1024, 4q) and is doubled until the rigorous tail bound fits.
-    target_accuracy must be finite and > 0; unlike check_tolerance, a subnormal
-    one is accepted, since the engine's target 2 (target - 1e-13) never halves to 0.
+    The bound adds 1e-13 for the head's rounding, so target_accuracy must be
+    finite and above that floor; the engine's target is 2 (target - 1e-13).
     """
-    if not (math.isfinite(target_accuracy) and target_accuracy > 0):
-        raise ValueError(f"target_accuracy must be finite and > 0, got {target_accuracy}")
+    slack = 1e-13  # floating-point summation of the head
+    if not (math.isfinite(target_accuracy) and target_accuracy > slack):
+        raise ValueError(f"target_accuracy must be finite and > 0, above the floor {slack} "
+                         f"the bound keeps for the head's rounding; got {target_accuracy}")
     if chi.is_principal:
         raise ValueError("L(s, chi_0) has a pole at s = 1 and is not representable")
     real = chi.is_real
     values = chi.values_real() if real else chi.values_complex()
-    slack = 1e-13  # floating-point summation of the head
     value, n_terms, bound = character_series(
         values,
         coefficient_fold(lambda count: 1.0 / np.arange(1, count + 1)),

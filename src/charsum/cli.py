@@ -200,7 +200,12 @@ def _cmd_verify_theorem(args, command: str) -> int:
 
 def _cmd_example(args, command: str) -> int:
     started = time.perf_counter()
-    y = Fraction(args.y) if args.y is not None else None
+    try:
+        y = Fraction(args.y) if args.y is not None else None
+    except ZeroDivisionError:
+        raise ValueError(f"--y {args.y!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"--y {args.y!r} is not a fraction such as 1/5") from None
     check = run_identity(args.id, args.discriminant, y=y, tol=args.tol, terms=args.terms)
     label = real_primitive_character(args.discriminant).label
     d = args.discriminant

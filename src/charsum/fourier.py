@@ -14,14 +14,11 @@ modulus, N and window serves every character with that N, and folds, not long
 coefficient arrays, are what is kept (cached_coefficients retains at most
 RETAINED_TERMS per spec and kind).  A spec holds its f* table and folds for
 the modulus in use only, since every command runs one modulus at a time.  The
-tail of the function's rational coefficient atoms for the branch is summed
-exactly (the step at y = a/b is exactly its atoms: periodic weights of period
-b over 1/n); what the atoms leave (the whole coefficient when there are none)
-is bounded by the Polya-Vinogradov partial-sum bound times the total variation
-of its envelope.  Slowly convergent families without atoms (user jump
-functions, the sine side of the logarithm) are summed with Cesaro averaging of
-the partial sums over the window [N, 2N], which restores O(1/N) practical
-accuracy without changing the limit.
+tail of the spec's atoms for the branch (all rows of t2, exp, the steps and
+even log, odd rows of t) is summed exactly; what the atoms leave (all of the
+coefficient without them) is bounded by the Polya-Vinogradov partial-sum bound
+times the total variation of its envelope.  Jump and log classes without atoms
+(odd log, user specs) are Cesaro-averaged over the window [N, 2N].
 
 Coefficients without a closed form come from piecewise Filon quadrature.  f is
 sampled once per piece (an interval between jumps, or one interval of the

@@ -3,14 +3,15 @@
 A FunctionSpec carries everything the series engine needs: a pointwise
 evaluator, the jump points with their one-sided limits, a flag for an
 integrable singularity at 0, optional closed-form Fourier coefficients,
-optional rational atoms coef/(n + c), with coef a scalar or one period of
-weights, whose series tail is summed exactly, a proven envelope of what the
-atoms leave of the coefficient when one is known, and the variation class
-that drives truncation bounds.
-The built-in family covers the squared/linear/exponential/logarithm
-evaluands and indicator steps; a step at y = a/b is exactly the atoms
-w[n mod b]/n on both sides, so its denominator b may not exceed the modulus
-ceiling.
+optional atoms coef/(n + c)^m (coef a scalar or one period of weights) whose
+series tail is summed exactly, a proven envelope of what the atoms leave of
+the coefficient when one is known, and the variation class that drives
+truncation bounds.  Of the built-ins, t2, t, exp and the steps are exactly
+their atoms, and their closed form is the one evaluator _atom_sum, so the
+series head and the Abel tail read one description; a step at y = a/b is the
+atoms w[n mod b]/n, so b may not exceed the modulus ceiling.  log keeps its
+Si/Ci closed form, with the cosine atoms -1/(4n) + 1/(4 pi^2 n^2) and the
+envelope 1/(8 pi^4 n^4).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -53,10 +54,11 @@ class FunctionSpec:
 
     ``closed_form(n_array, kind)`` returns the Fourier coefficients
     integral_0^1 f(t) cos/sin(2 pi n t) dt when analytically known.
-    ``atoms[kind] = ((coef, c), ...)`` splits coefficient_n into
-    sum coef / (n + c) plus a remainder; each c needs Re(c) >= 0.  A coef is
+    ``atoms[kind] = ((coef, c), (coef, c, m), ...)`` splits coefficient_n into
+    sum coef / (n + c)^m plus a remainder; m is an integer >= 1, 1 when
+    omitted, each c needs Re(c) >= 0, and c = 0 when m > 1.  A coef is
     a scalar or one period of weights: a non-empty, finite 1-D array w of
-    length b (kept read-only), meaning w[n mod b] / (n + c).
+    length b (kept read-only), meaning w[n mod b] / (n + c)^m.
     ``envelope[kind] = (C, p)`` asserts |coefficient_n - atoms| <= C / n**p
     for all n >= 1, with C finite and >= 0 and p an integer >= 1.  Atoms
     without an envelope for their kind are exact (zero remainder); a kind with
@@ -70,14 +72,14 @@ class FunctionSpec:
     singular_at_zero: bool = False
     closed_form: Callable[[np.ndarray, str], np.ndarray] | None = None
     envelope: tuple[tuple[str, float, int], ...] = ()  # (kind, C, p)
-    # (kind, ((coef, c), ...)); coef a scalar or a 1-D array of weights
-    atoms: tuple[tuple[str, tuple[tuple[complex | np.ndarray, complex], ...]], ...] = ()
+    # (kind, ((coef, c[, m]), ...)); coef a scalar or a 1-D array of weights
+    atoms: tuple[tuple[str, tuple[tuple, ...]], ...] = ()
 
     def __post_init__(self):
         for kind, pairs in self.atoms:
             if kind not in ("cos", "sin"):
                 raise ValueError(f"atom kind must be 'cos' or 'sin', got {kind!r}")
-            for coef, c in pairs:
+            for coef, c, *power in pairs:
                 if np.ndim(coef) != 0 and not (
                     isinstance(coef, np.ndarray) and coef.ndim == 1 and coef.size
                 ):
@@ -90,6 +92,11 @@ class FunctionSpec:
                     raise ValueError(
                         f"atom shift c = {c} has negative real part; the Abel tail needs Re(c) >= 0"
                     )
+                m = power[0] if power else 1
+                if len(power) > 1 or not (isinstance(m, (int, np.integer)) and m >= 1):
+                    raise ValueError(f"atom exponent {power!r} must be one integer m >= 1")
+                if m > 1 and c != 0:
+                    raise ValueError(f"a power atom 1/(n + c)^{m} needs c = 0, got c = {c}")
         for kind, c, p in self.envelope:
             if kind not in ("cos", "sin"):
                 raise ValueError(f"envelope kind must be 'cos' or 'sin', got {kind!r}")
@@ -104,7 +111,7 @@ class FunctionSpec:
                 return c, p
         return None
 
-    def atoms_for(self, kind: str) -> tuple[tuple[complex | np.ndarray, complex], ...]:
+    def atoms_for(self, kind: str) -> tuple[tuple, ...]:
         for k, pairs in self.atoms:
             if k == kind:
                 return pairs
@@ -124,23 +131,14 @@ def fstar(f: FunctionSpec, x: float) -> float:
 # --- built-in family ---------------------------------------------------------
 
 
-def _t2_closed(n: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "cos":
-        return 1.0 / (2.0 * math.pi**2 * n.astype(float) ** 2)
-    return -1.0 / (TWO_PI * n)
-
-
-def _t_closed(n: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "cos":
-        return np.zeros(len(n))
-    return -1.0 / (TWO_PI * n)
-
-
-def _exp_closed(n: np.ndarray, kind: str) -> np.ndarray:
-    den = 1.0 + 4.0 * math.pi**2 * n.astype(float) ** 2
-    if kind == "cos":
-        return (math.e - 1.0) / den
-    return -TWO_PI * n * (math.e - 1.0) / den
+def _atom_sum(atoms, n: np.ndarray, kind: str) -> np.ndarray:
+    """The real part of sum coef/(n + c)^m over the kind's (coef, c[, m]) atoms:
+    the closed form of every built-in whose coefficients are exactly its atoms."""
+    total = np.zeros(len(n))
+    for coef, c, *power in dict(atoms).get(kind, ()):
+        den = n + c if not power else (n + c) ** power[0]
+        total += np.real((coef if np.ndim(coef) == 0 else coef[n % len(coef)]) / den)
+    return total
 
 
 def _log_closed(n: np.ndarray, kind: str) -> np.ndarray:
@@ -152,18 +150,23 @@ def _log_closed(n: np.ndarray, kind: str) -> np.ndarray:
 
 
 # -1/(2 pi n): the sine coefficients of t and t2
-_HARMONIC_SIN_ATOMS = (("sin", ((-1.0 / TWO_PI, 0.0),)),)
-# 1 + 4 pi^2 n^2 = 4 pi^2 (n - i/2pi)(n + i/2pi), split into partial fractions
-_EXP_ATOMS = (
-    ("cos", ((-1j * (math.e - 1.0) / (4.0 * math.pi), -1j / TWO_PI),
-             (1j * (math.e - 1.0) / (4.0 * math.pi), 1j / TWO_PI))),
-    ("sin", ((-(math.e - 1.0) / (4.0 * math.pi), -1j / TWO_PI),
-             (-(math.e - 1.0) / (4.0 * math.pi), 1j / TWO_PI))),
-)
+_HARMONIC_SIN = ("sin", ((-1.0 / TWO_PI, 0.0),))
+# (evaluator, atoms) of the smooth built-ins: t2's cosine side 1/(2 pi^2 n^2), and
+# exp's 1 + 4 pi^2 n^2 = 4 pi^2 (n - i/2pi)(n + i/2pi) split into partial fractions
+_SMOOTH = {
+    "t2": (lambda t: t * t, (("cos", ((1.0 / (2.0 * math.pi**2), 0.0, 2),)), _HARMONIC_SIN)),
+    "t": (lambda t: t, (_HARMONIC_SIN,)),
+    "exp": (math.exp, (
+        ("cos", ((-1j * (math.e - 1.0) / (4.0 * math.pi), -1j / TWO_PI),
+                 (1j * (math.e - 1.0) / (4.0 * math.pi), 1j / TWO_PI))),
+        ("sin", ((-(math.e - 1.0) / (4.0 * math.pi), -1j / TWO_PI),
+                 (-(math.e - 1.0) / (4.0 * math.pi), 1j / TWO_PI))),
+    )),
+}
 
 
-def _make_step(y: Fraction) -> FunctionSpec:
-    """The step at y = a/b: coefficients w[n mod b]/n, w one period of
+def _step_atoms(y: Fraction) -> tuple:
+    """The atoms of the step at y = a/b: w[n mod b]/n, w one period of
     sin(2 pi r a/b)/(2 pi) (cosine) or (1 - cos(2 pi r a/b))/(2 pi) (sine)."""
     if not 0 < y < 1:
         raise ValueError(f"step threshold must lie in (0, 1), got {y}")
@@ -177,19 +180,7 @@ def _make_step(y: Fraction) -> FunctionSpec:
     weights = {"cos": np.sin(angles) / TWO_PI, "sin": (1.0 - np.cos(angles)) / TWO_PI}
     for w in weights.values():
         w.flags.writeable = False
-
-    def closed(n: np.ndarray, kind: str) -> np.ndarray:
-        return weights[kind][n % b] / n
-
-    yf = float(y)
-    return FunctionSpec(
-        name=f"step:{y}",
-        evaluator=lambda t, _y=yf: 1.0 if t <= _y else 0.0,
-        variation_class=VariationClass.PIECEWISE_SMOOTH,
-        jump_points=((yf, 1.0, 0.0),),
-        closed_form=closed,
-        atoms=tuple((kind, ((w, 0.0),)) for kind, w in weights.items()),
-    )
+    return tuple((kind, ((w, 0.0),)) for kind, w in weights.items())
 
 
 @lru_cache(maxsize=64)
@@ -198,53 +189,44 @@ def builtin_function(name: str) -> FunctionSpec:
 
     Step thresholds accept fractions ("step:1/4") or decimals ("step:0.25").
     """
-    if name == "t2":
-        return FunctionSpec(
-            name="t2",
-            evaluator=lambda t: t * t,
-            variation_class=VariationClass.SMOOTH_C2,
-            closed_form=_t2_closed,
-            envelope=(("cos", 1.0 / (2.0 * math.pi**2), 2),),
-            atoms=_HARMONIC_SIN_ATOMS,
-        )
-    if name == "t":
-        return FunctionSpec(
-            name="t",
-            evaluator=lambda t: t,
-            variation_class=VariationClass.SMOOTH_C2,
-            closed_form=_t_closed,
-            envelope=(("cos", 0.0, 2),),
-            atoms=_HARMONIC_SIN_ATOMS,
-        )
-    if name == "exp":
-        return FunctionSpec(
-            name="exp",
-            evaluator=math.exp,
-            variation_class=VariationClass.SMOOTH_C2,
-            closed_form=_exp_closed,
-            atoms=_EXP_ATOMS,
-        )
     if name == "log":
-        # The cosine coefficient -Si(2 pi n)/(2 pi n) is the atom -1/(4n) plus
-        # eps_n = (pi/2 - Si(2 pi n))/(2 pi n), and |eps_n| <= 1/(2 pi^2 n^2)
-        # since |pi/2 - Si(x)| <= 2/x.  The sine coefficients grow like
-        # ln(n)/n and have neither; the engine measures their envelope.
+        # The cosine coefficient -Si(2 pi n)/(2 pi n) is -1/(4n) + f(x)/x at
+        # x = 2 pi n, with f(x) = pi/2 - Si(x) there (DLMF 6.2).  Since
+        # f(x) - 1/x = -integral e^{-xt} t^2/(1 + t^2) dt lies in [-2/x^3, 0],
+        # it is the atoms -1/(4n) + 1/(4 pi^2 n^2) plus at most 1/(8 pi^4 n^4).
+        # The sine coefficients grow like ln(n)/n and have neither; the
+        # engine measures their envelope.
         return FunctionSpec(
             name="log",
             evaluator=math.log,
             variation_class=VariationClass.INTEGRABLE_SINGULAR_AT_ZERO,
             singular_at_zero=True,
             closed_form=_log_closed,
-            envelope=(("cos", 1.0 / (2.0 * math.pi**2), 2),),
-            atoms=(("cos", ((-0.25, 0.0),)),),
+            envelope=(("cos", 1.0 / (8.0 * math.pi**4), 4),),
+            atoms=(("cos", ((-0.25, 0.0), (1.0 / (4.0 * math.pi**2), 0.0, 2))),),
         )
-    if name.startswith("step:"):
+    variation, jumps = VariationClass.SMOOTH_C2, ()
+    if name in _SMOOTH:
+        evaluator, atoms = _SMOOTH[name]
+    elif name.startswith("step:"):
         try:
             y = Fraction(name[5:])
         except ZeroDivisionError:
             raise ValueError(f"step threshold {name[5:]!r} has a zero denominator") from None
-        return _make_step(y)
-    raise ValueError(f"unknown function name {name!r}; expected one of {BUILTIN_NAMES}")
+        atoms, name, yf = _step_atoms(y), f"step:{y}", float(y)
+        evaluator = lambda t: 1.0 if t <= yf else 0.0
+        variation, jumps = VariationClass.PIECEWISE_SMOOTH, ((yf, 1.0, 0.0),)
+    else:
+        raise ValueError(f"unknown function name {name!r}; expected one of {BUILTIN_NAMES}")
+    return FunctionSpec(
+        name=name,
+        evaluator=evaluator,
+        variation_class=variation,
+        jump_points=jumps,
+        closed_form=partial(_atom_sum, atoms),
+        envelope=(("cos", 0.0, 2),) if name == "t" else (),  # t's cosine side is 0
+        atoms=atoms,
+    )
 
 
 BUILTIN_NAMES = ("t2", "t", "exp", "log", "step:<y>")

@@ -131,7 +131,9 @@ def check_log_identity(d: int, tol: float = DEFAULT_TOLERANCES[2]) -> IdentityCh
             f"identity 2 requires chi(-1) = +1 (fundamental discriminant d > 1); got d = {d}"
         )
     check = _theorem_check(2, d, None, builtin_function("log"), tol, tol, 4096, 2**19)
-    shift = math.sqrt(d) / 2 * l_one(real_primitive_character(d), min(tol / 8, 1e-9)).value
+    # the shift cancels from abs_error, so l_one's target stops above its 1e-13 floor
+    target = min(max(tol / 8, 1e-12), 1e-9)
+    shift = math.sqrt(d) / 2 * l_one(real_primitive_character(d), target).value
     remainder = check.lhs + shift
     return replace(
         check,

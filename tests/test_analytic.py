@@ -16,6 +16,7 @@ import pytest
 
 from charsum.analytic import (
     PeriodicSums,
+    _atom_delta,
     character_series,
     coefficient_fold,
     cosine_integral,
@@ -175,11 +176,17 @@ def test_l_one_rejects_target_not_finite_and_positive(target):
         l_one(real_primitive_character(5), target)
 
 
-def test_l_one_accepts_subnormal_target_and_stops_at_its_cap():
-    # its engine target 2 (target - 1e-13) never halves to 0, so a subnormal
-    # target is legal and only asks for the 2^22-term cap
-    lval = l_one(real_primitive_character(5), 4.9e-324)
-    assert lval.terms_used == 2**22
+@pytest.mark.parametrize("target", [5e-324, 5e-14, 1e-13])
+def test_l_one_rejects_targets_at_or_below_its_floor(target):
+    # the bound keeps a 1e-13 slack for the head's rounding, so no target at or
+    # below it can be met: at 1e-13 the engine's target would be 0
+    with pytest.raises(ValueError, match="above the floor 1e-13"):
+        l_one(real_primitive_character(5), target)
+
+
+def test_l_one_meets_a_target_just_above_its_floor():
+    lval = l_one(real_primitive_character(5), 2e-13)
+    assert lval.tail_bound <= 2e-13 and lval.terms_used < 2**22
     assert lval.value == pytest.approx(L_ONE_MOD5_BRUTE, abs=1e-7)
 
 
@@ -228,6 +235,59 @@ def test_reciprocal_tail_against_exact_remainder():
         corr, bound = reciprocal_tail(sums, [(1.0, 0.0)], start)
         assert abs(corr.real - exact_tail) <= bound + 1e-15
         assert bound < 1e-8
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_atom_differences_against_90_digit_values(m):
+    # Delta^k n^-m: the product form (m = 1, k + 1 roundings) and the rounded
+    # exact rational (m = 2, one rounding) against mpmath at 90 digits, where
+    # at n = 10^6 + 1, k = 5 the alternating sum cancels 28 digits
+    for n in (33, 809, 8073, 10**6 + 1):
+        for k in range(6):
+            with mpmath.workdps(90):
+                ref = mpmath.fsum(
+                    (-1) ** i * mpmath.binomial(k, i) / mpmath.mpf(n + i) ** m for i in range(k + 1)
+                )
+                ours = _atom_delta(1.0, 0.0, k, n, m)
+                assert ours.imag == 0.0 and ref > 0, (n, k)
+                roundings = k + 1 if m == 1 else 1
+                gamma = roundings * 2.0**-53 / (1 - roundings * 2.0**-53)
+                assert abs(ours.real - ref) <= gamma * ref, (n, k)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_power_differences_telescope(m):
+    # the Abel bound's identity sum_{n > N} |Delta^L n^-m| = Delta^{L-1} n^-m (N + 1),
+    # exactly: every Delta^L n^-m is positive (1/n^m is completely monotone) and
+    # sum_{N < n <= M} Delta^L g(n) = Delta^{L-1} g(N + 1) - Delta^{L-1} g(M + 1)
+    def delta(k, n):
+        return sum(Fraction((-1) ** i * math.comb(k, i), (n + i) ** m) for i in range(k + 1))
+
+    start, stop = 33, 233
+    for level in range(1, 7):
+        terms = [delta(level, n) for n in range(start + 1, stop + 1)]
+        assert all(term > 0 for term in terms), level
+        assert sum(terms) == delta(level - 1, start + 1) - delta(level - 1, stop + 1), level
+
+
+def test_power_atom_tail_against_catalan():
+    # chi mod 4 against 1/n^2: the full series is Catalan's constant G, so the
+    # tail past N is known; the atom 1/n^2 alongside 1/n adds its tail and bound
+    chi = build_character_group(4).character_by_index(1)
+    period = np.concatenate([chi.values_real()[1:], [0.0]])
+    sums = PeriodicSums(period)
+    for start in (100, 1000, 5000):
+        with mpmath.workdps(40):
+            head = mpmath.fsum(period[(n % 4) - 1] / mpmath.mpf(n) ** 2 for n in range(1, start + 1))
+            exact_tail = float(mpmath.catalan - head)
+        corr, bound = reciprocal_tail(sums, [(1.0, 0.0, 2)], start)
+        assert 0 < bound < 1e-12 and abs(corr.real - exact_tail) <= bound + 1e-20
+        one, one_bound = reciprocal_tail(sums, [(1.0, 0.0)], start)
+        both, both_bound = reciprocal_tail(sums, [(1.0, 0.0), (-3.0, 0.0, 2)], start)
+        assert abs(both - (one - 3.0 * corr)) <= 1e-15 * abs(one)
+        assert both_bound == pytest.approx(one_bound + 3.0 * bound, rel=1e-15)
+    with pytest.raises(ValueError, match="needs c = 0"):
+        reciprocal_tail(sums, [(1.0, 0.5, 2)], 100)
 
 
 def test_reciprocal_tail_bound_scales_down_with_start():
@@ -352,26 +412,31 @@ def _counting(coefficients, lengths):
     return counted
 
 
-def _remainder(f, kind):
-    """n -> coefficient_n minus the spec's atoms, for n = 1..count."""
+def _envelope_case(name):
+    """(coefficients n -> r_1..r_count, envelope (C, p)) for the engine's envelope
+    path: t2's cosine coefficients 1/(2 pi^2 n^2) under (1/(2 pi^2), 2), and
+    what log's cosine atoms leave of its coefficients under log's envelope."""
+    if name == "t2":
+        c = 1.0 / (2.0 * math.pi**2)
+        return (lambda count: c / np.arange(1, count + 1, dtype=float) ** 2), (c, 2)
+    f = builtin_function(name)
 
     def coeffs(count):
         n = np.arange(1, count + 1)
-        return f.closed_form(n, kind) - sum(coef / (n + c) for coef, c in f.atoms_for(kind))
+        atoms = sum(coef / (n + c) ** (p[0] if p else 1) for coef, c, *p in f.atoms_for("cos"))
+        return f.closed_form(n, "cos") - atoms
 
-    return coeffs
+    return coeffs, f.envelope_for("cos")
 
 
 @pytest.mark.parametrize("name, averaged", [("t2", False), ("log", True)])
 def test_envelope_series_within_bound_of_long_brute_sum(name, averaged):
-    # the engine without atoms, on what the atoms leave of the cosine
-    # coefficients against the even character mod 5: the plain partial sums of
-    # t2 (C/n^2) and the Cesaro mean of log's eps_n (C/n^2); the brute partial
-    # sum to M is within its own Polya-Vinogradov tail 2 K C / (M + 1)^p
-    f = builtin_function(name)
+    # the engine without atoms, against the even character mod 5: the plain
+    # partial sums of t2's cosine coefficients (C/n^2) and the Cesaro mean of
+    # what log's cosine atoms leave (C/n^4); the brute partial sum to M is
+    # within its own Polya-Vinogradov tail 2 K C / (M + 1)^p
     vals = real_primitive_character(5).values_real()
-    env = f.envelope_for("cos")
-    coeffs = _remainder(f, "cos")
+    coeffs, env = _envelope_case(name)
 
     lengths = []
     value, n_terms, bound = character_series(
@@ -388,9 +453,11 @@ def test_envelope_series_within_bound_of_long_brute_sum(name, averaged):
 
 
 def test_atoms_plus_remainder_within_bound_of_long_brute_sum():
-    # log's cosine side against the even character mod 5: the atom -1/(4n)
-    # sums to -L(1, chi)/4 = -ln(golden ratio)/(2 sqrt 5), and the remainder
-    # eps_n is brute-summed to M = 4e6 (its tail is under 2 K C / (M + 1)^2)
+    # log's cosine side, with its declared atoms and envelope, against the even
+    # character mod 5.  The brute sum splits off -1/(4n), which sums to
+    # -L(1, chi)/4 = -ln(golden ratio)/(2 sqrt 5), and the rest
+    # eps_n = (pi/2 - Si(2 pi n))/(2 pi n) <= 1/(4 pi^2 n^2) is brute-summed to
+    # M = 4e6 (its tail is under 2 K / (4 pi^2 (M + 1)^2))
     f = builtin_function("log")
     vals = real_primitive_character(5).values_real()
     c, p = f.envelope_for("cos")
@@ -411,7 +478,7 @@ def test_atoms_plus_remainder_within_bound_of_long_brute_sum():
     eps = si_complement_array(2 * math.pi * n) / (2 * math.pi * n)
     l_one_mod5 = math.log((1 + math.sqrt(5)) / 2) * 2 / math.sqrt(5)
     brute = prefactor * (float((vals[n % 5] * eps).sum()) - l_one_mod5 / 4)
-    brute_tail = 2 * partial_sum_bound(5) * c * prefactor / (m + 1) ** p
+    brute_tail = 2 * partial_sum_bound(5) * prefactor / (4 * math.pi**2 * (m + 1) ** 2)
     assert abs(value - brute) <= bound + brute_tail + 1e-13
 
 

@@ -163,6 +163,28 @@ def test_example_4_with_y(capsys):
     assert r["pass"] is True and r["lhs"]["re"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "y, message",
+    [("1/0", "error: --y '1/0' has a zero denominator"),
+     ("abc", "error: --y 'abc' is not a fraction such as 1/5"),
+     ("nan", "error: --y 'nan' is not a fraction such as 1/5")],
+)
+def test_example_y_that_is_not_a_fraction_exits_2(capsys, y, message):
+    code, out, err = run_cli(capsys, "example", "--id", "4", "-d", "5", "--y", y)
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
+def test_example_2_below_the_l_one_floor_still_reports(capsys):
+    # tol/8 = 1e-13 is l_one's floor; identity 2 asks l_one for more than that,
+    # since the shift cancels from abs_error
+    code, out, err = run_cli(capsys, "example", "--id", "2", "-d", "5", "--tol", "8e-13",
+                             "--format", "json")
+    assert code in (0, 1) and err == ""
+    (row,) = json.loads(out)
+    assert row["check"] == "identity:2" and row["tolerance"] == 8e-13
+
+
 def test_example_4_rejects_long_period_before_allocating(capsys, monkeypatch):
     import charsum.identities as identities
 

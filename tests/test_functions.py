@@ -8,6 +8,7 @@ the integrate-by-parts reduction to quadrature-evaluated sine integrals.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -213,16 +214,22 @@ def test_nested_samples_evaluate_each_grid_point_once():
 
 
 def _atom_sum(f, kind, n):
-    # a periodic coef is one period of weights, indexed by n mod b
+    # a periodic coef is one period of weights, indexed by n mod b; the
+    # optional third element is the exponent
     return sum(
-        (coef if np.ndim(coef) == 0 else coef[n % len(coef)]) / (n + c)
-        for coef, c in f.atoms_for(kind)
+        (coef if np.ndim(coef) == 0 else coef[n % len(coef)]) / (n + c) ** (m[0] if m else 1)
+        for coef, c, *m in f.atoms_for(kind)
     )
 
 
 def test_envelope_bounds_hold():
-    # declared envelopes must dominate |coefficient_n - atoms| over a long range
+    # declared envelopes must dominate |coefficient_n - atoms| over a long range:
+    # t's zero cosine side and log's cosine remainder.  log's remainder comes
+    # within 12/(2 pi n)^2 of its envelope, so above n = 400 the float
+    # difference passes on the 1e-18 allowance alone; test_log_cosine_envelope
+    # checks it in 40 digits up to n = 10^6
     n = np.arange(1, 2001)
+    checked = []
     for name in ("t2", "t", "exp", "log", "step:1/4", "step:1/2", "step:4/5"):
         f = builtin_function(name)
         for kind, c, p in f.envelope:
@@ -230,13 +237,49 @@ def test_envelope_bounds_hold():
             env = c / n.astype(float) ** p
             # equality is attained (e.g. step:1/2 sine at odd n); allow rounding
             assert np.all(remainder <= env * (1 + 1e-14) + 1e-18), (name, kind)
+            checked.append((name, kind))
+    assert checked == [("t", "cos"), ("log", "cos")]
+
+
+def test_log_cosine_envelope():
+    # log's cosine coefficient -Si(x)/x at x = 2 pi n, less its atoms
+    # -1/(4n) + 1/(4 pi^2 n^2), lies in [-C/n^4, 0] with C = 1/(8 pi^4), and
+    # approaches -C/n^4 as n grows.  At n = 10^6 the remainder is 1e-27 against
+    # coefficients of 2.5e-7, so it is taken from 40-digit mpmath, not floats
+    f = builtin_function("log")
+    c, p = f.envelope_for("cos")
+    assert (c, p) == (1.0 / (8.0 * math.pi**4), 4)
+    with mpmath.workdps(40):
+        for n in np.unique(np.geomspace(1, 10**6, 61).astype(int)).tolist():
+            x = 2 * mpmath.pi * n
+            remainder = -mpmath.si(x) / x + mpmath.mpf(1) / (4 * n) - 1 / x**2
+            env = mpmath.mpf(1) / (8 * mpmath.pi**4 * mpmath.mpf(n) ** 4)
+            assert -env <= remainder <= 0, n
+            # f(x) - 1/x = -2/x^3 + 24/x^5 - ..., so the remainder is (1 - 12/x^2 + ...) (-C/n^4)
+            assert remainder <= -(1 - 13 / x**2) * env, n
+
+
+def _old_closed_form(name, n, kind):
+    """The hand-written closed forms the smooth built-ins carried before their
+    atoms became their coefficients, and a step's coefficients by definition."""
+    w = 2 * math.pi * n.astype(float)
+    if name == "t2":
+        return 1.0 / (2.0 * math.pi**2 * n.astype(float) ** 2) if kind == "cos" else -1.0 / w
+    if name == "t":
+        return np.zeros(len(n)) if kind == "cos" else -1.0 / w
+    if name == "exp":
+        den = 1.0 + w**2
+        return (math.e - 1.0) / den if kind == "cos" else -w * (math.e - 1.0) / den
+    y = Fraction(name[5:])
+    angle = (2 * math.pi / y.denominator) * ((n * y.numerator) % y.denominator)
+    return (np.sin(angle) if kind == "cos" else 1.0 - np.cos(angle)) / w
 
 
 def test_atoms_match_closed_forms():
-    # the series head trusts closed_form and the Abel tail trusts the atoms, so
-    # a wrong atom would give a silently wrong tail.  Atoms without a declared
-    # envelope must be exact; the remainder of the others (log's cosine atom)
-    # is checked against its envelope above
+    # the series head and the Abel tail both read the atoms of t2, t, exp and
+    # the steps, so a wrong atom would give a silently wrong series: every kind
+    # with atoms and no envelope must reproduce the old closed form, relative
+    # to each coefficient (a step's exact zeros must stay zero)
     n = np.arange(1, 10**5 + 1)
     exact = 0
     steps = ("step:1/4", "step:1/2", "step:4/5", "step:2/7")
@@ -246,19 +289,38 @@ def test_atoms_match_closed_forms():
             if f.envelope_for(kind) is not None:
                 continue
             exact += 1
+            ref = _old_closed_form(name, n, kind)
             closed = f.closed_form(n, kind)
-            if name in steps:  # the step's closed form against its definition
-                y = Fraction(name[5:])
-                angle = (2 * math.pi / y.denominator) * ((n * y.numerator) % y.denominator)
-                trig = np.sin(angle) if kind == "cos" else 1.0 - np.cos(angle)
-                ref = trig / (2 * math.pi * n)
-                assert np.all(np.abs(closed - ref) <= 1e-14 * np.abs(ref)), (name, kind)
+            assert np.all(np.abs(closed - ref) <= 1e-14 * np.abs(ref)), (name, kind)
             from_atoms = np.asarray(_atom_sum(f, kind, n), dtype=complex)
-            assert np.max(np.abs(from_atoms.imag)) <= 1e-14 * np.max(np.abs(closed)), (name, kind)
-            # relative to each coefficient; a step's exact zeros must stay zero
-            err = np.abs(from_atoms.real - closed)
-            assert np.all(err <= 1e-14 * np.abs(closed)), (name, kind)
-    assert exact == 4 + 2 * len(steps)  # t2 sin, t sin, exp cos and sin; both sides of steps
+            assert np.max(np.abs(from_atoms.imag)) <= 1e-14 * np.max(np.abs(ref)), (name, kind)
+            assert np.array_equal(from_atoms.real, closed), (name, kind)
+    assert exact == 5 + 2 * len(steps)  # t2 cos and sin, t sin, exp cos and sin; steps
+    assert not builtin_function("t").closed_form(n, "cos").any()
+
+
+def test_power_atoms_validated_at_construction():
+    for atom, message in [
+        ((1.0, 0.0, 0), "integer m >= 1"),
+        ((1.0, 0.0, 1.5), "integer m >= 1"),
+        ((1.0, 0.0, 2, 3), "integer m >= 1"),
+        ((1.0, 0.5, 2), "needs c = 0"),
+        ((1.0, 1j, 3), "needs c = 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            FunctionSpec(
+                name="bad-power",
+                evaluator=lambda t: t,
+                variation_class=VariationClass.SMOOTH_C2,
+                atoms=(("cos", (atom,)),),
+            )
+    spec = FunctionSpec(
+        name="power",
+        evaluator=lambda t: t,
+        variation_class=VariationClass.SMOOTH_C2,
+        atoms=(("cos", ((1.0, 0.0, 2), (0.5, 0.25), (0.5, 0.25, 1))),),
+    )
+    assert len(spec.atoms_for("cos")) == 3
 
 
 def test_atoms_validated_at_construction():

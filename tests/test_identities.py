@@ -69,9 +69,11 @@ def test_log_identity_shares_the_coefficient_cache():
     fourier._coeff_cache.pop(log, None)
     cold = check_log_identity(497)
     fourier._coeff_cache.pop(log, None)
-    check_log_identity(5)  # grows the cache in two steps: N for d = 5, then for 497
+    # grow the cache in two steps: a short theorem series, then identity 2's N
+    theorem_series(real_primitive_character(5), log, 1e-8)
+    assert len(fourier._coeff_cache[log]["cos"]) < cold.terms_used
     assert check_log_identity(497) == cold
-    theorem_series(real_primitive_character(101), log, 1e-8)
+    theorem_series(real_primitive_character(101), log, 1e-8, terms=2 * cold.terms_used)
     assert len(fourier._coeff_cache[log]["cos"]) > cold.terms_used
     assert check_log_identity(497) == cold
 
