@@ -1,17 +1,16 @@
 """L(1, chi), the sine/cosine integrals, and the character-twisted series engine.
 
-The L-value evaluator truncates sum chi(n)/n and recovers the discarded tail
-by repeated summation by parts: the iterated partial sums of a non-principal
-character are periodic, so each Abel step extracts an exact boundary term and
-leaves a remainder one order smaller.  The same machinery serves any tail
-sum_{n>N} chi(n) g(n) whose g is a combination of atoms coef/(n + c)^m (m = 1,
-or c = 0), whose forward differences are exact (_atom_delta); a coef given as
-one period of weights w[n mod b] twists the character into the periodic sequence
-chi(n) w(n), of period lcm(q, b).  character_series is the one series engine:
-a head to N, the exact Abel tail of the atoms, and the Polya-Vinogradov tail
-bound of a remainder known only through an envelope C/n^p (optionally
-Cesaro-averaged when there are no atoms).  L(1, chi), the theorem series and
-the four identities all call it.
+character_series is the one series engine: a head to N, the tail of the
+coefficient atoms, and the Polya-Vinogradov tail bound of a remainder known
+only through an envelope C/n^p (optionally Cesaro-averaged when there are no
+atoms).  L(1, chi), the theorem series and the four identities all call it.
+An atom is coef/(n + c)^m (m = 1, or c = 0) or coef ln(n)/n; a coef given as
+one period of weights w[n mod b] twists the character into the periodic
+sequence chi(n) w(n), of period P = lcm(q, b).  The atoms' tail beyond N is
+summed per residue class n = N + r mod P by Euler-Maclaurin summation with a
+rigorous remainder; the class sums, folded by n mod q (reciprocal_tail), make
+a kernel that does not depend on the character, so a character's tail is one
+length-q dot product and N one choice per atom set, modulus and target.
 
 The values are periodic mod m, so the head sum_n v[n mod m] w_n a_n equals
 sum_r v[r] A[r] with A[r] the weighted coefficients of class r.  The engine
@@ -44,6 +43,7 @@ __all__ = [
     "sine_integral_array",
     "cosine_integral_array",
     "si_complement_array",
+    "LOG_ATOM",
     "PeriodicSums",
     "reciprocal_tail",
     "residue_fold",
@@ -173,108 +173,162 @@ def si_complement(x: float) -> float:
     return float(si_complement_array([x])[0])
 
 
-# --- character-twisted tails by repeated summation by parts ------------------
+# --- character-twisted tails: Euler-Maclaurin sums per residue class ---------
+#
+# The tail beyond N of an atom g splits into the classes n = N + r, r = 1..P,
+# of the series period P, and each class sum is (DLMF 2.10.1, 24.2)
+#
+#   sum_{j >= 0} g(a + jP) = (1/P) int_a^inf g + g(a)/2
+#                            - sum_{k <= K} B_2k/(2k)! P^(2k-1) g^(2k-1)(a) + R,
+#   |R| <= |B_2K|/(2K)! P^(2K-1) int_a^inf |g^(2K)|,  |B_2K|/(2K)! = 2 zeta(2K)/(2 pi)^2K.
+#
+# A divergent integral (1/n, ln(n)/n) becomes -(G(a) - G(N))/P for an
+# antiderivative G; the constant dropped from every class multiplies the sum
+# of the sequence over a period, which must be 0 (PeriodicSums).
 
-ABEL_LEVELS = 6
+LOG_ATOM = "log"  # the exponent slot of an atom coef ln(n)/n, whose c is 0
+EM_TERMS = 6  # K
+_BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
+              Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730))  # B_2 .. B_2K
+_EM = [float(b / math.factorial(2 * k)) for k, b in enumerate(_BERNOULLI, 1)]
+_EM_REMAINDER = abs(_EM[-1])
+_ODD = 2 * EM_TERMS - 1
+_HARMONIC = [math.fsum(1.0 / i for i in range(1, j + 1)) for j in range(2 * EM_TERMS + 1)]
+# the log atom's B_2k/(2k)! (2k - 1)!, and the same times H_(2k-1)
+_LOG_EM = [b * math.factorial(2 * k - 1) for k, b in enumerate(_EM, 1)]
+_LOG_EM_H = [b * _HARMONIC[2 * k - 1] for k, b in enumerate(_LOG_EM, 1)]
+
+
+def _odd_series(coeffs: Sequence[float], x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k - 1] x^(2k - 1), by Horner's rule in x^2."""
+    y = x * x
+    total = coeffs[-1]
+    for coef in coeffs[-2::-1]:
+        total = total * y + coef
+    return total * x
+
+
+@lru_cache(maxsize=None)
+def _power_coeffs(m: int) -> tuple[float, ...]:
+    """B_2k/(2k)! (m)_(2k-1) for k = 1..K, (m)_j the rising factorial."""
+    return tuple(b * math.prod(range(m, m + 2 * k - 1)) for k, b in enumerate(_EM, 1))
+
+
+def _class_sums(c: complex, power, n_terms: int, period: int) -> np.ndarray:
+    """sum_{j >= 0} g(a + jP) for the classes a = N + r, r = 1..P, entry i
+    holding the class a = i mod P, less a constant common to every class and
+    within _remainder(power, P, N + 1) each, for g = 1/(n + c)^m or ln(n)/n
+    (power LOG_ATOM).  With x = P/(a + c), the Euler-Maclaurin terms are
+    g(a) sum_k B_2k/(2k)! (m)_(2k-1) x^(2k-1) for a power, since
+    g^(k)(t) = (-1)^k (m)_k/(t + c)^(m + k), and for ln(t)/t, whose
+    g^(k)(t) = (-1)^k k! (ln t - H_k)/t^(k + 1), they are
+    sum_k B_2k/(2k)! (2k - 1)! (ln a - H_(2k-1)) x^(2k-1)/a.  G(a) - G(N) is
+    formed from log1p(r/N), so the common ln N cancels exactly; a power's
+    convergent integral drops N^(1-m)/((m - 1) P) the same way (expm1), so
+    every entry is about as small as g(a)."""
+    r = (np.arange(period) - (n_terms + 1)) % period + 1.0
+    a = n_terms + r
+    if power == LOG_ATOM:
+        shift = np.log1p(r / n_terms)  # ln a - ln N; G = (ln t)^2/2
+        integral = -shift * (2.0 * math.log(n_terms) + shift) / (2.0 * period)
+        x = period / a
+        terms = np.log(a) * (0.5 + _odd_series(_LOG_EM, x)) - _odd_series(_LOG_EM_H, x)
+        return integral + terms / a
+    t = a + c
+    if power == 1:
+        integral = -np.log1p((r + c) / n_terms) / period  # G = ln(t + c)
+    else:
+        integral = np.expm1((1 - power) * np.log1p(r / n_terms)) / ((power - 1) * period)
+        integral *= n_terms ** (1.0 - power)
+    return integral + t**-power * (0.5 + _odd_series(_power_coeffs(power), period / t))
+
+
+def _remainder(power, period: int, a: float) -> float:
+    """|B_2K|/(2K)! P^(2K-1) int_a^inf |g^(2K)|, sound for every a >= 1.
+
+    For 1/(t + c)^m with Re c >= 0, |t + c| >= t gives
+    |g^(2K)(t)| <= (m)_2K/t^(m + 2K), whose integral is (m)_(2K-1)/a^(m + 2K - 1).
+    For ln(t)/t, g^(2K) changes sign once, at t0 = e^(H_2K): the integral is
+    -g^(2K-1)(a) from t0 on, and g^(2K-1)(a) - 2 g^(2K-1)(t0) below it.
+    """
+    x = (period / a) ** _ODD
+    if power != LOG_ATOM:
+        return _EM_REMAINDER * math.prod(range(power, power + _ODD)) * x / a**power
+    core = (math.log(a) - _HARMONIC[_ODD]) * x / a  # -P^(2K-1) g^(2K-1)(a)/(2K-1)!
+    if math.log(a) < _HARMONIC[-1]:  # ln t0 - H_(2K-1) = 1/(2K)
+        core = -core + period**_ODD / (EM_TERMS * math.exp((_ODD + 1) * _HARMONIC[-1]))
+    return _EM_REMAINDER * math.factorial(_ODD) * core
+
+
+def _atom_terms(bounds: Sequence[tuple], share: float, cap: int) -> int:
+    """The least N <= cap (at least 1) at which scale * _remainder(power, P, N + 1)
+    meets `share` for each (scale, power, P) in `bounds`, solved from the closed
+    form of the remainder (for ln(n)/n, by fixed-point iteration on ln(N + 1)
+    from t0 = e^(H_2K) up) and stepped up where rounding leaves it short."""
+    n_terms = 1
+    for scale, power, period in bounds:
+        if scale == 0.0:
+            continue
+        log_c = math.log(scale * _EM_REMAINDER / share) + _ODD * math.log(period)
+        if power == LOG_ATOM:
+            log_c += math.log(math.factorial(_ODD))
+            log_a = max(_HARMONIC[-1], log_c / (_ODD + 1))
+            for _ in range(8):  # contracts by 1/(2K (ln a - H_(2K-1))) per step
+                log_a = max(_HARMONIC[-1], (log_c + math.log(log_a - _HARMONIC[_ODD])) / (_ODD + 1))
+        else:
+            log_a = (log_c + math.log(math.prod(range(power, power + _ODD)))) / (power + _ODD)
+        a = math.ceil(math.exp(min(log_a, math.log(cap + 1.0))))
+        while a <= cap and scale * _remainder(power, period, a) > share:
+            a += 1
+        n_terms = max(n_terms, a - 1)
+    return min(n_terms, cap)
 
 
 class PeriodicSums:
-    """Iterated partial sums of a mean-zero periodic sequence (one period given).
+    """The sum and the absolute sum over one period of the twisted sequence
+    values[n mod m] w[n mod b], of period lcm(m, b) (w = 1 without weights).
 
-    Level j = 1..ABEL_LEVELS holds the periodic array U^j with mean mu_j, where
-    U^1 are the partial sums of the input and U^{j+1} are the partial sums of
-    U^j - mu_j.  max |U^j - mu_j| bounds the level-j fluctuation.
+    The sum must be 0, which holds for a non-principal character: each class
+    sum of the tail kernel drops a constant that the tail multiplies by it.
+    The residues mod lcm(m, b) are the pairs (s mod m, t mod b) with
+    s = t mod gcd(m, b), so both sums take O(m + b).
     """
 
-    def __init__(self, period_values: np.ndarray):
-        vals = np.asarray(period_values)
-        if abs(complex(vals.sum())) > 1e-9:
+    def __init__(self, values: np.ndarray, weights: np.ndarray | None = None):
+        values = np.asarray(values)
+        weights = np.ones(1) if weights is None else weights
+        step = math.gcd(len(values), len(weights))
+
+        def classes(x):
+            return x.reshape(-1, step).sum(axis=0)
+
+        if abs(complex(classes(values) @ classes(weights))) > 1e-9:
             raise ValueError("sequence must have mean zero over a period (non-principal character)")
-        self.period = len(vals)
-        self._U: list[np.ndarray] = []
-        self.means: list[complex] = []
-        self.fluctuation: list[float] = []
-        u = vals.astype(complex) if np.iscomplexobj(vals) else vals.astype(float)
-        for _ in range(ABEL_LEVELS):
-            U = np.cumsum(u)
-            mu = U.mean()
-            self._U.append(U)
-            self.means.append(mu)
-            u = U - mu
-            self.fluctuation.append(float(np.abs(u).max()))
-
-    def partial(self, level: int, n: int):
-        """U^{level}_n for n >= 1 (1-based sequence index)."""
-        return self._U[level - 1][(n - 1) % self.period]
+        self.absolute = float(classes(np.abs(values)) @ classes(np.abs(weights)))
 
 
-@lru_cache(maxsize=4096)
-def _power_difference(k: int, n: int, m: int) -> float:
-    """Delta^k n^-m, rounded from the exact sum_i (-1)^i C(k, i)/(n + i)^m,
-    whose terms cancel too many digits to be summed in floats."""
-    return float(sum(Fraction((-1) ** i * math.comb(k, i), (n + i) ** m) for i in range(k + 1)))
+def _atom_groups(atoms: Sequence[tuple], m: int) -> list[tuple]:
+    """The atoms as groups (weights, period, [(coef, c, power)]), by their
+    period of weights.
 
-
-def _atom_delta(coef, c: complex, k: int, n: int, m: int = 1) -> complex:
-    """coef Delta^k g(n) for g(n) = 1/(n + c)^m, Delta g(n) = g(n) - g(n + 1): the
-    product coef k!/prod_{j <= k} (n + j + c) for m = 1, else (c = 0) the exact form."""
-    if m != 1:
-        return coef * _power_difference(k, n, m)
-    den = complex(1.0)
-    for j in range(k + 1):
-        den *= n + j + c
-    return coef * float(math.factorial(k)) / den
-
-
-def reciprocal_tail(sums: PeriodicSums, atoms: Sequence[tuple], start: int) -> tuple[complex, float]:
-    """(value, error bound) for sum_{n > start} a_n g(n).
-
-    a_n is the periodic sequence behind `sums`; g(n) = sum of coef/(n + c)^m
-    over the (coef, c) or (coef, c, m) atoms (m = 1 when omitted), each with
-    Re(c) >= 0, and c = 0 when m > 1.  The value is the sum of exact Abel
-    boundary terms over the levels; the bound covers the remaining fluctuation
-    term at the best level L, with sum_{n > N} |Delta^L g(n)| at most
-    sum |coef| Delta^{L-1} n^-m (N + 1): 1/n^m is completely monotone, so the
-    sum telescopes, and |n + c| >= n for m = 1.
-    """
-    sizes: dict[int, float] = {}  # sum |coef| per exponent m
-    for coef, c, *power in atoms:
-        m = power[0] if power else 1
-        if m != 1 and c != 0:
-            raise ValueError(f"a power atom 1/(n + c)^{m} needs c = 0, got c = {c}")
-        sizes[m] = sizes.get(m, 0.0) + abs(coef)
-    value, best = 0j, (math.inf, 0j)
-    for level in range(1, len(sums.means) + 1):
-        dg = sum(_atom_delta(coef, c, level - 1, start + 1, *power) for coef, c, *power in atoms)
-        value += (sums.means[level - 1] - sums.partial(level, start)) * dg
-        fluctuation = sums.fluctuation[level - 1]
-        bound = sum(
-            _atom_delta(fluctuation * size, 0.0, level - 1, start + 1, m).real
-            for m, size in sizes.items()
-        )
-        if bound < best[0]:
-            best = bound, value
-    return best[1], best[0]
-
-
-def _abel_groups(values: np.ndarray, atoms: Sequence[tuple]) -> list[tuple[PeriodicSums, list]]:
-    """The atoms grouped by their period of weights, each group with its sums.
-
-    Scalar atoms share the sums of `values`.  The atoms whose coef is one and
-    the same array w of length b become unit atoms 1/(n + c)^m over the twisted
-    sequence values[n % m] w[n % b], of period lcm(m, b); a period above
-    MODULUS_CEILING is rejected before that sequence is allocated.
+    Scalar atoms form the group of weights None and period m.  The atoms whose
+    coef is one and the same array w of length b become unit atoms over the
+    weights w, of period lcm(m, b); a period above MODULUS_CEILING is rejected.
+    power is the exponent m (1 when omitted) or LOG_ATOM, and needs c = 0
+    unless it is 1.
     """
     groups: dict[int | None, tuple[np.ndarray | None, list]] = {}
-    for coef, *rest in atoms:
+    for coef, c, *power in atoms:
+        power = power[0] if power else 1
+        if power != 1 and c != 0:
+            raise ValueError(f"a power or log atom ({power}) needs c = 0, got c = {c}")
         if np.ndim(coef) == 0:
-            groups.setdefault(None, (None, []))[1].append((coef, *rest))
+            groups.setdefault(None, (None, []))[1].append((coef, c, power))
         else:
-            groups.setdefault(id(coef), (coef, []))[1].append((1.0, *rest))
-    m = len(values)
+            groups.setdefault(id(coef), (coef, []))[1].append((1.0, c, power))
     out = []
     for weights, group in groups.values():
-        period_values = values
+        period = m
         if weights is not None:
             b = len(weights)
             period = math.lcm(m, b)
@@ -283,16 +337,26 @@ def _abel_groups(values: np.ndarray, atoms: Sequence[tuple]) -> list[tuple[Perio
                     f"coefficient weights of period {b} make the series period "
                     f"lcm({m}, {b}) = {period} exceed the modulus ceiling {MODULUS_CEILING}"
                 )
-            r = np.arange(period)
-            period_values = values[r % m] * weights[r % b]
-        out.append((PeriodicSums(np.roll(period_values, -1)), group))  # entry n - 1 holds n
+        out.append((weights, period, group))
     return out
 
 
-def _abel_tail(groups: list[tuple[PeriodicSums, list]], start: int) -> tuple[complex, float]:
-    """reciprocal_tail summed over the atom groups: (value, error bound)."""
-    parts = [reciprocal_tail(sums, group, start) for sums, group in groups]
-    return sum(value for value, _ in parts), sum(bound for _, bound in parts)
+def reciprocal_tail(atoms: Sequence[tuple], m: int, n_terms: int) -> np.ndarray:
+    """The tail kernel K of the atoms beyond N, folded to the m residue classes.
+
+    For one period `values` of length m whose twisted periods sum to 0
+    (PeriodicSums), sum_{n > N} values[n mod m] g(n) is sum_r values[r] K[r],
+    g the real part of the sum of the atoms, within the bound character_series
+    reports: the class sum of each n mod P in a group of period P, times
+    coef w[n mod b], adds to K[n mod m].  K does not depend on the character.
+    """
+    kernel = np.zeros(m)
+    for weights, period, group in _atom_groups(atoms, m):
+        sums = sum(coef * _class_sums(c, power, n_terms, period) for coef, c, power in group)
+        if weights is not None:
+            sums = sums * np.tile(weights, period // len(weights))
+        kernel += sums.real.reshape(-1, m).sum(axis=0)
+    return kernel
 
 
 _UNIT = 2.0**-53  # unit roundoff of float64
@@ -447,38 +511,47 @@ def character_series(
     envelope: tuple[float, int] = (0.0, 1),
     terms: int | None = None,
     averaged: bool = False,
+    tail: Callable[[int, int], np.ndarray] | None = None,
 ) -> tuple[complex, int, float]:
     """(value, N, tail bound) for prefactor * sum_{n >= 1} values[n % m] a_n.
 
     `values` is one period of length m, indexed by n mod m, and
     `fold(m, N, averaged)` returns the coefficients a_n folded by n mod m as
     residue_fold does (coefficient_fold builds it from a coefficient
-    function).  The coefficients are modelled as
-    a_n = sum coef/(n + c)^e over the atoms (coef, c) or (coef, c, e), as in
-    reciprocal_tail, plus a remainder r_n with
-    |r_n| <= C/n^p, envelope = (C, p).  A coef is a scalar, or one period of
-    weights (a 1-D array w of length b) meaning w[n % b]/(n + c)^e.  With atoms,
-    each sequence the Abel tail runs over (`values`, and values[n % m] w[n % b]
-    of period lcm(m, b) <= MODULUS_CEILING for each weights array) must have
-    mean zero.
+    function).  The coefficients are modelled as a_n = the real part of
+    sum coef g(n) over the atoms (coef, c) or (coef, c, e), g(n) = 1/(n + c)^e
+    (e = 1 when omitted, Re(c) >= 0, c = 0 when e > 1) or ln(n)/n
+    (e = LOG_ATOM, c = 0), plus a remainder r_n with |r_n| <= C/n^p,
+    envelope = (C, p).  A coef is a scalar, or one period of weights (a 1-D
+    array w of length b) meaning w[n % b] g(n).  With atoms, the sequence
+    `values` and each values[n % m] w[n % b] of period lcm(m, b) <=
+    MODULUS_CEILING must sum to 0 over a period (PeriodicSums).
 
     The head sums prefactor * values[n % m] a_n to N; with `averaged` (legal
     only without atoms) the value is instead the Cesaro mean of the partial
     sums over [N, 2N] and the remainder bound is doubled.  Either way the head
     is fold_head over the m residue classes.  The atoms' tail is
-    the exact Abel correction; the remainder's tail is bounded by
-    2 K C |prefactor| / (N + 1)^p, K = partial_sum_bound(m).  N is the least
-    integer >= start whose remainder bound meets the target (half the target
-    with atoms), clamped to the cap (cap // 2, but at least 1, when averaged);
-    N then doubles, clamped to the cap, while |prefactor| times the Abel bound
-    exceeds half the target.  An explicit `terms` fixes N.  The bound covers
-    truncation only; head_rounding_bound bounds the head's rounding.
+    sum_r values[r] K[r] for the kernel K = tail(m, N), reciprocal_tail(atoms,
+    m, N) by default (a caller may cache it: it does not depend on values).
+    Its bound is |prefactor| times, per atom, |coef| times the absolute sum of
+    its (twisted) period times _remainder at N + 1; the remainder's tail is
+    bounded by 2 K C |prefactor| / (N + 1)^p, K = partial_sum_bound(m).  N is
+    the least integer >= start whose remainder bound meets the target (half
+    the target with atoms) and at which each of k atoms' bounds meets
+    target/(2k), clamped to the cap (cap // 2, but at least 1, when
+    averaged).  An explicit `terms` fixes N.  The bound covers truncation
+    only; head_rounding_bound bounds the head's rounding.
     """
     if averaged and atoms:
         raise ValueError("Cesaro averaging applies only to series without atoms")
-    groups = _abel_groups(values, atoms)
+    m = len(values)
+    size = abs(prefactor)
+    bounds = []  # (scale, power, period) per atom
+    for weights, period, group in _atom_groups(atoms, m):
+        scale = size * PeriodicSums(values, weights).absolute
+        bounds += [(scale * abs(coef), power, period) for coef, _, power in group]
     c, p = envelope
-    weight = (4.0 if averaged else 2.0) * partial_sum_bound(len(values)) * c * abs(prefactor)
+    weight = (4.0 if averaged else 2.0) * partial_sum_bound(m) * c * size
     if terms is not None:
         n_terms = int(terms)
     else:
@@ -487,13 +560,13 @@ def character_series(
         n_terms = min(max(start, math.ceil(min(need, cap))), cap)
         if averaged:
             n_terms = max(1, min(n_terms, cap // 2))
-    correction, abel_bound = _abel_tail(groups, n_terms)  # (0, 0) without atoms
-    while terms is None and abs(prefactor) * abel_bound > target / 2 and n_terms < cap:
-        n_terms = min(2 * n_terms, cap)
-        correction, abel_bound = _abel_tail(groups, n_terms)
-    head = fold_head(values, fold(len(values), n_terms, averaged))
-    bound = abs(prefactor) * abel_bound + weight / float(n_terms + 1) ** p
-    return prefactor * (head + correction), n_terms, bound
+        elif bounds:
+            n_terms = max(n_terms, _atom_terms(bounds, target / (2 * len(bounds)), cap))
+    head = fold_head(values, fold(m, n_terms, averaged))
+    if atoms:
+        head += values @ (reciprocal_tail(atoms, m, n_terms) if tail is None else tail(m, n_terms))
+    bound = sum(scale * _remainder(power, period, n_terms + 1.0) for scale, power, period in bounds)
+    return prefactor * head, n_terms, bound + weight / float(n_terms + 1) ** p
 
 
 # --- L(1, chi) ----------------------------------------------------------------
@@ -517,9 +590,8 @@ def partial_sum_bound(q: int) -> float:
 def l_one(chi: DirichletCharacter, target_accuracy: float = 1e-9) -> LValue:
     """L(1, chi) = sum chi(n)/n for a non-principal character.
 
-    Direct partial sum to N, with the tail recovered by repeated summation
-    by parts over complete periods (character_series with the one atom 1/n);
-    N starts at max(1024, 4q) and is doubled until the rigorous tail bound fits.
+    The 1/n fold to N plus the 1/n kernel beyond it (character_series with
+    the one atom 1/n), N the least at which the rigorous tail bound fits.
     The bound adds 1e-13 for the head's rounding, so target_accuracy must be
     finite and above that floor; the engine's target is 2 (target - 1e-13).
     """
@@ -535,8 +607,8 @@ def l_one(chi: DirichletCharacter, target_accuracy: float = 1e-9) -> LValue:
         values,
         coefficient_fold(lambda count: 1.0 / np.arange(1, count + 1)),
         1.0,
-        2.0 * (target_accuracy - slack),  # the engine spends half its target on the Abel tail
-        max(1024, 4 * chi.modulus),
+        2.0 * (target_accuracy - slack),  # the engine spends half its target on the atoms
+        1,
         2**22,
         atoms=[(1.0, 0.0)],
     )

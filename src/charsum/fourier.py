@@ -9,16 +9,18 @@ Two routes are provided and compared:
   truncated with a rigorous tail bound.
 
 Both are summed by one call of analytic.character_series, which takes the
-coefficients folded by n mod q (cached_fold): one fold per spec, kind,
-modulus, N and window serves every character with that N, and folds, not long
-coefficient arrays, are what is kept (cached_coefficients retains at most
-RETAINED_TERMS per spec and kind).  A spec holds its f* table and folds for
-the modulus in use only, since every command runs one modulus at a time.  The
-tail of the spec's atoms for the branch (all rows of t2, exp, the steps and
-even log, odd rows of t) is summed exactly; what the atoms leave (all of the
-coefficient without them) is bounded by the Polya-Vinogradov partial-sum bound
-times the total variation of its envelope.  Jump and log classes without atoms
-(odd log, user specs) are Cesaro-averaged over the window [N, 2N].
+coefficients folded by n mod q (cached_fold) and the tail kernel of the
+spec's atoms (cached_tail): one fold and one kernel per spec, kind, modulus
+and N serve every character with that N, and folds, not long coefficient
+arrays, are what is kept (cached_coefficients retains at most RETAINED_TERMS
+per spec and kind).  A spec holds its f* table, folds and kernels for the
+modulus in use only, since every command runs one modulus at a time.  The
+tail of the spec's atoms for the branch (every row of t2, exp, log and the
+steps, odd rows of t) is one length-q dot product with the kernel, within a
+rigorous Euler-Maclaurin bound; what the atoms leave (all of the coefficient
+without them) is bounded by the Polya-Vinogradov partial-sum bound times the
+total variation of its envelope.  Jump and log classes without atoms (user
+specs) are Cesaro-averaged over the window [N, 2N].
 
 Coefficients without a closed form come from piecewise Filon quadrature.  f is
 sampled once per piece (an interval between jumps, or one interval of the
@@ -36,9 +38,9 @@ from functools import partial
 
 import numpy as np
 
-from .analytic import character_series, check_tolerance, residue_fold
+from .analytic import character_series, check_tolerance, reciprocal_tail, residue_fold
 from .characters import DirichletCharacter
-from .functions import FunctionSpec, VariationClass, fstar
+from .functions import FunctionSpec, VariationClass
 from .gauss_sums import tau
 from .quadrature import ABS_FLOOR, REL_TOL, NestedSamples, QuadratureError, filon_adaptive, graded_edges
 
@@ -47,6 +49,7 @@ __all__ = [
     "TheoremCheck",
     "cached_coefficients",
     "cached_fold",
+    "cached_tail",
     "direct_sum",
     "fourier_coefficient",
     "theorem_series",
@@ -58,7 +61,8 @@ _QUADRATURE_TERMS_CAP = 4096
 _MIN_TERMS = 32
 
 # per-FunctionSpec caches, keyed by object identity; _modulus_cache holds
-# (q, {"fstar": table, (kind, N, averaged): fold}) for the modulus in use
+# (q, {"fstar": table, (kind, N, averaged): fold, (kind, N, "tail"): kernel})
+# for the modulus in use
 _coeff_cache: "weakref.WeakKeyDictionary[FunctionSpec, dict]" = weakref.WeakKeyDictionary()
 _sample_cache: "weakref.WeakKeyDictionary[FunctionSpec, list]" = weakref.WeakKeyDictionary()
 _modulus_cache: "weakref.WeakKeyDictionary[FunctionSpec, tuple]" = weakref.WeakKeyDictionary()
@@ -76,21 +80,32 @@ def _require_primitive(chi: DirichletCharacter) -> None:
         )
 
 
-def _modulus_tables(f: FunctionSpec, q: int) -> dict:
-    """The spec's tables for modulus q; a new modulus replaces the held one."""
+def _modulus_table(f: FunctionSpec, q: int, key, build) -> np.ndarray:
+    """The spec's read-only table `key` for modulus q, from build() on a miss;
+    a new modulus replaces the tables held for the last one."""
     held = _modulus_cache.get(f)
     if held is None or held[0] != q:
         held = _modulus_cache[f] = (q, {})
-    return held[1]
+    table = held[1].get(key)
+    if table is None:
+        table = held[1][key] = build()
+        table.flags.writeable = False
+    return table
 
 
 def _fstar_values(f: FunctionSpec, q: int) -> np.ndarray:
-    tables = _modulus_tables(f, q)
-    arr = tables.get("fstar")
-    if arr is None:
-        arr = tables["fstar"] = np.array([fstar(f, k / q) for k in range(1, q)])
-        arr.flags.writeable = False
-    return arr
+    """f*(k/q) for k = 1..q-1, equal to fstar(f, k/q) bit for bit: the evaluator
+    at every point, then the midpoint value at each jump t that is some k/q."""
+
+    def build():
+        table = np.array([f.evaluator(k / q) for k in range(1, q)], dtype=float)
+        for t, left, right in reversed(f.jump_points):  # fstar takes the first match
+            k = round(t * q)
+            if 0 < k < q and k / q == t:
+                table[k - 1] = 0.5 * (left + right)
+        return table
+
+    return _modulus_table(f, q, "fstar", build)
 
 
 def direct_sum(chi: DirichletCharacter, f: FunctionSpec) -> float | complex:
@@ -218,14 +233,21 @@ def cached_fold(f: FunctionSpec, kind: str, m: int, n_terms: int, averaged: bool
     the modulus in use only; a fold is a new (2, m) array and keeps no
     reference to the coefficients it was built from.
     """
-    tables = _modulus_tables(f, m)
-    key = (kind, n_terms, averaged)
-    folded = tables.get(key)
-    if folded is None:
-        coeffs = cached_coefficients(f, kind, 2 * n_terms if averaged else n_terms)
-        folded = tables[key] = residue_fold(coeffs, m, averaged)
-        folded.flags.writeable = False
-    return folded
+    length = 2 * n_terms if averaged else n_terms
+    return _modulus_table(f, m, (kind, n_terms, averaged),
+                          lambda: residue_fold(cached_coefficients(f, kind, length), m, averaged))
+
+
+def cached_tail(f: FunctionSpec, kind: str, m: int, n_terms: int) -> np.ndarray:
+    """The tail kernel of the spec's atoms of one kind beyond N, folded by
+    n mod m (analytic.reciprocal_tail).
+
+    This is the tail callable of every theorem series (partial(cached_tail,
+    f, kind)).  Kernels are cached next to the folds, keyed by (kind, N,
+    "tail"), for the modulus in use only.
+    """
+    return _modulus_table(f, m, (kind, n_terms, "tail"),
+                          lambda: reciprocal_tail(f.atoms_for(kind), m, n_terms))
 
 
 # --- truncated series with tail bound ----------------------------------------
@@ -242,7 +264,7 @@ class SeriesEvaluation:
     averaged: bool
     best_effort: bool
     quadrature_budget: float
-    tail_method: str  # "abel", "envelope" or "cesaro"
+    tail_method: str  # "euler_maclaurin", "envelope" or "cesaro"
 
 
 def _envelope(f: FunctionSpec, kind: str) -> tuple[float, int]:
@@ -271,11 +293,12 @@ def theorem_series(
     """Evaluate the theorem series for chi and f, choosing N from the tail bound.
 
     When f declares atoms for the branch's coefficient kind, the atoms' tail
-    beyond N is summed by repeated summation by parts (tail method "abel"), so
-    N stays O(q) (O(lcm(q, b)) for atoms with weights of period b) unless the
-    remainder envelope asks for more.  Otherwise N is
-    picked from the envelope bound (tail method "envelope"); jump and singular
-    variation classes are Cesaro-averaged over the window [N, 2N] (tail method
+    beyond N is the dot product of the character with the cached kernel of
+    Euler-Maclaurin class sums (tail method "euler_maclaurin"), so N stays
+    O(q) (O(lcm(q, b)) for atoms with weights of period b) unless the
+    remainder envelope asks for more.  Otherwise N is picked from the
+    envelope bound (tail method "envelope"); jump and singular variation
+    classes are Cesaro-averaged over the window [N, 2N] (tail method
     "cesaro").  When the bound cannot reach target_accuracy within the cap the
     evaluation is best-effort with the bound reported as is.  An explicit
     `terms` overrides the choice of N and must not exceed terms_cap.  The head
@@ -298,7 +321,7 @@ def theorem_series(
         VariationClass.PIECEWISE_SMOOTH,
         VariationClass.INTEGRABLE_SINGULAR_AT_ZERO,
     )
-    tail_method = "abel" if atoms else "cesaro" if averaged else "envelope"
+    tail_method = "euler_maclaurin" if atoms else "cesaro" if averaged else "envelope"
 
     tau_value = tau(chi).value
     prefactor = 2.0 * tau_value if even else -2.0j * tau_value
@@ -309,7 +332,7 @@ def theorem_series(
     start = max(_MIN_TERMS, 8 * q) if atoms else _MIN_TERMS
     value, n_terms, tail = character_series(
         table, partial(cached_fold, f, kind), prefactor, target_accuracy, start, cap,
-        atoms, _envelope(f, kind), terms, averaged,
+        atoms, _envelope(f, kind), terms, averaged, partial(cached_tail, f, kind),
     )
     best_effort = tail > target_accuracy
 

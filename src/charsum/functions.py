@@ -3,15 +3,16 @@
 A FunctionSpec carries everything the series engine needs: a pointwise
 evaluator, the jump points with their one-sided limits, a flag for an
 integrable singularity at 0, optional closed-form Fourier coefficients,
-optional atoms coef/(n + c)^m (coef a scalar or one period of weights) whose
-series tail is summed exactly, a proven envelope of what the atoms leave of
-the coefficient when one is known, and the variation class that drives
-truncation bounds.  Of the built-ins, t2, t, exp and the steps are exactly
-their atoms, and their closed form is the one evaluator _atom_sum, so the
-series head and the Abel tail read one description; a step at y = a/b is the
-atoms w[n mod b]/n, so b may not exceed the modulus ceiling.  log keeps its
-Si/Ci closed form, with the cosine atoms -1/(4n) + 1/(4 pi^2 n^2) and the
-envelope 1/(8 pi^4 n^4).
+optional atoms coef/(n + c)^m and coef ln(n)/n (coef a scalar or one period
+of weights) whose series tail is summed to within a rigorous bound, a proven
+envelope of what the atoms leave of the coefficient when one is known, and
+the variation class that drives truncation bounds.  Of the built-ins, t2, t,
+exp and the steps are exactly their atoms, and their closed form is the one
+evaluator _atom_sum, so the series head and the tail read one description; a
+step at y = a/b is the atoms w[n mod b]/n, so b may not exceed the modulus
+ceiling.  log keeps its Si/Ci closed form, with the cosine atoms
+-1/(4n) + 1/(4 pi^2 n^2) under the envelope 1/(8 pi^4 n^4), and the sine
+atoms -(gamma + ln 2 pi)/(2 pi n) - ln(n)/(2 pi n) under 1/(8 pi^3 n^3).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import EULER_GAMMA, cosine_integral_array, sine_integral_array
+from .analytic import EULER_GAMMA, LOG_ATOM, cosine_integral_array, sine_integral_array
 from .characters import MODULUS_CEILING
 
 __all__ = [
@@ -54,11 +55,13 @@ class FunctionSpec:
 
     ``closed_form(n_array, kind)`` returns the Fourier coefficients
     integral_0^1 f(t) cos/sin(2 pi n t) dt when analytically known.
-    ``atoms[kind] = ((coef, c), (coef, c, m), ...)`` splits coefficient_n into
-    sum coef / (n + c)^m plus a remainder; m is an integer >= 1, 1 when
-    omitted, each c needs Re(c) >= 0, and c = 0 when m > 1.  A coef is
-    a scalar or one period of weights: a non-empty, finite 1-D array w of
-    length b (kept read-only), meaning w[n mod b] / (n + c)^m.
+    ``atoms[kind] = ((coef, c), (coef, c, m), (coef, 0, "log"), ...)`` splits
+    coefficient_n into the real part of sum coef / (n + c)^m, plus
+    coef ln(n)/n for an atom whose exponent slot is LOG_ATOM ("log"), plus a
+    remainder; m is an integer >= 1, 1 when omitted, each c needs
+    Re(c) >= 0, and c = 0 when m > 1 and for ln(n)/n.  A coef is a scalar or
+    one period of weights: a non-empty, finite 1-D array w of length b (kept
+    read-only), meaning w[n mod b] / (n + c)^m or w[n mod b] ln(n)/n.
     ``envelope[kind] = (C, p)`` asserts |coefficient_n - atoms| <= C / n**p
     for all n >= 1, with C finite and >= 0 and p an integer >= 1.  Atoms
     without an envelope for their kind are exact (zero remainder); a kind with
@@ -90,11 +93,17 @@ class FunctionSpec:
                     raise ValueError(f"atom coef {coef!r} is not finite")
                 if complex(c).real < 0:
                     raise ValueError(
-                        f"atom shift c = {c} has negative real part; the Abel tail needs Re(c) >= 0"
+                        f"atom shift c = {c} has negative real part; the tail bound needs Re(c) >= 0"
                     )
                 m = power[0] if power else 1
+                if isinstance(m, str) and m == LOG_ATOM and len(power) == 1:
+                    if c != 0:
+                        raise ValueError(f"the atom ln(n)/n needs c = 0, got c = {c}")
+                    continue
                 if len(power) > 1 or not (isinstance(m, (int, np.integer)) and m >= 1):
-                    raise ValueError(f"atom exponent {power!r} must be one integer m >= 1")
+                    raise ValueError(
+                        f"atom exponent {power!r} must be one integer m >= 1 or {LOG_ATOM!r}"
+                    )
                 if m > 1 and c != 0:
                     raise ValueError(f"a power atom 1/(n + c)^{m} needs c = 0, got c = {c}")
         for kind, c, p in self.envelope:
@@ -194,16 +203,22 @@ def builtin_function(name: str) -> FunctionSpec:
         # x = 2 pi n, with f(x) = pi/2 - Si(x) there (DLMF 6.2).  Since
         # f(x) - 1/x = -integral e^{-xt} t^2/(1 + t^2) dt lies in [-2/x^3, 0],
         # it is the atoms -1/(4n) + 1/(4 pi^2 n^2) plus at most 1/(8 pi^4 n^4).
-        # The sine coefficients grow like ln(n)/n and have neither; the
-        # engine measures their envelope.
+        # The sine coefficient -(gamma + ln x - Ci(x))/x is the atoms
+        # -(gamma + ln 2 pi)/(2 pi n) - ln(n)/(2 pi n) plus Ci(x)/x = -g(x)/x,
+        # since sin x = 0 and cos x = 1 there, with 0 < g(x) <= 1/x^2: at most
+        # 1/(8 pi^3 n^3).
         return FunctionSpec(
             name="log",
             evaluator=math.log,
             variation_class=VariationClass.INTEGRABLE_SINGULAR_AT_ZERO,
             singular_at_zero=True,
             closed_form=_log_closed,
-            envelope=(("cos", 1.0 / (8.0 * math.pi**4), 4),),
-            atoms=(("cos", ((-0.25, 0.0), (1.0 / (4.0 * math.pi**2), 0.0, 2))),),
+            envelope=(("cos", 1.0 / (8.0 * math.pi**4), 4), ("sin", 1.0 / (8.0 * math.pi**3), 3)),
+            atoms=(
+                ("cos", ((-0.25, 0.0), (1.0 / (4.0 * math.pi**2), 0.0, 2))),
+                ("sin", ((-(EULER_GAMMA + math.log(TWO_PI)) / TWO_PI, 0.0),
+                         (-1.0 / TWO_PI, 0.0, LOG_ATOM))),
+            ),
         )
     variation, jumps = VariationClass.SMOOTH_C2, ()
     if name in _SMOOTH:

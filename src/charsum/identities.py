@@ -24,8 +24,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 
-# PeriodicSums, reciprocal_tail, si_complement_array and tau stay bound here:
-# perfbench/spans.py wraps them by name
+# PeriodicSums, reciprocal_tail (the tail kernel's entry point),
+# si_complement_array and tau stay bound here: perfbench/spans.py wraps them
+# by name
 from .analytic import (  # noqa: F401
     PeriodicSums,
     character_series,
@@ -35,7 +36,7 @@ from .analytic import (  # noqa: F401
     si_complement_array,
 )
 from .characters import MODULUS_CEILING, real_primitive_character
-from .fourier import cached_fold, direct_sum
+from .fourier import cached_fold, cached_tail, direct_sum
 from .functions import builtin_function
 from .gauss_sums import tau  # noqa: F401
 
@@ -87,6 +88,7 @@ def _theorem_check(identity_id, d, y, f, tol, target, start, cap, terms=None) ->
         atoms=f.atoms_for(kind),
         envelope=f.envelope_for(kind) or (0.0, 1),
         terms=terms,
+        tail=partial(cached_tail, f, kind),
     )
     lhs, rhs = direct_sum(chi, f), series.real
     err = abs(lhs - rhs)
@@ -107,7 +109,7 @@ def _theorem_check(identity_id, d, y, f, tol, target, start, cap, terms=None) ->
 def check_square_identity(d: int, tol: float = DEFAULT_TOLERANCES[1]) -> IdentityCheck:
     """Identity 1, the theorem for f = t2: needs chi(-1) = -1, i.e. a negative
     fundamental discriminant.  The series is 2 sqrt(q) sum chi(n) (-1/(2 pi n))
-    = -(sqrt(q)/pi) L(1, chi), its tail the exact Abel tail of that atom."""
+    = -(sqrt(q)/pi) L(1, chi), its tail the kernel of that atom."""
     if d >= 0:
         raise ValueError(
             f"identity 1 requires chi(-1) = -1 (negative fundamental discriminant); got d = {d}"
@@ -161,9 +163,9 @@ def check_partial_sum_identity(
     midpoint value (the k = q y term contributes chi(q y)/2).  F*(y) is the
     direct sum for step:y, exact since every product is +-1, +-1/2 or 0.  With
     y = a/b the step's atoms carry weights of period b, so the series tail
-    beyond N is an Abel tail over the period lcm(q, b), which must not exceed
-    MODULUS_CEILING; N starts at 4 lcm(q, b), and an explicit `terms` fixes N
-    and must not exceed 2^22.
+    beyond N is summed by class over the period lcm(q, b), which must not
+    exceed MODULUS_CEILING; N starts at 4 lcm(q, b), and an explicit `terms`
+    fixes N and must not exceed 2^22.
     """
     if terms is not None and not 1 <= terms <= _PARTIAL_SUM_TERMS_CAP:
         raise ValueError(f"terms must be >= 1 and at most {_PARTIAL_SUM_TERMS_CAP}, got {terms}")

@@ -3,8 +3,9 @@
 Si is checked against a high-order Gauss-Legendre quadrature oracle written
 here from scratch, and Si, pi/2 - Si and Ci against 40-digit mpmath values
 (arrays and scalars); L-values against closed constants, a reversed identity,
-and a brute-force partial-sum value recorded before the build; the series
-engine in each of its modes against long brute sums.
+and a brute-force partial-sum value recorded before the build; the tail
+kernel's class sums against 40-digit digamma, Hurwitz zeta and Stieltjes
+values; the series engine in each of its modes against long brute sums.
 """
 
 import math
@@ -15,8 +16,10 @@ import numpy as np
 import pytest
 
 from charsum.analytic import (
+    LOG_ATOM,
     PeriodicSums,
-    _atom_delta,
+    _class_sums,
+    _remainder,
     character_series,
     coefficient_fold,
     cosine_integral,
@@ -220,82 +223,128 @@ def test_l_one_target_controls_bound():
         assert lval.tail_bound <= target
 
 
-# --- the periodic Abel machinery, against an exact tail ---------------------------
+# --- the tail kernel: Euler-Maclaurin class sums against exact values ----------
 
 
 def test_reciprocal_tail_against_exact_remainder():
     # chi mod 4: the full series is exactly pi/4, so the tail past N is known
     chi = build_character_group(4).character_by_index(1)
-    period = np.concatenate([chi.values_real()[1:], [0.0]])
-    sums = PeriodicSums(period)
-    for start in (100, 1000, 5000):
-        n = np.arange(1, start + 1)
-        head = float((period[(n % 4) - 1] / n).sum())
-        exact_tail = math.pi / 4 - head
-        corr, bound = reciprocal_tail(sums, [(1.0, 0.0)], start)
-        assert abs(corr.real - exact_tail) <= bound + 1e-15
-        assert bound < 1e-8
+    values = chi.values_real()
+    for start in (1, 24, 100, 1000, 5000):
+        with mpmath.workdps(40):
+            head = mpmath.fsum(values[n % 4] / mpmath.mpf(n) for n in range(1, start + 1))
+            exact_tail = float(mpmath.pi / 4 - head)
+        kernel = reciprocal_tail([(1.0, 0.0)], 4, start)
+        bound = PeriodicSums(values).absolute * _remainder(1, 4, start + 1.0)
+        assert kernel.shape == (4,) and kernel.dtype == float
+        assert abs(values @ kernel - exact_tail) <= bound + 1e-15 * np.abs(kernel).max()
+        assert start < 100 or bound < 1e-15
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_atom_differences_against_90_digit_values(m):
-    # Delta^k n^-m: the product form (m = 1, k + 1 roundings) and the rounded
-    # exact rational (m = 2, one rounding) against mpmath at 90 digits, where
-    # at n = 10^6 + 1, k = 5 the alternating sum cancels 28 digits
-    for n in (33, 809, 8073, 10**6 + 1):
-        for k in range(6):
-            with mpmath.workdps(90):
-                ref = mpmath.fsum(
-                    (-1) ** i * mpmath.binomial(k, i) / mpmath.mpf(n + i) ** m for i in range(k + 1)
-                )
-                ours = _atom_delta(1.0, 0.0, k, n, m)
-                assert ours.imag == 0.0 and ref > 0, (n, k)
-                roundings = k + 1 if m == 1 else 1
-                gamma = roundings * 2.0**-53 / (1 - roundings * 2.0**-53)
-                assert abs(ours.real - ref) <= gamma * ref, (n, k)
+def _kernel_oracle(c, power, n_terms, period, r):
+    """sum_{j >= 0} g(N + r + jP) at 40 digits, up to a constant common to
+    every r: -psi((a + c)/P)/P for 1/(n + c), zeta(m, a/P)/P^m for 1/n^m, and
+    (gamma_1(a/P) - ln(P) psi(a/P))/P for ln(n)/n (the Stieltjes constant
+    gamma_1(x) of the Hurwitz zeta function)."""
+    x = mpmath.mpf(n_terms + r) / period
+    if power == LOG_ATOM:
+        return (mpmath.stieltjes(1, x) - mpmath.log(period) * mpmath.digamma(x)) / period
+    if power == 1:
+        return -mpmath.digamma(x + mpmath.mpc(c) / period) / period
+    return mpmath.zeta(power, x) / mpmath.mpf(period) ** power
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_power_differences_telescope(m):
-    # the Abel bound's identity sum_{n > N} |Delta^L n^-m| = Delta^{L-1} n^-m (N + 1),
-    # exactly: every Delta^L n^-m is positive (1/n^m is completely monotone) and
-    # sum_{N < n <= M} Delta^L g(n) = Delta^{L-1} g(N + 1) - Delta^{L-1} g(M + 1)
-    def delta(k, n):
-        return sum(Fraction((-1) ** i * math.comb(k, i), (n + i) ** m) for i in range(k + 1))
+def _kernel_errors(c, power, n_terms, period):
+    """max |(T[r] - T[1]) - oracle| over sampled r, the bound 2 R(N + 1) on it,
+    and the size of the class sums (for the rounding allowance).  Entry i of
+    _class_sums holds the class N + r = i mod P."""
+    sums = _class_sums(c, power, n_terms, period)
+    assert sums.shape == (period,)
+    first = sums[(n_terms + 1) % period]
+    rs = sorted({1, 2, period // 2, period})  # neighbours, the middle and the far end
+    with mpmath.workdps(40):
+        ref = _kernel_oracle(c, power, n_terms, period, 1)
+        error = max(
+            abs(complex(_kernel_oracle(c, power, n_terms, period, r) - ref)
+                - (sums[(n_terms + r) % period] - first))
+            for r in rs
+        )
+    return error, 2 * _remainder(power, period, n_terms + 1.0), float(np.abs(sums).max())
 
-    start, stop = 33, 233
-    for level in range(1, 7):
-        terms = [delta(level, n) for n in range(start + 1, stop + 1)]
-        assert all(term > 0 for term in terms), level
-        assert sum(terms) == delta(level - 1, start + 1) - delta(level - 1, stop + 1), level
+
+@pytest.mark.parametrize(
+    "c, power",
+    [(0.0, 1), (0.3, 1), (0.5j / math.pi, 1), (-0.5j / math.pi, 1), (0.0, 2), (0.0, 3), (0.0, LOG_ATOM)],
+    ids=["digamma", "digamma-shifted", "digamma-complex", "digamma-conjugate", "zeta-2", "zeta-3",
+         "stieltjes"],
+)
+def test_kernel_differences_against_40_digit_values(c, power):
+    # T[r] - T[s] at N = 8P, where the kernel is used: within the remainder
+    # bound of both classes plus the rounding of the class sums, and the
+    # bound itself far below the class sums
+    for period in (7, 101, 1009):
+        n_terms = 8 * period
+        error, bound, size = _kernel_errors(c, power, n_terms, period)
+        assert error <= bound + 1e-14 * size, (period, error, bound)
+        assert bound <= 1e-9 * size, period
+
+
+@pytest.mark.parametrize("power", [1, 2, 3, LOG_ATOM])
+def test_remainder_bound_holds_at_small_and_large_n(power):
+    # the remainder bound is sound from N = 1 on, where the expansion is far
+    # from converged (a = N + 1 below e^(H_12) for the log atom), to N = 8P
+    for period in (7, 101):
+        bounds = []
+        for n_terms in (1, 2, 24, 8 * period):
+            error, bound, size = _kernel_errors(0.0, power, n_terms, period)
+            assert error <= bound + 1e-14 * size, (period, n_terms, error, bound)
+            bounds.append(bound)
+        assert bounds == sorted(bounds, reverse=True)
 
 
 def test_power_atom_tail_against_catalan():
     # chi mod 4 against 1/n^2: the full series is Catalan's constant G, so the
-    # tail past N is known; the atom 1/n^2 alongside 1/n adds its tail and bound
+    # tail past N is known; the atom 1/n^2 alongside 1/n adds its kernel
     chi = build_character_group(4).character_by_index(1)
-    period = np.concatenate([chi.values_real()[1:], [0.0]])
-    sums = PeriodicSums(period)
-    for start in (100, 1000, 5000):
+    values = chi.values_real()
+    for start in (1, 3, 24, 100, 1000):
         with mpmath.workdps(40):
-            head = mpmath.fsum(period[(n % 4) - 1] / mpmath.mpf(n) ** 2 for n in range(1, start + 1))
+            head = mpmath.fsum(values[n % 4] / mpmath.mpf(n) ** 2 for n in range(1, start + 1))
             exact_tail = float(mpmath.catalan - head)
-        corr, bound = reciprocal_tail(sums, [(1.0, 0.0, 2)], start)
-        assert 0 < bound < 1e-12 and abs(corr.real - exact_tail) <= bound + 1e-20
-        one, one_bound = reciprocal_tail(sums, [(1.0, 0.0)], start)
-        both, both_bound = reciprocal_tail(sums, [(1.0, 0.0), (-3.0, 0.0, 2)], start)
-        assert abs(both - (one - 3.0 * corr)) <= 1e-15 * abs(one)
-        assert both_bound == pytest.approx(one_bound + 3.0 * bound, rel=1e-15)
+        kernel = reciprocal_tail([(1.0, 0.0, 2)], 4, start)
+        bound = PeriodicSums(values).absolute * _remainder(2, 4, start + 1.0)
+        assert abs(values @ kernel - exact_tail) <= bound + 1e-15 * np.abs(kernel).max(), start
+        one = reciprocal_tail([(1.0, 0.0)], 4, start)
+        both = reciprocal_tail([(1.0, 0.0), (-3.0, 0.0, 2)], 4, start)
+        assert np.allclose(both, one - 3.0 * kernel, rtol=0, atol=1e-15 * np.abs(both).max())
     with pytest.raises(ValueError, match="needs c = 0"):
-        reciprocal_tail(sums, [(1.0, 0.5, 2)], 100)
+        reciprocal_tail([(1.0, 0.5, 2)], 4, 100)
+    with pytest.raises(ValueError, match="needs c = 0"):
+        reciprocal_tail([(1.0, 0.5, LOG_ATOM)], 4, 100)
 
 
 def test_reciprocal_tail_bound_scales_down_with_start():
-    chi = real_primitive_character(-499)
-    period = np.concatenate([chi.values_real()[1:], [0.0]])
-    sums = PeriodicSums(period)
-    bounds = [reciprocal_tail(sums, [(1.0, 0.0)], s)[1] for s in (2000, 8000, 32000)]
-    assert bounds[0] > bounds[1] > bounds[2]
+    values = real_primitive_character(-499).values_real()
+    bounds = [
+        character_series(values, _harmonic_fold, 1.0, 1e-8, 1, 10**6, [(1.0, 0.0)], terms=s)[2]
+        for s in (1000, 2000, 8000, 32000)
+    ]
+    assert bounds == sorted(bounds, reverse=True) and bounds[-1] < 1e-20
+
+
+def test_log_atom_tail_against_stieltjes_class_sums():
+    # chi mod 5 against ln(n)/n: the tail past N from the folded kernel against
+    # the 40-digit class sums weighted by the character (their common constant
+    # cancels, since the character sums to 0 over a period)
+    values = real_primitive_character(5).values_real()
+    for start in (1, 24, 40):
+        kernel = reciprocal_tail([(1.0, 0.0, LOG_ATOM)], 5, start)
+        bound = PeriodicSums(values).absolute * _remainder(LOG_ATOM, 5, start + 1.0)
+        with mpmath.workdps(40):
+            exact = sum(
+                values[(start + r) % 5] * _kernel_oracle(0.0, LOG_ATOM, start, 5, r) for r in range(1, 6)
+            )
+        assert abs(values @ kernel - float(exact)) <= bound + 1e-15 * np.abs(kernel).max(), start
 
 
 def _harmonic(count):
@@ -341,7 +390,7 @@ def test_abel_series_explicit_terms_and_cap():
     )
     assert n_terms == 777  # fixed N, even though the bound misses the target
     _, n_terms, bound = character_series(vals, _harmonic_fold, 1.0, 1e-30, 1000, 5000, atoms)
-    assert n_terms == 5000 and bound > 1e-30  # doubling 1000 -> 2000 -> 4000 -> clamped
+    assert n_terms == 5000 and bound > 1e-30  # the N the bound asks for, clamped
     _, n_terms, _ = character_series(vals, _harmonic_fold, 1.0, 1e-30, 1000, 600, atoms)
     assert n_terms == 600  # a start above the cap is clamped too
     with pytest.raises(ValueError, match="Cesaro"):

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -108,18 +109,26 @@ def test_verify_theorem_q9_exp_sweeps_all_primitive(capsys):
 
 @pytest.mark.parametrize("function", ["log", "step:1/4"])
 def test_cesaro_with_terms_cap_below_two(capsys, monkeypatch, function):
-    # the Cesaro window [N, 2N] keeps N >= 1 when the cap halves to 0 (odd
-    # characters with log), and the Abel tail stops doubling at the cap (even
-    # ones with log, and every character with a step)
-    methods = {"abel", "cesaro"} if function == "log" else {"abel"}
+    # the Cesaro window [N, 2N] keeps N >= 1 when the cap halves to 0: `log`
+    # runs here as its closed form without atoms, so both parities take the
+    # window; with atoms (the step) N stops at the cap, and the bound at N = 1
+    # is still a bound
+    methods = {"cesaro"} if function == "log" else {"euler_maclaurin"}
     checks = []
     verify_theorem = cli.verify_theorem
+    builtin_function = cli.builtin_function
 
     def recording(*args, **kwargs):
         checks.append(verify_theorem(*args, **kwargs))
         return checks[-1]
 
+    def without_atoms(name):
+        f = builtin_function(name)
+        return dataclasses.replace(f, name=f"{name}#noatoms", atoms=(), envelope=())
+
     monkeypatch.setattr(cli, "verify_theorem", recording)
+    if function == "log":
+        monkeypatch.setattr(cli, "builtin_function", without_atoms)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, _ = run_cli(capsys, "verify-theorem", "-q", "5", "--function", function,
@@ -130,8 +139,9 @@ def test_cesaro_with_terms_cap_below_two(capsys, monkeypatch, function):
     for row in rows:
         assert math.isfinite(row["rhs"]["re"]) and math.isfinite(row["rhs"]["im"])
         assert row["terms_used"] >= 1
-    if methods == {"abel"}:
+    if methods == {"euler_maclaurin"}:
         assert all(row["terms_used"] == 1 for row in rows)
+        assert all(chk.abs_error <= chk.series.tail_bound for chk in checks)
 
 
 def test_verify_theorem_q6_no_primitive_characters(capsys):

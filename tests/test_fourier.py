@@ -9,11 +9,17 @@ import numpy as np
 import pytest
 
 from charsum import fourier
-from charsum.analytic import head_rounding_bound, residue_fold
+from charsum.analytic import head_rounding_bound, reciprocal_tail, residue_fold
 from charsum.characters import build_character_group, real_primitive_character
 from charsum.fourier import direct_sum, theorem_series, verify_theorem
 from charsum.functions import FunctionSpec, VariationClass, builtin_function, fstar
 from charsum.quadrature import QuadratureError, filon_adaptive, graded_edges
+
+
+def log_without_atoms():
+    """log's closed form without its atoms and envelopes, so that both sides
+    take the Cesaro window under a measured envelope."""
+    return dataclasses.replace(builtin_function("log"), name="log#noatoms", atoms=(), envelope=())
 
 
 @pytest.fixture(scope="module")
@@ -59,20 +65,20 @@ def test_series_matches_direct_odd_mod3_t2(odd3):
     sev = theorem_series(odd3, builtin_function("t2"), 1e-8)
     assert abs(sev.value - (-1 / 3)) <= max(1e-8, sev.tail_bound)
     assert sev.parity_branch == "sine_odd" and not sev.averaged
-    assert sev.tail_method == "abel" and not sev.best_effort
+    assert sev.tail_method == "euler_maclaurin" and not sev.best_effort
 
 
 def test_series_matches_direct_even_mod5_exp(chi5):
     sev = theorem_series(chi5, builtin_function("exp"), 1e-8)
     assert abs(sev.value - 0.1330001886208585) <= 1e-8
     assert sev.tail_bound <= 1e-8 and not sev.best_effort
-    assert sev.parity_branch == "cosine_even" and sev.tail_method == "abel"
+    assert sev.parity_branch == "cosine_even" and sev.tail_method == "euler_maclaurin"
 
 
 def test_series_step_function_abel_tail(odd4):
     # the partial character sum F*(1/2) = chi(1) = 1 through the step spec
     assert direct_sum(odd4, builtin_function("step:1/2")) == 1.0
-    # the step's periodic atoms put every character on the exact Abel tail.  Its
+    # the step's periodic atoms put every character on the tail kernel.  Its
     # bound covers truncation only; the float head's own rounding (at most
     # 6.5e-15 measured here) is allowed for apart, as in the identity 4 checks
     rounding = 1e-12
@@ -82,7 +88,7 @@ def test_series_step_function_abel_tail(odd4):
             for f in steps:
                 chk = verify_theorem(chi, f, 1e-8)
                 sev = chk.series
-                assert chk.passed and sev.tail_method == "abel" and not sev.best_effort
+                assert chk.passed and sev.tail_method == "euler_maclaurin" and not sev.best_effort
                 assert sev.tail_bound <= 1e-8, (chi.label, f.name)
                 assert chk.abs_error <= sev.tail_bound + rounding, (chi.label, f.name)
 
@@ -158,11 +164,11 @@ def test_best_effort_flag_for_slow_sine_branch(odd3):
 
 @pytest.mark.parametrize("name", ["t", "t2", "exp"])
 def test_abel_tail_clamped_by_small_terms_cap(name):
-    # the Abel doubling stops at the cap; the bound there is reported as is
+    # N stops at the cap; the bound there is reported as is, and holds
     chi = build_character_group(13).character_by_index(1)
     f = builtin_function(name)
     sev = theorem_series(chi, f, 1e-12, terms_cap=2 * chi.modulus)
-    assert sev.tail_method == "abel" and sev.terms_used == 2 * chi.modulus
+    assert sev.tail_method == "euler_maclaurin" and sev.terms_used == 2 * chi.modulus
     assert sev.best_effort and sev.tail_bound > 1e-12
     assert abs(sev.value - direct_sum(chi, f)) <= sev.tail_bound
 
@@ -187,7 +193,7 @@ def test_explicit_terms_above_cap_rejected_before_allocating(odd3, monkeypatch):
 
     for name in ("cached_coefficients", "character_series"):
         monkeypatch.setattr(fourier, name, no_series)
-    for f in (builtin_function("t"), builtin_function("log")):  # abel and cesaro tails
+    for f in (builtin_function("t"), log_without_atoms()):  # kernel and Cesaro tails
         with pytest.raises(ValueError, match="at most terms_cap = 1000000"):
             theorem_series(odd3, f, 1e-8, terms=10**12)
 
@@ -229,8 +235,8 @@ def test_quadrature_backed_spec_through_verify(odd3):
 
 
 def test_cesaro_series_decay(odd4):
-    # log's sine side has no atoms (its cosine side takes the Abel tail)
-    f = builtin_function("log")
+    # log's sine side without its atoms is a singular class without atoms
+    f = log_without_atoms()
     direct = direct_sum(odd4, f)
     counts = [500, 1000, 2000, 4000, 8000]
     series = [theorem_series(odd4, f, 1e-8, terms=n) for n in counts]
@@ -351,6 +357,26 @@ def test_sample_cache_keeps_quadrature_error_accuracy():
     assert first.value.achieved == cold.value.achieved
 
 
+def test_fstar_table_is_fstar_bit_for_bit():
+    # the table fills from the evaluator and patches each jump that is some
+    # k/q; it must equal fstar point by point, bit for bit
+    y = 3 / 8
+    user = FunctionSpec(
+        name="jump#fstar",
+        evaluator=lambda t: math.exp(t) if t <= y else -t,
+        variation_class=VariationClass.PIECEWISE_SMOOTH,
+        jump_points=((y, math.exp(y), -y), (0.5, 1.0, 0.0)),
+    )
+    specs = [builtin_function(n) for n in ("t2", "t", "exp", "log", "step:1/4", "step:1/2", "step:2/7")]
+    for f in specs + [user]:
+        for q in (3, 7, 8, 14, 16, 29, 40, 101):
+            table = fourier._fstar_values(f, q)
+            expected = np.array([fstar(f, k / q) for k in range(1, q)])
+            assert table.dtype == float and table.tobytes() == expected.tobytes(), (f.name, q)
+    # the jump cases above: 3/8 for q = 8, 16 and 40, 1/2 for every even q
+    assert fourier._fstar_values(user, 16)[5] == 0.5 * (math.exp(y) - y)
+
+
 def test_fstar_cache_keeps_recent_moduli_only():
     t2 = dataclasses.replace(builtin_function("t2"), name="t2#fstar")
     for q in range(3, 40):
@@ -386,23 +412,44 @@ def test_fold_cache_keeps_recent_moduli_only():
 
 def test_group_folds_the_coefficients_once_per_n(monkeypatch):
     # every character of one group with one spec reaches the coefficients
-    # through one fold per (kind, q, N, window); a second pass folds nothing
+    # through one fold per (kind, q, N, window) and the atoms' tail through one
+    # kernel per (kind, q, N); a second pass folds and sums nothing
     log = builtin_function("log")
     fourier._modulus_cache.pop(log, None)
-    folds = []
+    folds, kernels = [], []
 
     def counted(coeffs, m, averaged=False):
         folds.append((m, len(coeffs), averaged))
         return residue_fold(coeffs, m, averaged)
 
+    def counted_tail(atoms, m, n_terms):
+        kernels.append((m, n_terms))
+        return reciprocal_tail(atoms, m, n_terms)
+
     monkeypatch.setattr(fourier, "residue_fold", counted)
+    monkeypatch.setattr(fourier, "reciprocal_tail", counted_tail)
     group = build_character_group(13)
     series = [theorem_series(chi, log, 1e-8) for chi in group.characters() if chi.is_primitive]
-    expected = {(13, s.terms_used * (2 if s.averaged else 1), s.averaged) for s in series}
-    assert {s.averaged for s in series} == {False, True}  # both parities, both windows
-    assert sorted(folds) == sorted(expected)
+    expected = sorted({(s.parity_branch, s.terms_used) for s in series})
+    assert [branch for branch, _ in expected] == ["cosine_even", "sine_odd"]  # both kinds
+    assert not any(s.averaged for s in series)
+    assert sorted(folds) == sorted((13, n, False) for _, n in expected)
+    assert sorted(kernels) == sorted((13, n) for _, n in expected)
     again = [theorem_series(chi, log, 1e-8) for chi in group.characters() if chi.is_primitive]
-    assert len(folds) == len(expected) and again == series
+    assert (len(folds), len(kernels)) == (len(expected), len(expected)) and again == series
+
+
+def test_kernel_cache_keeps_the_modulus_in_use_only():
+    t = dataclasses.replace(builtin_function("t"), name="t#kernel")
+    kernel = fourier.cached_tail(t, "sin", 7, 56)
+    assert fourier.cached_tail(t, "sin", 7, 56) is kernel and not kernel.flags.writeable
+    assert set(fourier._modulus_cache[t][1]) == {("sin", 56, "tail")}
+    assert np.array_equal(kernel, reciprocal_tail(t.atoms_for("sin"), 7, 56))
+    old = weakref.ref(kernel)
+    del kernel
+    fourier.cached_tail(t, "sin", 11, 88)
+    gc.collect()
+    assert old() is None
 
 
 def test_fold_cache_holds_no_coefficient_array():

@@ -215,19 +215,21 @@ def test_nested_samples_evaluate_each_grid_point_once():
 
 def _atom_sum(f, kind, n):
     # a periodic coef is one period of weights, indexed by n mod b; the
-    # optional third element is the exponent
-    return sum(
-        (coef if np.ndim(coef) == 0 else coef[n % len(coef)]) / (n + c) ** (m[0] if m else 1)
-        for coef, c, *m in f.atoms_for(kind)
-    )
+    # optional third element is the exponent, or "log" for ln(n)/n
+    def atom(coef, c, *m):
+        coef = coef if np.ndim(coef) == 0 else coef[n % len(coef)]
+        return coef * np.log(n) / n if m == ("log",) else coef / (n + c) ** (m[0] if m else 1)
+
+    return sum(atom(*a) for a in f.atoms_for(kind))
 
 
 def test_envelope_bounds_hold():
     # declared envelopes must dominate |coefficient_n - atoms| over a long range:
-    # t's zero cosine side and log's cosine remainder.  log's remainder comes
-    # within 12/(2 pi n)^2 of its envelope, so above n = 400 the float
-    # difference passes on the 1e-18 allowance alone; test_log_cosine_envelope
-    # checks it in 40 digits up to n = 10^6
+    # t's zero cosine side and log's two remainders.  log's remainders come
+    # within 12/(2 pi n)^2 and 6/(2 pi n)^2 of their envelopes, so for larger n
+    # the float difference passes on the 1e-18 allowance alone;
+    # test_log_cosine_envelope and test_log_sine_envelope check them in 40
+    # digits up to n = 10^6
     n = np.arange(1, 2001)
     checked = []
     for name in ("t2", "t", "exp", "log", "step:1/4", "step:1/2", "step:4/5"):
@@ -238,7 +240,7 @@ def test_envelope_bounds_hold():
             # equality is attained (e.g. step:1/2 sine at odd n); allow rounding
             assert np.all(remainder <= env * (1 + 1e-14) + 1e-18), (name, kind)
             checked.append((name, kind))
-    assert checked == [("t", "cos"), ("log", "cos")]
+    assert checked == [("t", "cos"), ("log", "cos"), ("log", "sin")]
 
 
 def test_log_cosine_envelope():
@@ -259,6 +261,33 @@ def test_log_cosine_envelope():
             assert remainder <= -(1 - 13 / x**2) * env, n
 
 
+def test_log_sine_envelope():
+    # log's sine coefficient -(gamma + ln x - Ci(x))/x at x = 2 pi n, less its
+    # atoms -(gamma + ln 2 pi)/(2 pi n) - ln(n)/(2 pi n), is Ci(x)/x = -g(x)/x
+    # with 0 < g(x) <= 1/x^2 (DLMF 6.2): it lies in [-C/n^3, 0] with
+    # C = 1/(8 pi^3), and approaches -C/n^3 as n grows.  The atoms are checked
+    # as declared (their float coefs) and the remainder taken in 40 digits
+    f = builtin_function("log")
+    c, p = f.envelope_for("sin")
+    assert (c, p) == (1.0 / (8.0 * math.pi**3), 3)
+    (one, zero, *exponent), (log_coef, log_zero, log_exponent) = f.atoms_for("sin")
+    assert (zero, exponent, log_zero, log_exponent) == (0.0, [], 0.0, "log")
+    with mpmath.workdps(40):
+        assert abs(one - -(mpmath.euler + mpmath.log(2 * mpmath.pi)) / (2 * mpmath.pi)) <= 1e-16
+        assert abs(log_coef - -1 / (2 * mpmath.pi)) <= 1e-17
+        for n in np.unique(np.geomspace(1, 10**6, 61).astype(int)).tolist():
+            x = 2 * mpmath.pi * n
+            coefficient = -(mpmath.euler + mpmath.log(x) - mpmath.ci(x)) / x
+            atoms = mpmath.mpf(one) / n + mpmath.mpf(log_coef) * mpmath.log(n) / n
+            remainder = coefficient - atoms
+            env = mpmath.mpf(1) / (8 * mpmath.pi**3 * mpmath.mpf(n) ** 3)
+            # the float coefs move the atoms by up to 1e-17 (1 + ln n)/n
+            slack = mpmath.mpf(1e-17) * (1 + mpmath.log(n)) / n
+            assert -env - slack <= remainder <= slack, n
+            # g(x) = 1/x^2 - 6/x^4 + ..., so the remainder is (1 - 6/x^2 + ...) (-C/n^3)
+            assert remainder <= -(1 - 7 / x**2) * env + slack, n
+
+
 def _old_closed_form(name, n, kind):
     """The hand-written closed forms the smooth built-ins carried before their
     atoms became their coefficients, and a step's coefficients by definition."""
@@ -276,7 +305,7 @@ def _old_closed_form(name, n, kind):
 
 
 def test_atoms_match_closed_forms():
-    # the series head and the Abel tail both read the atoms of t2, t, exp and
+    # the series head and the tail kernel both read the atoms of t2, t, exp and
     # the steps, so a wrong atom would give a silently wrong series: every kind
     # with atoms and no envelope must reproduce the old closed form, relative
     # to each coefficient (a step's exact zeros must stay zero)
@@ -306,6 +335,9 @@ def test_power_atoms_validated_at_construction():
         ((1.0, 0.0, 2, 3), "integer m >= 1"),
         ((1.0, 0.5, 2), "needs c = 0"),
         ((1.0, 1j, 3), "needs c = 0"),
+        ((1.0, 0.5, "log"), "ln\\(n\\)/n needs c = 0"),
+        ((1.0, 0.0, "ln"), "integer m >= 1 or 'log'"),
+        ((1.0, 0.0, "log", 2), "integer m >= 1 or 'log'"),
     ]:
         with pytest.raises(ValueError, match=message):
             FunctionSpec(
@@ -318,9 +350,9 @@ def test_power_atoms_validated_at_construction():
         name="power",
         evaluator=lambda t: t,
         variation_class=VariationClass.SMOOTH_C2,
-        atoms=(("cos", ((1.0, 0.0, 2), (0.5, 0.25), (0.5, 0.25, 1))),),
+        atoms=(("cos", ((1.0, 0.0, 2), (0.5, 0.25), (0.5, 0.25, 1), (-0.5, 0.0, "log"))),),
     )
-    assert len(spec.atoms_for("cos")) == 3
+    assert len(spec.atoms_for("cos")) == 4
 
 
 def test_atoms_validated_at_construction():

@@ -1,7 +1,7 @@
 """High-precision oracle for the theorem series bounds and the direct sum.
 
-S(chi, f) = sum_{k<q} chi(k) f(k/q) is evaluated to 30 digits (40 for log and
-the steps) with mpmath from the exact character turns, independently of the
+S(chi, f) = sum_{k<q} chi(k) f(k/q) is evaluated to 30 digits (40 for log, both
+parities, and the steps) with mpmath from the exact character turns, independently of the
 float direct sum; the truncated series must then lie within its reported tail
 bound of it, and for complex characters each component of the float direct sum
 within (q - 1) 2^-53 max|f*| of it.  The same holds for identity 4 and for the
@@ -66,7 +66,7 @@ def exact_sum(chi, g):
 
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
 def test_series_within_bound_of_exact_sum(name):
-    # every row takes the Abel tail but the even rows of t, whose cosine side is 0
+    # every row takes the tail kernel but the even rows of t, whose cosine side is 0
     f = builtin_function(name)
     checked_odd = 0
     for chi in _characters():
@@ -75,26 +75,48 @@ def test_series_within_bound_of_exact_sum(name):
         assert abs(sev.value - exact) <= sev.tail_bound + ORACLE_SLACK, (chi.label, name)
         assert sev.tail_bound <= 1e-8 and not sev.best_effort, (chi.label, name)
         checked_odd += chi.is_odd
-        expected = "envelope" if name == "t" and chi.is_even else "abel"
+        expected = "envelope" if name == "t" and chi.is_even else "euler_maclaurin"
         assert sev.tail_method == expected, (chi.label, name)
     assert checked_odd == 10  # odd mod 3 and 4, two complex mod 7, six mod 13
 
 
-def test_even_log_series_within_bound_of_exact_sum():
-    # log's cosine side: the atom -1/(4n) on the exact Abel tail plus the
-    # eps_n remainder under its declared envelope, real and complex characters
-    f = builtin_function("log")
-    characters = [
+def _log_characters(even):
+    return [
         chi
         for q in (5, 7, 8, 12, 13, 29, 37)
         for chi in build_character_group(q).primitive_characters()
-        if chi.is_even
+        if chi.is_even == even
     ]
+
+
+def test_even_log_series_within_bound_of_exact_sum():
+    # log's cosine side: the atoms -1/(4n) + 1/(4 pi^2 n^2) on the tail kernel
+    # plus the eps_n remainder under its declared envelope, real and complex
+    # characters
+    f = builtin_function("log")
+    characters = _log_characters(even=True)
     assert len(characters) == 40
     for chi in characters:
         sev = theorem_series(chi, f, 1e-8)
-        assert sev.tail_method == "abel" and not sev.best_effort, chi.label
+        assert sev.tail_method == "euler_maclaurin" and not sev.best_effort, chi.label
         assert sev.tail_bound <= 1e-8, chi.label
+        with mp.workdps(40):
+            exact = complex(exact_sum_mp(chi, mpmath.log))
+        assert abs(sev.value - exact) <= sev.tail_bound, chi.label
+
+
+def test_odd_log_series_within_bound_of_exact_sum():
+    # log's sine side: the atoms -(gamma + ln 2 pi)/(2 pi n) - ln(n)/(2 pi n)
+    # on the tail kernel plus the Ci(2 pi n)/(2 pi n) remainder under its
+    # declared envelope 1/(8 pi^3 n^3), real and complex characters
+    f = builtin_function("log")
+    characters = _log_characters(even=False)
+    assert len(characters) == 44
+    for chi in characters:
+        sev = theorem_series(chi, f, 1e-8)
+        assert sev.tail_method == "euler_maclaurin" and not sev.best_effort, chi.label
+        # N is set by the envelope here: (2 K C |prefactor| / 5e-9)^(1/3) is 322 at q = 5
+        assert sev.tail_bound <= 1e-8 and sev.terms_used <= 2000, chi.label
         with mp.workdps(40):
             exact = complex(exact_sum_mp(chi, mpmath.log))
         assert abs(sev.value - exact) <= sev.tail_bound, chi.label
@@ -120,7 +142,7 @@ def test_step_series_within_bound_of_exact_sum():
         for y in (Fraction(1, q), Fraction(q - 1, q), coprime, Fraction(3, 11)):
             cases["divides" if q % y.denominator == 0 else "coprime"] += 1
             sev = theorem_series(chi, builtin_function(f"step:{y}"), 1e-8)
-            assert sev.tail_method == "abel" and not sev.best_effort, (chi.label, y)
+            assert sev.tail_method == "euler_maclaurin" and not sev.best_effort, (chi.label, y)
             assert sev.tail_bound <= 1e-8, (chi.label, y)
             allowed = sev.tail_bound + ORACLE_SLACK
             if d is not None:
