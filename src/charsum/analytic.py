@@ -2,23 +2,24 @@
 
 character_series is the one series engine: a head to N, the tail of the
 coefficient atoms, and the Polya-Vinogradov tail bound of a remainder known
-only through an envelope C/n^p (optionally Cesaro-averaged when there are no
-atoms).  L(1, chi), the theorem series and the four identities all call it.
-An atom is coef/(n + c)^m (m = 1, or c = 0) or coef ln(n)/n; a coef given as
-one period of weights w[n mod b] twists the character into the periodic
-sequence chi(n) w(n), of period P = lcm(q, b).  The atoms' tail beyond N is
-summed per residue class n = N + r mod P by Euler-Maclaurin summation with a
-rigorous remainder; the class sums, folded by n mod q (reciprocal_tail), make
-a kernel that does not depend on the character, so a character's tail is one
-length-q dot product and N one choice per atom set, modulus and target.
+only through an envelope C/n^p.  L(1, chi), the theorem series and the four
+identities all call it.  An atom is coef/(n + c)^m (m = 1, or c = 0) or
+coef ln(n)/n; a coef given as one period of weights w[n mod b] twists the
+character into the periodic sequence chi(n) w(n), of period P = lcm(q, b).
+The atoms' tail beyond N is summed per residue class n = N + r mod P by
+Euler-Maclaurin summation with a rigorous remainder; the class sums, folded
+by n mod q (reciprocal_tail), make a kernel that does not depend on the
+character, so a character's tail is one length-q dot product and N one
+choice per atom set, modulus and target.
 
-The values are periodic mod m, so the head sum_n v[n mod m] w_n a_n equals
-sum_r v[r] A[r] with A[r] the weighted coefficients of class r.  The engine
+The values are periodic mod m, so the head sum_n v[n mod m] a_n equals
+sum_r v[r] A[r] with A[r] the sum of the coefficients of class r.  The engine
 takes the coefficients only as that fold (residue_fold, built once per
-modulus and N by the caller, who may cache it), so a head costs O(m): the
-classes are summed with their high parts exact and their low parts pairwise,
-and the m products by math.fsum after an exact split of each (fold_head,
-head_rounding_bound).
+modulus and N by the caller, who may cache it, and may weight the
+coefficients first as fourier's Cesaro window does), so a head costs O(m):
+the classes are summed with their high parts exact and their low parts
+pairwise, and the m products by math.fsum after an exact split of each
+(fold_head, head_rounding_bound).
 """
 
 from __future__ import annotations
@@ -369,28 +370,21 @@ def _split_scale(max_term: float, rows: int) -> float:
     return math.ldexp(1.0, math.frexp(max_term)[1] + (rows + 1).bit_length())
 
 
-def residue_fold(coeffs: np.ndarray, m: int, averaged: bool = False) -> np.ndarray:
+def residue_fold(coeffs: np.ndarray, m: int) -> np.ndarray:
     """The real coefficients a_1..a_L folded by n mod m: a (2, m) array whose
-    column r sums to A[r] = sum_{n <= L, n = r mod m} w_n a_n.
+    column r sums to A[r] = sum_{n <= L, n = r mod m} a_n.
 
-    w_n = 1, except that with `averaged` (L = 2N even) w_n = (2N - n + 1)/(N + 1)
-    for n > N, so that sum_r v[r] A[r] is the mean of the partial sums S_N ...
-    S_2N of v[n mod m] a_n.  Each weighted term x_n is split exactly into a
-    high part, a multiple of 2^-53 sigma (_split_scale), and a low part
-    |x_n - high| <= min(|x_n|, 2^-53 sigma).  Row 0 holds the class sums of
-    the high parts, which are exact in any order; row 1 those of the low
-    parts, each class summed pairwise along a contiguous row of a transposed
-    copy.  The result is a new array, never a view of coeffs.
+    Each term a_n is split exactly into a high part, a multiple of 2^-53 sigma
+    (_split_scale), and a low part |a_n - high| <= min(|a_n|, 2^-53 sigma).
+    Row 0 holds the class sums of the high parts, which are exact in any
+    order; row 1 those of the low parts, each class summed pairwise along a
+    contiguous row of a transposed copy.  The result is a new array, never a
+    view of coeffs.
     """
     length = len(coeffs)
     rows = length // m + 1  # n = 0 .. length
     terms = np.zeros(rows * m)
     terms[1 : length + 1] = coeffs
-    if averaged:
-        n_terms = length // 2
-        upper = terms[n_terms + 1 : length + 1]
-        upper *= np.arange(n_terms, 0, -1)
-        upper /= n_terms + 1
     sigma = _split_scale(float(np.abs(terms).max()), rows)
     high = terms + sigma
     high -= sigma
@@ -449,21 +443,20 @@ def _pairwise_depth(count: int) -> int:
     return depth
 
 
-def head_rounding_bound(values: np.ndarray, coeffs: np.ndarray, averaged: bool = False) -> float:
-    """A bound on the rounding of fold_head(values, residue_fold(coeffs, m,
-    averaged)), m = len(values), against the exact sum it stands for, for each
-    of its real and imaginary parts.  With V = max|values|, S = sum |a_n| (the
-    weights are at most 1), L the number of coefficients, sigma the split
-    scale and Lo = min(S, L 2^-53 sigma) a bound on the low parts' sum of
-    magnitudes, it is
+def head_rounding_bound(values: np.ndarray, coeffs: np.ndarray) -> float:
+    """A bound on the rounding of fold_head(values, residue_fold(coeffs, m)),
+    m = len(values), against the exact sum it stands for, for each of its real
+    and imaginary parts.  With V = max|values|, S = sum |a_n|, L the number of
+    coefficients, sigma the split scale and Lo = min(S, L 2^-53 sigma) a bound
+    on the low parts' sum of magnitudes, it is
 
-        V (u S + 2u S [Cesaro weights] + gamma_h Lo + gamma_k (2u S + (1 + gamma_h) Lo))
+        V (u S + gamma_h Lo + gamma_k (2u S + (1 + gamma_h) Lo))
 
     with u = 2^-53, gamma_j = j u/(1 - j u), h = _pairwise_depth(L // m + 1)
     for the low parts' class sums and k = _pairwise_depth(m) + 2 for the sum
-    of the product errors and low-part products: one final rounding, the
-    weights, and two second-order terms.  A last factor 1 + 2^-50 covers the
-    products of small terms left out.  The coefficients are taken as exact.
+    of the product errors and low-part products: one final rounding and two
+    second-order terms.  A last factor 1 + 2^-50 covers the products of small
+    terms left out.  The coefficients are taken as exact.
     """
     coeffs = np.abs(coeffs)
     m = len(values)
@@ -475,19 +468,17 @@ def head_rounding_bound(values: np.ndarray, coeffs: np.ndarray, averaged: bool =
         return j * _UNIT / (1.0 - j * _UNIT)
 
     rows_gamma, rest_gamma = gamma(_pairwise_depth(rows)), gamma(_pairwise_depth(m) + 2)
-    spread = (3.0 if averaged else 1.0) * _UNIT * total + rows_gamma * low
+    spread = _UNIT * total + rows_gamma * low
     spread += rest_gamma * (2.0 * _UNIT * total + (1.0 + rows_gamma) * low)
     return float(np.abs(values).max()) * spread * (1.0 + 2.0**-50)
 
 
-def coefficient_fold(
-    coefficients: Callable[[int], np.ndarray],
-) -> Callable[[int, int, bool], np.ndarray]:
-    """The fold callable of character_series for `coefficients(L)` = a_1..a_L:
-    (m, N, averaged) -> residue_fold of a_1..a_L, L = 2N if averaged else N."""
+def coefficient_fold(coefficients: Callable[[int], np.ndarray]) -> Callable[[int, int], np.ndarray]:
+    """The fold callable of character_series for `coefficients(N)` = a_1..a_N:
+    (m, N) -> residue_fold of a_1..a_N."""
 
-    def fold(m: int, n_terms: int, averaged: bool) -> np.ndarray:
-        return residue_fold(coefficients(2 * n_terms if averaged else n_terms), m, averaged)
+    def fold(m: int, n_terms: int) -> np.ndarray:
+        return residue_fold(coefficients(n_terms), m)
 
     return fold
 
@@ -502,7 +493,7 @@ def check_tolerance(value: float, name: str) -> None:
 
 def character_series(
     values: np.ndarray,
-    fold: Callable[[int, int, bool], np.ndarray],
+    fold: Callable[[int, int], np.ndarray],
     prefactor: complex,
     target: float,
     start: int,
@@ -510,40 +501,37 @@ def character_series(
     atoms: Sequence[tuple] = (),
     envelope: tuple[float, int] = (0.0, 1),
     terms: int | None = None,
-    averaged: bool = False,
     tail: Callable[[int, int], np.ndarray] | None = None,
 ) -> tuple[complex, int, float]:
     """(value, N, tail bound) for prefactor * sum_{n >= 1} values[n % m] a_n.
 
-    `values` is one period of length m, indexed by n mod m, and
-    `fold(m, N, averaged)` returns the coefficients a_n folded by n mod m as
-    residue_fold does (coefficient_fold builds it from a coefficient
-    function).  The coefficients are modelled as a_n = the real part of
-    sum coef g(n) over the atoms (coef, c) or (coef, c, e), g(n) = 1/(n + c)^e
-    (e = 1 when omitted, Re(c) >= 0, c = 0 when e > 1) or ln(n)/n
-    (e = LOG_ATOM, c = 0), plus a remainder r_n with |r_n| <= C/n^p,
-    envelope = (C, p).  A coef is a scalar, or one period of weights (a 1-D
-    array w of length b) meaning w[n % b] g(n).  With atoms, the sequence
-    `values` and each values[n % m] w[n % b] of period lcm(m, b) <=
-    MODULUS_CEILING must sum to 0 over a period (PeriodicSums).
+    `values` is one period of length m, indexed by n mod m, and `fold(m, N)`
+    returns the coefficients a_n folded by n mod m as residue_fold does
+    (coefficient_fold builds it from a coefficient function).  The
+    coefficients are modelled as a_n = the real part of sum coef g(n) over
+    the atoms (coef, c) or (coef, c, e), g(n) = 1/(n + c)^e (e = 1 when
+    omitted, Re(c) >= 0, c = 0 when e > 1) or ln(n)/n (e = LOG_ATOM, c = 0),
+    plus a remainder r_n with |r_n| <= C/n^p, envelope = (C, p).  A coef is a
+    scalar, or one period of weights (a 1-D array w of length b) meaning
+    w[n % b] g(n).  With atoms, the sequence `values` and each
+    values[n % m] w[n % b] of period lcm(m, b) <= MODULUS_CEILING must sum to
+    0 over a period (PeriodicSums).
 
-    The head sums prefactor * values[n % m] a_n to N; with `averaged` (legal
-    only without atoms) the value is instead the Cesaro mean of the partial
-    sums over [N, 2N] and the remainder bound is doubled.  Either way the head
-    is fold_head over the m residue classes.  The atoms' tail is
-    sum_r values[r] K[r] for the kernel K = tail(m, N), reciprocal_tail(atoms,
-    m, N) by default (a caller may cache it: it does not depend on values).
-    Its bound is |prefactor| times, per atom, |coef| times the absolute sum of
-    its (twisted) period times _remainder at N + 1; the remainder's tail is
-    bounded by 2 K C |prefactor| / (N + 1)^p, K = partial_sum_bound(m).  N is
-    the least integer >= start whose remainder bound meets the target (half
-    the target with atoms) and at which each of k atoms' bounds meets
-    target/(2k), clamped to the cap (cap // 2, but at least 1, when
-    averaged).  An explicit `terms` fixes N.  The bound covers truncation
-    only; head_rounding_bound bounds the head's rounding.
+    The head sums prefactor * values[n % m] a_n to N by fold_head over the m
+    residue classes.  The atoms' tail is sum_r values[r] K[r] for the kernel
+    K = tail(m, N), reciprocal_tail(atoms, m, N) by default (a caller may
+    cache it: it does not depend on values).  Its bound is |prefactor|
+    times, per atom, |coef| times the absolute sum of its (twisted) period
+    times _remainder at N + 1; the remainder's tail is bounded by
+    2 K C |prefactor| / (N + 1)^p, K = partial_sum_bound(m), which also
+    bounds the mean of the tails beyond N .. 2N (fourier's Cesaro window);
+    both assume |a_n| <= C/n^p past N, which is only sampled for an envelope
+    that fourier measures.  N is the least integer >= start whose remainder
+    bound meets the target (half the target with atoms) and at which each of
+    k atoms' bounds meets target/(2k), clamped to the cap.  An explicit
+    `terms` fixes N.  The bound covers truncation only; head_rounding_bound
+    bounds the head's rounding.
     """
-    if averaged and atoms:
-        raise ValueError("Cesaro averaging applies only to series without atoms")
     m = len(values)
     size = abs(prefactor)
     bounds = []  # (scale, power, period) per atom
@@ -551,18 +539,16 @@ def character_series(
         scale = size * PeriodicSums(values, weights).absolute
         bounds += [(scale * abs(coef), power, period) for coef, _, power in group]
     c, p = envelope
-    weight = (4.0 if averaged else 2.0) * partial_sum_bound(m) * c * size
+    weight = 2.0 * partial_sum_bound(m) * c * size
     if terms is not None:
         n_terms = int(terms)
     else:
         remainder_target = target / 2 if atoms else target
         need = (weight / remainder_target) ** (1.0 / p)  # inf for a tiny target: clamp before ceil
         n_terms = min(max(start, math.ceil(min(need, cap))), cap)
-        if averaged:
-            n_terms = max(1, min(n_terms, cap // 2))
-        elif bounds:
+        if bounds:
             n_terms = max(n_terms, _atom_terms(bounds, target / (2 * len(bounds)), cap))
-    head = fold_head(values, fold(m, n_terms, averaged))
+    head = fold_head(values, fold(m, n_terms))
     if atoms:
         head += values @ (reciprocal_tail(atoms, m, n_terms) if tail is None else tail(m, n_terms))
     bound = sum(scale * _remainder(power, period, n_terms + 1.0) for scale, power, period in bounds)

@@ -5,7 +5,9 @@ exp(2*pi*i * t / e), where e is the exponent of the unit group (Z/qZ)*.  The
 sentinel -1 marks residues with gcd(k, q) > 1, where the character vanishes.
 All structural checks (multiplicativity, orthogonality, conductor) can
 therefore be carried out in exact integer arithmetic; complex values are
-materialized only when a sum has to be evaluated numerically.
+materialized only when a sum has to be evaluated numerically.  The conductor
+is read from the turns by its definition (_conductor).  Every command runs
+one modulus, so only the last group and the last real character are cached.
 """
 
 from __future__ import annotations
@@ -287,7 +289,7 @@ class CharacterGroup:
             exponents=exponents,
             turn_denominator=e,
             turns=turns,
-            conductor=self._conductor(exponents),
+            conductor=self._conductor(turns),
             parity=parity,
             is_real=is_real,
             group=self,
@@ -307,44 +309,28 @@ class CharacterGroup:
     def primitive_characters(self) -> list[DirichletCharacter]:
         return [chi for chi in self.characters() if chi.is_primitive]
 
-    def _conductor(self, exponents: tuple[int, ...]) -> int:
-        """Conductor from the per-factor orders of the character components."""
-        cond = 1
-        i = 0
-        factors = self._factors
-        while i < len(factors):
-            f = factors[i]
-            if f.piece % 2 == 0 and f.order == 2 and i + 1 < len(factors) and factors[i + 1].piece == f.piece:
-                # two-generator 2-part <-1> x <5>
-                e_sign, e_five = exponents[i], exponents[i + 1]
-                o5 = factors[i + 1].order // math.gcd(factors[i + 1].order, e_five) if e_five else 1
-                if o5 > 1:
-                    cond *= 4 * o5
-                elif e_sign:
-                    cond *= 4
-                i += 2
-                continue
-            e = exponents[i]
-            if e:
-                o = f.order // math.gcd(f.order, e)
-                p = _factorize(f.piece)[0][0]
-                v = 0
-                oo = o
-                while oo % p == 0:
-                    oo //= p
-                    v += 1
-                cond *= p ** (v + 1)
-            i += 1
-        return cond
+    def _conductor(self, turns: np.ndarray) -> int:
+        """The least d | q such that chi(k) = 1 for every unit k = 1 mod d.
+
+        Those d are the multiples of the conductor among the divisors of q, so
+        for each prime p | q, d = q drops a factor p while chi is trivial on
+        the units k = 1 mod d/p (turns[1::d // p] <= 0 everywhere).
+        """
+        d = self.modulus
+        for p, _ in _factorize(d):
+            while d % p == 0 and (turns[1 :: d // p] <= 0).all():
+                d //= p
+        return d
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def build_character_group(q: int) -> CharacterGroup:
     """Construct the full character group mod q with all characters materialized.
 
     Deterministic ordering: characters sorted by exponent vector on the fixed
     canonical generators.  Raises ValueError for q < 1 or q > 10^4 (before
-    any table is built).
+    any table is built).  Only the last group is cached: a group near the
+    ceiling holds up to 0.8 GB of tables, and every command runs one modulus.
     """
     if q > _GROUP_CEILING:
         raise ValueError(f"modulus {q} exceeds {_GROUP_CEILING}, the ceiling for a full character group")
@@ -432,13 +418,14 @@ def fundamental_discriminants(max_abs: int, min_abs: int = 2) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def real_primitive_character(d: int) -> DirichletCharacter:
     """The primitive real character mod |d| attached to a fundamental discriminant d.
 
     Parity is odd exactly when d < 0; values agree with kronecker_symbol(d, .).
-    The last few characters are cached, so checks on one d share the character
-    and its cached tau; the full group is not built or kept.
+    The last character is cached, so the checks on one d, which run in a row,
+    share the character and its cached tau; the full group is not built or
+    kept.
     """
     reason = _not_fundamental_reason(d)
     if reason is not None:

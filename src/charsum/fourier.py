@@ -20,7 +20,10 @@ steps, odd rows of t) is one length-q dot product with the kernel, within a
 rigorous Euler-Maclaurin bound; what the atoms leave (all of the coefficient
 without them) is bounded by the Polya-Vinogradov partial-sum bound times the
 total variation of its envelope.  Jump and log classes without atoms (user
-specs) are Cesaro-averaged over the window [N, 2N].
+specs) take the Cesaro window instead of the head to N: theorem_series alone
+chooses it, and its fold (_window_fold) weights a_1..a_2N into the mean of
+the partial sums S_N .. S_2N, which the engine bounds as it bounds the tail
+at N.
 
 Coefficients without a closed form come from piecewise Filon quadrature.  f is
 sampled once per piece (an interval between jumps, or one interval of the
@@ -59,10 +62,12 @@ __all__ = [
 DEFAULT_TERMS_CAP = 10**6
 _QUADRATURE_TERMS_CAP = 4096
 _MIN_TERMS = 32
+# the variation classes whose series without atoms take the Cesaro window
+_WINDOW_CLASSES = (VariationClass.PIECEWISE_SMOOTH, VariationClass.INTEGRABLE_SINGULAR_AT_ZERO)
 
 # per-FunctionSpec caches, keyed by object identity; _modulus_cache holds
-# (q, {"fstar": table, (kind, N, averaged): fold, (kind, N, "tail"): kernel})
-# for the modulus in use
+# (q, {"fstar": table, (kind, N): fold, (kind, N, "cesaro"): window fold,
+# (kind, N, "tail"): kernel}) for the modulus in use
 _coeff_cache: "weakref.WeakKeyDictionary[FunctionSpec, dict]" = weakref.WeakKeyDictionary()
 _sample_cache: "weakref.WeakKeyDictionary[FunctionSpec, list]" = weakref.WeakKeyDictionary()
 _modulus_cache: "weakref.WeakKeyDictionary[FunctionSpec, tuple]" = weakref.WeakKeyDictionary()
@@ -224,18 +229,38 @@ def cached_coefficients(f: FunctionSpec, kind: str, count: int) -> np.ndarray:
     return arr[:count]
 
 
-def cached_fold(f: FunctionSpec, kind: str, m: int, n_terms: int, averaged: bool) -> np.ndarray:
-    """The spec's coefficients of one kind folded by n mod m (analytic.residue_fold)
-    for the head to N, or over the Cesaro window [N, 2N] when averaged.
+def _cesaro_window(coeffs: np.ndarray) -> np.ndarray:
+    """A copy of a_1..a_2N with a_n weighted by (2N - n + 1)/(N + 1) for
+    n > N, so that its series head is the mean of the partial sums S_N ..
+    S_2N.  Each weight costs two roundings, within 2^-52 |a_n| together."""
+    n_terms = len(coeffs) // 2
+    weighted = np.array(coeffs, dtype=float)
+    upper = weighted[n_terms:]
+    upper *= np.arange(n_terms, 0, -1)
+    upper /= n_terms + 1
+    return weighted
 
-    This is the fold callable of every theorem series (partial(cached_fold, f,
-    kind)).  Folds are cached per spec and keyed by (kind, N, averaged), for
-    the modulus in use only; a fold is a new (2, m) array and keeps no
-    reference to the coefficients it was built from.
+
+def cached_fold(f: FunctionSpec, kind: str, m: int, n_terms: int) -> np.ndarray:
+    """The spec's coefficients a_1..a_N of one kind folded by n mod m
+    (analytic.residue_fold).
+
+    This is the fold callable of every theorem series without the Cesaro
+    window (partial(cached_fold, f, kind)).  Folds are cached per spec and
+    keyed by (kind, N), for the modulus in use only; a fold is a new (2, m)
+    array and keeps no reference to the coefficients it was built from.
     """
-    length = 2 * n_terms if averaged else n_terms
-    return _modulus_table(f, m, (kind, n_terms, averaged),
-                          lambda: residue_fold(cached_coefficients(f, kind, length), m, averaged))
+    return _modulus_table(f, m, (kind, n_terms),
+                          lambda: residue_fold(cached_coefficients(f, kind, n_terms), m))
+
+
+def _window_fold(f: FunctionSpec, kind: str, m: int, n_terms: int) -> np.ndarray:
+    """cached_fold for the Cesaro window: a_1..a_2N weighted by
+    _cesaro_window, folded by n mod m, cached under (kind, N, "cesaro")."""
+    return _modulus_table(
+        f, m, (kind, n_terms, "cesaro"),
+        lambda: residue_fold(_cesaro_window(cached_coefficients(f, kind, 2 * n_terms)), m),
+    )
 
 
 def cached_tail(f: FunctionSpec, kind: str, m: int, n_terms: int) -> np.ndarray:
@@ -261,10 +286,14 @@ class SeriesEvaluation:
     terms_used: int
     tail_bound: float
     parity_branch: str  # "cosine_even" or "sine_odd"
-    averaged: bool
     best_effort: bool
     quadrature_budget: float
     tail_method: str  # "euler_maclaurin", "envelope" or "cesaro"
+
+    @property
+    def averaged(self) -> bool:
+        """Whether the value is the Cesaro mean over the window [N, 2N]."""
+        return self.tail_method == "cesaro"
 
 
 def _envelope(f: FunctionSpec, kind: str) -> tuple[float, int]:
@@ -298,9 +327,10 @@ def theorem_series(
     O(q) (O(lcm(q, b)) for atoms with weights of period b) unless the
     remainder envelope asks for more.  Otherwise N is picked from the
     envelope bound (tail method "envelope"); jump and singular variation
-    classes are Cesaro-averaged over the window [N, 2N] (tail method
-    "cesaro").  When the bound cannot reach target_accuracy within the cap the
-    evaluation is best-effort with the bound reported as is.  An explicit
+    classes take the mean of the partial sums over the window [N, 2N] under
+    the same bound, N at most half the cap (tail method "cesaro").  When the
+    bound cannot reach target_accuracy within the cap the evaluation is
+    best-effort with the bound reported as is.  An explicit
     `terms` overrides the choice of N and must not exceed terms_cap.  The head
     and tail are summed by one analytic.character_series call.
     target_accuracy obeys analytic.check_tolerance.
@@ -317,11 +347,8 @@ def theorem_series(
     kind = "cos" if even else "sin"
     branch = "cosine_even" if even else "sine_odd"
     atoms = f.atoms_for(kind)
-    averaged = not atoms and f.variation_class in (
-        VariationClass.PIECEWISE_SMOOTH,
-        VariationClass.INTEGRABLE_SINGULAR_AT_ZERO,
-    )
-    tail_method = "euler_maclaurin" if atoms else "cesaro" if averaged else "envelope"
+    windowed = not atoms and f.variation_class in _WINDOW_CLASSES
+    tail_method = "euler_maclaurin" if atoms else "cesaro" if windowed else "envelope"
 
     tau_value = tau(chi).value
     prefactor = 2.0 * tau_value if even else -2.0j * tau_value
@@ -329,14 +356,18 @@ def theorem_series(
     table = chi.values_real() if chi.is_real else np.conj(chi.values_complex())
 
     cap = terms_cap if f.closed_form is not None else min(terms_cap, _QUADRATURE_TERMS_CAP)
+    fold = partial(cached_fold, f, kind)
+    if windowed:  # the window folds a_1 .. a_2N
+        cap = max(1, cap // 2)
+        fold = partial(_window_fold, f, kind)
     start = max(_MIN_TERMS, 8 * q) if atoms else _MIN_TERMS
     value, n_terms, tail = character_series(
-        table, partial(cached_fold, f, kind), prefactor, target_accuracy, start, cap,
-        atoms, _envelope(f, kind), terms, averaged, partial(cached_tail, f, kind),
+        table, fold, prefactor, target_accuracy, start, cap,
+        atoms, _envelope(f, kind), terms, partial(cached_tail, f, kind),
     )
     best_effort = tail > target_accuracy
 
-    length = 2 * n_terms if averaged else n_terms
+    length = 2 * n_terms if windowed else n_terms
     if f.closed_form is not None:
         budget = 0.0
     else:  # a cache hit after the series, which folded the same coefficients
@@ -356,7 +387,6 @@ def theorem_series(
         terms_used=n_terms,
         tail_bound=float(tail),
         parity_branch=branch,
-        averaged=averaged,
         best_effort=best_effort,
         quadrature_budget=float(budget),
         tail_method=tail_method,

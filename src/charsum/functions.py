@@ -10,9 +10,11 @@ the variation class that drives truncation bounds.  Of the built-ins, t2, t,
 exp and the steps are exactly their atoms, and their closed form is the one
 evaluator _atom_sum, so the series head and the tail read one description; a
 step at y = a/b is the atoms w[n mod b]/n, so b may not exceed the modulus
-ceiling.  log keeps its Si/Ci closed form, with the cosine atoms
--1/(4n) + 1/(4 pi^2 n^2) under the envelope 1/(8 pi^4 n^4), and the sine
-atoms -(gamma + ln 2 pi)/(2 pi n) - ln(n)/(2 pi n) under 1/(8 pi^3 n^3).
+ceiling.  exp has one atom per side, the partial fraction whose conjugate
+gives the same real part, its coef doubled.  log keeps its Si/Ci closed
+form, with the cosine atoms -1/(4n) + 1/(4 pi^2 n^2) under the envelope
+1/(8 pi^4 n^4), and the sine atoms -(gamma + ln 2 pi)/(2 pi n)
+- ln(n)/(2 pi n) - 1/(8 pi^3 n^3) under 3/(16 pi^5 n^5).
 """
 
 from __future__ import annotations
@@ -161,15 +163,15 @@ def _log_closed(n: np.ndarray, kind: str) -> np.ndarray:
 # -1/(2 pi n): the sine coefficients of t and t2
 _HARMONIC_SIN = ("sin", ((-1.0 / TWO_PI, 0.0),))
 # (evaluator, atoms) of the smooth built-ins: t2's cosine side 1/(2 pi^2 n^2), and
-# exp's 1 + 4 pi^2 n^2 = 4 pi^2 (n - i/2pi)(n + i/2pi) split into partial fractions
+# exp's 1 + 4 pi^2 n^2 = 4 pi^2 (n - i/2pi)(n + i/2pi) split into partial fractions.
+# For real n the two fractions of a side are complex conjugates, so their real
+# parts sum to twice the real part of one: one atom per side, its coef doubled
 _SMOOTH = {
     "t2": (lambda t: t * t, (("cos", ((1.0 / (2.0 * math.pi**2), 0.0, 2),)), _HARMONIC_SIN)),
     "t": (lambda t: t, (_HARMONIC_SIN,)),
     "exp": (math.exp, (
-        ("cos", ((-1j * (math.e - 1.0) / (4.0 * math.pi), -1j / TWO_PI),
-                 (1j * (math.e - 1.0) / (4.0 * math.pi), 1j / TWO_PI))),
-        ("sin", ((-(math.e - 1.0) / (4.0 * math.pi), -1j / TWO_PI),
-                 (-(math.e - 1.0) / (4.0 * math.pi), 1j / TWO_PI))),
+        ("cos", ((-1j * (math.e - 1.0) / TWO_PI, -1j / TWO_PI),)),
+        ("sin", ((-(math.e - 1.0) / TWO_PI, -1j / TWO_PI),)),
     )),
 }
 
@@ -203,21 +205,24 @@ def builtin_function(name: str) -> FunctionSpec:
         # x = 2 pi n, with f(x) = pi/2 - Si(x) there (DLMF 6.2).  Since
         # f(x) - 1/x = -integral e^{-xt} t^2/(1 + t^2) dt lies in [-2/x^3, 0],
         # it is the atoms -1/(4n) + 1/(4 pi^2 n^2) plus at most 1/(8 pi^4 n^4).
-        # The sine coefficient -(gamma + ln x - Ci(x))/x is the atoms
+        # The sine coefficient -(gamma + ln x - Ci(x))/x is
         # -(gamma + ln 2 pi)/(2 pi n) - ln(n)/(2 pi n) plus Ci(x)/x = -g(x)/x,
-        # since sin x = 0 and cos x = 1 there, with 0 < g(x) <= 1/x^2: at most
-        # 1/(8 pi^3 n^3).
+        # since sin x = 0 and cos x = 1 there, with
+        # g(x) = integral e^{-xt} t/(1 + t^2) dt (DLMF 6.7).  Since
+        # 1/x^2 - g(x) = integral e^{-xt} t^3/(1 + t^2) dt lies in [0, 6/x^4],
+        # it is those atoms and -1/(8 pi^3 n^3) plus at most 3/(16 pi^5 n^5).
         return FunctionSpec(
             name="log",
             evaluator=math.log,
             variation_class=VariationClass.INTEGRABLE_SINGULAR_AT_ZERO,
             singular_at_zero=True,
             closed_form=_log_closed,
-            envelope=(("cos", 1.0 / (8.0 * math.pi**4), 4), ("sin", 1.0 / (8.0 * math.pi**3), 3)),
+            envelope=(("cos", 1.0 / (8.0 * math.pi**4), 4), ("sin", 3.0 / (16.0 * math.pi**5), 5)),
             atoms=(
                 ("cos", ((-0.25, 0.0), (1.0 / (4.0 * math.pi**2), 0.0, 2))),
                 ("sin", ((-(EULER_GAMMA + math.log(TWO_PI)) / TWO_PI, 0.0),
-                         (-1.0 / TWO_PI, 0.0, LOG_ATOM))),
+                         (-1.0 / TWO_PI, 0.0, LOG_ATOM),
+                         (-1.0 / (8.0 * math.pi**3), 0.0, 3))),
             ),
         )
     variation, jumps = VariationClass.SMOOTH_C2, ()

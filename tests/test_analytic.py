@@ -5,7 +5,8 @@ here from scratch, and Si, pi/2 - Si and Ci against 40-digit mpmath values
 (arrays and scalars); L-values against closed constants, a reversed identity,
 and a brute-force partial-sum value recorded before the build; the tail
 kernel's class sums against 40-digit digamma, Hurwitz zeta and Stieltjes
-values; the series engine in each of its modes against long brute sums.
+values; the series engine in each of its modes, and over fourier's Cesaro
+window, against long brute sums.
 """
 
 import math
@@ -36,6 +37,7 @@ from charsum.analytic import (
     sine_integral_array,
 )
 from charsum.characters import build_character_group, real_primitive_character
+from charsum.fourier import _cesaro_window
 from charsum.functions import builtin_function
 
 # L(1, chi) for the even character mod 5: brute partial sums to 10^7 with
@@ -393,8 +395,6 @@ def test_abel_series_explicit_terms_and_cap():
     assert n_terms == 5000 and bound > 1e-30  # the N the bound asks for, clamped
     _, n_terms, _ = character_series(vals, _harmonic_fold, 1.0, 1e-30, 1000, 600, atoms)
     assert n_terms == 600  # a start above the cap is clamped too
-    with pytest.raises(ValueError, match="Cesaro"):
-        character_series(vals, _harmonic_fold, 1.0, 1e-8, 1000, 5000, atoms, averaged=True)
 
 
 def test_periodic_atoms_are_unit_atoms_over_the_twisted_period():
@@ -453,6 +453,12 @@ def test_twisted_period_ceiling(monkeypatch):
         character_series(vals, _harmonic_fold, 1.0, 1e-8, 40, 2**20, [(np.ones(4), 0.0)])
 
 
+def _window_fold(coefficients):
+    """fourier's Cesaro window as a fold callable: (m, N) -> the fold of
+    a_1..a_2N weighted into the mean of the partial sums S_N .. S_2N."""
+    return lambda m, n_terms: residue_fold(_cesaro_window(coefficients(2 * n_terms)), m)
+
+
 def _counting(coefficients, lengths):
     def counted(count):
         lengths.append(count)
@@ -478,21 +484,20 @@ def _envelope_case(name):
     return coeffs, f.envelope_for("cos")
 
 
-@pytest.mark.parametrize("name, averaged", [("t2", False), ("log", True)])
-def test_envelope_series_within_bound_of_long_brute_sum(name, averaged):
+@pytest.mark.parametrize("name, window", [("t2", False), ("log", True)])
+def test_envelope_series_within_bound_of_long_brute_sum(name, window):
     # the engine without atoms, against the even character mod 5: the plain
-    # partial sums of t2's cosine coefficients (C/n^2) and the Cesaro mean of
-    # what log's cosine atoms leave (C/n^4); the brute partial sum to M is
+    # partial sums of t2's cosine coefficients (C/n^2), and over fourier's
+    # Cesaro window the mean of the partial sums of what log's cosine atoms
+    # leave (C/n^4), under the same bound; the brute partial sum to M is
     # within its own Polya-Vinogradov tail 2 K C / (M + 1)^p
     vals = real_primitive_character(5).values_real()
     coeffs, env = _envelope_case(name)
 
     lengths = []
-    value, n_terms, bound = character_series(
-        vals, coefficient_fold(_counting(coeffs, lengths)), 1.0, 1e-4, 32, 10**6,
-        envelope=env, averaged=averaged,
-    )
-    assert lengths == [2 * n_terms if averaged else n_terms]
+    fold = (_window_fold if window else coefficient_fold)(_counting(coeffs, lengths))
+    value, n_terms, bound = character_series(vals, fold, 1.0, 1e-4, 32, 10**6, envelope=env)
+    assert lengths == [2 * n_terms if window else n_terms]
     assert 32 <= n_terms < 10**6 and 0 < bound <= 1e-4
     m = 4 * 10**6
     n = np.arange(1, m + 1)
@@ -540,26 +545,17 @@ def test_envelope_series_choice_of_n():
     n = np.arange(1, 41)
     exact = 2.0 * math.fsum((vals[n % 163] * coeffs(40)).tolist())
     assert abs(value - exact) <= 2.0 * head_rounding_bound(vals, coeffs(40))
-    for averaged in (False, True):
+    for window in (False, True):
         lengths = []
         _, n_terms, bound = character_series(
-            vals, coefficient_fold(_counting(coeffs, lengths)), 1.0, 1e-30, 40, 10**6, (),
-            (1.0, 1), 777, averaged,
+            vals, (_window_fold if window else coefficient_fold)(_counting(coeffs, lengths)),
+            1.0, 1e-30, 40, 10**6, (), (1.0, 1), 777,
         )
         assert n_terms == 777 and bound > 1e-30  # fixed N, even though the bound misses
-        assert lengths == [2 * 777 if averaged else 777]
+        assert lengths == [2 * 777 if window else 777]
     # a target so small that the needed N overflows a float is clamped to the cap
-    _, n_terms, _ = character_series(
-        vals, fold, 1.0, 1e-310, 40, 5000, envelope=(1.0, 1), averaged=True
-    )
-    assert n_terms == 2500
-    # a Cesaro cap below 2 still sums the window [1, 2]: (S_1 + S_2)/2 = p_1 + p_2/2
-    value, n_terms, _ = character_series(
-        vals, fold, 1.0, 1e-30, 40, 1, envelope=(1.0, 1), averaged=True
-    )
-    p1, p2 = (vals[[1, 2]] * coeffs(2)).tolist()
-    assert n_terms == 1
-    assert abs(value - math.fsum([p1, p1, p2]) / 2) <= head_rounding_bound(vals, coeffs(2), True)
+    _, n_terms, _ = character_series(vals, fold, 1.0, 1e-310, 40, 5000, envelope=(1.0, 1))
+    assert n_terms == 5000
 
 
 def test_periodic_sums_rejects_nonzero_mean():
@@ -572,14 +568,14 @@ def test_partial_sum_bound_monotone():
     assert partial_sum_bound(100) == pytest.approx(math.sqrt(100) * math.log(100) + 1)
 
 
-def _exact_head(values, coeffs, averaged):
+def _exact_head(values, coeffs, window):
     """sum v[n mod m] a_n, or the mean of its partial sums S_N .. S_2N, exactly;
     (real part, imaginary part) as Fractions."""
     m = len(values)
     heads = []
     for part in (values.real, values.imag):
         terms = [Fraction(part[n % m]) * Fraction(a) for n, a in enumerate(coeffs.tolist(), 1)]
-        if not averaged:
+        if not window:
             heads.append(sum(terms, Fraction(0)))
             continue
         n_terms = len(coeffs) // 2
@@ -598,24 +594,33 @@ def _head_errors(head, exact):
 
 @pytest.mark.parametrize("m, length", [(7, 100), (7, 7), (13, 6), (13, 5), (1, 9), (101, 2000)])
 @pytest.mark.parametrize("complex_period", [False, True])
-@pytest.mark.parametrize("averaged", [False, True])
-def test_fold_head_is_the_exact_series_head(m, length, complex_period, averaged):
+@pytest.mark.parametrize("window", [False, True])
+def test_fold_head_is_the_exact_series_head(m, length, complex_period, window):
     # real and complex periods, L a multiple of m or not, L below m: the head
-    # from the residue fold is the sum, or with `averaged` the mean of the
-    # partial sums S_N .. S_2N, within head_rounding_bound of the exact value
+    # from the residue fold is the sum, within head_rounding_bound of the
+    # exact value; over fourier's Cesaro window it is the mean of the partial
+    # sums S_N .. S_2N, within head_rounding_bound of the weighted
+    # coefficients plus the weights' two roundings, 2u max|v| sum_{n > N} |a_n|
     rng = np.random.default_rng(m * length)
     values = rng.choice([-1.0, 0.0, 1.0], m)
     if complex_period:
         values = np.exp(2j * math.pi * rng.random(m)) * (values != 0)
     coeffs = rng.standard_normal(length) / np.arange(1, length + 1)
-    if averaged and length % 2:
-        coeffs = coeffs[:-1]
-    folded = residue_fold(coeffs, m, averaged)
-    assert folded.shape == (2, m) and not np.shares_memory(folded, coeffs)
+    bound = 0.0
+    if window:
+        coeffs = coeffs[: length - length % 2]
+        weighted = _cesaro_window(coeffs)
+        assert not np.shares_memory(weighted, coeffs)
+        upper = np.abs(coeffs[len(coeffs) // 2 :]).tolist()
+        bound = 2.0**-52 * float(np.abs(values).max()) * math.fsum(upper)
+    else:
+        weighted = coeffs
+    folded = residue_fold(weighted, m)
+    assert folded.shape == (2, m) and not np.shares_memory(folded, weighted)
     head = fold_head(values, folded)
     assert isinstance(head, complex if complex_period else float)
-    bound = head_rounding_bound(values, coeffs, averaged)
-    for error in _head_errors(complex(head), _exact_head(values, coeffs, averaged)):
+    bound += head_rounding_bound(values, weighted)
+    for error in _head_errors(complex(head), _exact_head(values, coeffs, window)):
         assert error <= bound
 
 
@@ -635,13 +640,13 @@ def test_fold_head_no_worse_than_the_pairwise_head():
         else:
             coeffs = rng.random(length)
         products = values[np.arange(1, length + 1) % m] * coeffs
-        for averaged, pairwise in (
+        for window, pairwise in (
             (False, products.sum()),
             (True, np.cumsum(products)[length // 2 - 1 :].mean()),
         ):
-            exact = _exact_head(values, coeffs, averaged)
-            head = fold_head(values, residue_fold(coeffs, m, averaged))
+            exact = _exact_head(values, coeffs, window)
+            head = fold_head(values, residue_fold(_cesaro_window(coeffs) if window else coeffs, m))
             fold_errors = _head_errors(complex(head), exact)
             pairwise_errors = _head_errors(complex(pairwise), exact)
             for fold_error, pairwise_error in zip(fold_errors, pairwise_errors):
-                assert fold_error <= pairwise_error, (trial, averaged)
+                assert fold_error <= pairwise_error, (trial, window)

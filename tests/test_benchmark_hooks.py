@@ -1,0 +1,54 @@
+"""The charsum names that the traced benchmark reads still exist.
+
+perfbench/spans.py replaces charsum functions by (module, name) and reads a
+few attributes of their results and tables, so a rename in the library
+breaks the traced pass only when it runs.  These tests load spans.py by its
+path, without instrumenting anything.
+"""
+
+import dataclasses
+import importlib
+import importlib.util
+from pathlib import Path
+
+from charsum.characters import build_character_group
+from charsum.fourier import theorem_series
+from charsum.functions import builtin_function
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_spanned_names_resolve():
+    spans = _load_spans()
+    for module_name, attr, _ in spans.SPANNED:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (module_name, attr)
+    cli = importlib.import_module("charsum.cli")
+    assert callable(cli.run_identity) and isinstance(cli.VerificationReport, type)
+
+
+def test_series_results_expose_what_the_hooks_count():
+    # fourier.series_terms reads terms_used and averaged of every result
+    chi = build_character_group(5).character_by_index(1)
+    log = builtin_function("log")
+    bare = dataclasses.replace(log, name="log#hooks", atoms=(), envelope=())
+    for f, averaged in ((log, False), (bare, True)):
+        sev = theorem_series(chi, f, 1e-6, terms=64)
+        assert (sev.averaged, sev.terms_used) == (averaged, 64)
+
+
+def test_table_sizes_read_the_character_caches():
+    # characters.table_mb sums the turns and the cached value tables
+    spans = _load_spans()
+    group = build_character_group(7)
+    assert isinstance(group._char_cache, dict)
+    for chi in group._char_cache.values():
+        assert isinstance(chi._cache, dict)
+        chi.values_complex()
+    assert spans._table_mb([group]) >= 6 * 7 * (8 + 16) / 1e6

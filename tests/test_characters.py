@@ -5,7 +5,9 @@ re-derived by brute-force enumeration of completely multiplicative maps, and
 conductors by testing every divisor directly against the value table.
 """
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -114,6 +116,19 @@ def test_full_group_rejected_above_desk_scale_before_any_table(monkeypatch):
     monkeypatch.setattr(characters, "CharacterGroup", no_group)
     with pytest.raises(ValueError, match="exceeds 10000"):
         build_character_group(10**4 + 1)
+
+
+def test_a_second_modulus_frees_the_first_group():
+    # a group near the ceiling holds up to 0.8 GB of tables, so only the last
+    # group, and the last real primitive character, are cached
+    group = build_character_group(211)
+    chi = real_primitive_character(-211)
+    refs = [weakref.ref(group), weakref.ref(chi)]
+    del group, chi
+    build_character_group(223)
+    real_primitive_character(-223)
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 # --- conductor ----------------------------------------------------------------

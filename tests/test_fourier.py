@@ -247,6 +247,75 @@ def test_cesaro_series_decay(odd4):
     assert slope <= -0.8
 
 
+def test_cesaro_window_fold_is_the_old_engine_fold():
+    # the window's fold, bit for bit, is the one the engine built when it
+    # weighted the terms itself: a_1..a_2N copied into a zero-padded array
+    # of (2N // m + 1) m terms from n = 0, with a_n, n > N, multiplied by
+    # 2N - n + 1 and then divided by N + 1
+    f = dataclasses.replace(log_without_atoms(), name="log#window-fold")
+    for m, n_terms in ((5, 1), (7, 64), (13, 1000), (101, 4000)):
+        for kind in ("cos", "sin"):
+            coeffs = fourier.cached_coefficients(f, kind, 2 * n_terms)
+            length = 2 * n_terms
+            terms = np.zeros((length // m + 1) * m)
+            terms[1 : length + 1] = coeffs
+            upper = terms[n_terms + 1 : length + 1]
+            upper *= np.arange(n_terms, 0, -1)
+            upper /= n_terms + 1
+            old = residue_fold(terms[1 : length + 1], m)
+            folded = fourier._window_fold(f, kind, m, n_terms)
+            assert folded.tobytes() == old.tobytes(), (m, n_terms, kind)
+            assert set(fourier._modulus_cache[f][1]) >= {(kind, n_terms, "cesaro")}
+
+
+def test_cesaro_window_takes_half_the_cap(odd4, monkeypatch):
+    # a target the cap cannot reach: the window stops at N = cap // 2 and
+    # folds a_1 .. a_2N, the whole cap, once
+    f = dataclasses.replace(log_without_atoms(), name="log#half-cap")
+    folds = []
+
+    def counted(coeffs, m):
+        folds.append((m, len(coeffs)))
+        return residue_fold(coeffs, m)
+
+    monkeypatch.setattr(fourier, "residue_fold", counted)
+    sev = theorem_series(odd4, f, 1e-30, terms_cap=5000)
+    assert (sev.terms_used, sev.tail_method, sev.best_effort) == (2500, "cesaro", True)
+    assert folds == [(4, 5000)]
+    assert set(fourier._modulus_cache[f][1]) == {("sin", 2500, "cesaro")}
+
+
+def test_cesaro_window_with_terms_cap_below_two(odd4):
+    # a cap of 1 halves to 0, and the window still sums [1, 2]:
+    # (S_1 + S_2)/2 = p_1 + p_2/2 with p_n = conj(chi)(n) b_n
+    f = log_without_atoms()
+    sev = theorem_series(odd4, f, 1e-30, terms_cap=1)
+    assert (sev.terms_used, sev.tail_method, sev.averaged) == (1, "cesaro", True)
+    assert sev.best_effort
+    p1, p2 = (odd4.values_real()[[1, 2]] * fourier.cached_coefficients(f, "sin", 2)).tolist()
+    prefactor = -2j * complex(fourier.tau(odd4).value)
+    expected = (prefactor * (math.fsum([p1, p1, p2]) / 2)).real
+    assert sev.value == pytest.approx(expected, rel=1e-15, abs=1e-16)
+
+
+def test_cesaro_window_rows_within_their_bound():
+    # the window's value minus the series is the mean of the tails beyond
+    # N .. 2N, each within the bound at N: over a sample of the characters
+    # mod q < 60, log and three steps without atoms take the window on both
+    # sides, at N solved (the cap), 64 and 1000, and stay within their bound
+    # up to the head's rounding
+    rng = np.random.default_rng(19)
+    moduli = [q for q in range(3, 60) if q % 4 != 2]
+    for name in ("log", "step:1/3", "step:2/5", "step:1/2"):
+        f = dataclasses.replace(builtin_function(name), name=f"{name}#bare", atoms=(), envelope=())
+        for q in rng.choice(moduli, 4, replace=False).tolist():
+            for chi in build_character_group(q).primitive_characters():
+                for terms in (None, 64, 1000):
+                    chk = verify_theorem(chi, f, 1e-6, terms=terms)
+                    assert chk.series.tail_method == "cesaro"
+                    assert chk.abs_error <= chk.series.tail_bound + 1e-13, (name, chi.label, terms)
+
+
 def test_coefficient_decay_slopes():
     # smooth family cosine coefficients: log-log slope <= -1.9 on n in [10, 1000];
     # step functions: slope <= -0.9
@@ -396,31 +465,31 @@ def test_fstar_cache_keeps_recent_moduli_only():
 def test_fold_cache_keeps_recent_moduli_only():
     t2 = dataclasses.replace(builtin_function("t2"), name="t2#moduli")
     for m in range(3, 20):
-        folded = fourier.cached_fold(t2, "sin", m, 64, False)
+        folded = fourier.cached_fold(t2, "sin", m, 64)
         assert fourier._modulus_cache[t2][0] == m  # only the modulus in use is held
-        assert set(fourier._modulus_cache[t2][1]) == {("sin", 64, False)}
-    assert fourier.cached_fold(t2, "sin", 19, 64, False) is folded
+        assert set(fourier._modulus_cache[t2][1]) == {("sin", 64)}
+    assert fourier.cached_fold(t2, "sin", 19, 64) is folded
     # the f* table and the folds of one modulus share its tables
     table = fourier._fstar_values(t2, 19)
-    assert set(fourier._modulus_cache[t2][1]) == {"fstar", ("sin", 64, False)}
+    assert set(fourier._modulus_cache[t2][1]) == {"fstar", ("sin", 64)}
     old = [weakref.ref(table), weakref.ref(folded)]
     del table, folded
-    fourier.cached_fold(t2, "sin", 20, 64, False)
+    fourier.cached_fold(t2, "sin", 20, 64)
     gc.collect()
     assert [ref() for ref in old] == [None, None]
 
 
 def test_group_folds_the_coefficients_once_per_n(monkeypatch):
     # every character of one group with one spec reaches the coefficients
-    # through one fold per (kind, q, N, window) and the atoms' tail through one
+    # through one fold per (kind, q, N) and the atoms' tail through one
     # kernel per (kind, q, N); a second pass folds and sums nothing
     log = builtin_function("log")
     fourier._modulus_cache.pop(log, None)
     folds, kernels = [], []
 
-    def counted(coeffs, m, averaged=False):
-        folds.append((m, len(coeffs), averaged))
-        return residue_fold(coeffs, m, averaged)
+    def counted(coeffs, m):
+        folds.append((m, len(coeffs)))
+        return residue_fold(coeffs, m)
 
     def counted_tail(atoms, m, n_terms):
         kernels.append((m, n_terms))
@@ -433,7 +502,7 @@ def test_group_folds_the_coefficients_once_per_n(monkeypatch):
     expected = sorted({(s.parity_branch, s.terms_used) for s in series})
     assert [branch for branch, _ in expected] == ["cosine_even", "sine_odd"]  # both kinds
     assert not any(s.averaged for s in series)
-    assert sorted(folds) == sorted((13, n, False) for _, n in expected)
+    assert sorted(folds) == sorted((13, n) for _, n in expected)
     assert sorted(kernels) == sorted((13, n) for _, n in expected)
     again = [theorem_series(chi, log, 1e-8) for chi in group.characters() if chi.is_primitive]
     assert (len(folds), len(kernels)) == (len(expected), len(expected)) and again == series
@@ -454,13 +523,13 @@ def test_kernel_cache_keeps_the_modulus_in_use_only():
 
 def test_fold_cache_holds_no_coefficient_array():
     t2 = dataclasses.replace(builtin_function("t2"), name="t2#fold")
-    folded = fourier.cached_fold(t2, "sin", 7, 5000, False)
+    folded = fourier.cached_fold(t2, "sin", 7, 5000)
     coeffs = weakref.ref(fourier._coeff_cache[t2]["sin"])
     assert not np.shares_memory(folded, coeffs())
     fourier._coeff_cache.pop(t2)
     gc.collect()
     assert coeffs() is None  # nothing but the coefficient cache held the array
-    assert fourier.cached_fold(t2, "sin", 7, 5000, False) is folded
+    assert fourier.cached_fold(t2, "sin", 7, 5000) is folded
 
 
 def test_coefficients_beyond_the_retained_length_are_not_kept():
