@@ -16,9 +16,11 @@ The values are periodic mod m, so the head sum_n v[n mod m] a_n equals
 sum_r v[r] A[r] with A[r] the sum of the coefficients of class r.  The engine
 takes the coefficients only as that fold (residue_fold, built once per
 modulus and N by the caller, who may cache it, and may weight the
-coefficients first as fourier's Cesaro window does), so a head costs O(m):
-the classes are summed with their high parts exact and their low parts
-pairwise, and the m products by math.fsum after an exact split of each
+coefficients first as fourier's Cesaro window does), so a head costs O(m).
+Every sum is a plain NumPy pairwise sum under one a-priori model, Higham's
+gamma_k = k u/(1 - k u) with k the depth of the summation order
+(_pairwise_depth): the classes are summed pairwise, and the head and the
+atoms' tail together are one pairwise dot of values with fold + kernel
 (fold_head, head_rounding_bound).
 """
 
@@ -45,6 +47,7 @@ __all__ = [
     "cosine_integral_array",
     "si_complement_array",
     "LOG_ATOM",
+    "TERMS_CEILING",
     "PeriodicSums",
     "reciprocal_tail",
     "residue_fold",
@@ -361,23 +364,14 @@ def reciprocal_tail(atoms: Sequence[tuple], m: int, n_terms: int) -> np.ndarray:
 
 
 _UNIT = 2.0**-53  # unit roundoff of float64
-
-
-def _split_scale(max_term: float, rows: int) -> float:
-    """A power of two sigma >= (rows + 2) max_term: the high parts
-    (sigma + x) - sigma of terms |x| <= max_term are multiples of 2^-53 sigma,
-    so any sum of `rows` of them is exact (Rump, Ogita and Oishi's ExtractVector)."""
-    return math.ldexp(1.0, math.frexp(max_term)[1] + (rows + 1).bit_length())
+TERMS_CEILING = 2**22  # the largest cap on N, which bounds the coefficient arrays a series builds
 
 
 def residue_fold(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """The real coefficients a_1..a_L folded by n mod m: a (2, m) array whose
-    column r sums to A[r] = sum_{n <= L, n = r mod m} a_n.
+    """The real coefficients a_1..a_L folded by n mod m: the (m,) array of
+    the class sums A[r] = sum_{n <= L, n = r mod m} a_n.
 
-    Each term a_n is split exactly into a high part, a multiple of 2^-53 sigma
-    (_split_scale), and a low part |a_n - high| <= min(|a_n|, 2^-53 sigma).
-    Row 0 holds the class sums of the high parts, which are exact in any
-    order; row 1 those of the low parts, each class summed pairwise along a
+    Each class is summed pairwise (NumPy's order, _pairwise_depth) along a
     contiguous row of a transposed copy.  The result is a new array, never a
     view of coeffs.
     """
@@ -385,49 +379,14 @@ def residue_fold(coeffs: np.ndarray, m: int) -> np.ndarray:
     rows = length // m + 1  # n = 0 .. length
     terms = np.zeros(rows * m)
     terms[1 : length + 1] = coeffs
-    sigma = _split_scale(float(np.abs(terms).max()), rows)
-    high = terms + sigma
-    high -= sigma
-    terms -= high  # exact: the low parts
-    folded = np.empty((2, m))
-    folded[0] = high.reshape(rows, m).sum(axis=0)
-    del high
-    folded[1] = terms.reshape(rows, m).T.copy().sum(axis=1)
-    return folded
-
-
-def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker, Veltkamp split)."""
-
-    def split(x):
-        c = 134217729.0 * x  # 2^27 + 1
-        hi = c - (c - x)
-        return hi, x - hi
-
-    p = a * b
-    a_hi, a_lo = split(a)
-    b_hi, b_lo = split(b)
-    return p, a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+    return terms.reshape(rows, m).T.copy().sum(axis=1)
 
 
 def fold_head(values: np.ndarray, folded: np.ndarray) -> float | complex:
-    """sum_r values[r] (folded[0, r] + folded[1, r]), real and imaginary parts apart.
-
-    Each product with a high part is split exactly into its rounded value and
-    its error; the rounded values go to math.fsum together with one pairwise
-    sum of the errors and of the products with the low parts.  Both of those
-    are second order in the rounding unit next to the head, so the head is
-    the correctly rounded sum up to them (head_rounding_bound).
-    """
-
-    def dot(v):
-        products, errors = _two_product(v, folded[0])
-        rest = errors.sum() + (v * folded[1]).sum()
-        return math.fsum(products.tolist() + [float(rest)])
-
-    if np.iscomplexobj(values):
-        return complex(dot(values.real), dot(values.imag))
-    return dot(values)
+    """sum_r values[r] folded[r], one pairwise sum of the m products (of
+    their 2m interleaved real and imaginary parts for complex values)."""
+    head = (values * folded).sum()
+    return complex(head) if np.iscomplexobj(head) else float(head)
 
 
 def _pairwise_depth(count: int) -> int:
@@ -444,33 +403,24 @@ def _pairwise_depth(count: int) -> int:
 
 
 def head_rounding_bound(values: np.ndarray, coeffs: np.ndarray) -> float:
-    """A bound on the rounding of fold_head(values, residue_fold(coeffs, m)),
-    m = len(values), against the exact sum it stands for, for each of its real
-    and imaginary parts.  With V = max|values|, S = sum |a_n|, L the number of
-    coefficients, sigma the split scale and Lo = min(S, L 2^-53 sigma) a bound
-    on the low parts' sum of magnitudes, it is
-
-        V (u S + gamma_h Lo + gamma_k (2u S + (1 + gamma_h) Lo))
-
-    with u = 2^-53, gamma_j = j u/(1 - j u), h = _pairwise_depth(L // m + 1)
-    for the low parts' class sums and k = _pairwise_depth(m) + 2 for the sum
-    of the product errors and low-part products: one final rounding and two
-    second-order terms.  A last factor 1 + 2^-50 covers the products of small
-    terms left out.  The coefficients are taken as exact.
+    """A bound on the rounding of fold_head(values, residue_fold(coeffs, m)
+    + kernel), m = len(values), against the exact sum of values[n % m] a_n,
+    for each of its real and imaginary parts: gamma_k V S with V = max|values|,
+    S = sum |a_n|, u = 2^-53 and gamma_k = k u/(1 - k u) (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 3-4).  A term a_n passes
+    through the h = _pairwise_depth(L // m + 1) additions of its class sum,
+    the addition of the kernel, one product and the d = _pairwise_depth(m)
+    additions of the dot (_pairwise_depth(2m) for complex values, whose
+    parts NumPy sums interleaved), so k = h + d + 2.  The last factor
+    1 + 2^-50 covers the roundings of this bound's own evaluation.  The
+    coefficients and the kernel are taken as exact.
     """
-    coeffs = np.abs(coeffs)
     m = len(values)
-    rows = len(coeffs) // m + 1
-    total = math.fsum(coeffs.tolist())
-    low = min(total, len(coeffs) * _UNIT * _split_scale(float(coeffs.max(initial=0.0)), rows))
-
-    def gamma(j):
-        return j * _UNIT / (1.0 - j * _UNIT)
-
-    rows_gamma, rest_gamma = gamma(_pairwise_depth(rows)), gamma(_pairwise_depth(m) + 2)
-    spread = _UNIT * total + rows_gamma * low
-    spread += rest_gamma * (2.0 * _UNIT * total + (1.0 + rows_gamma) * low)
-    return float(np.abs(values).max()) * spread * (1.0 + 2.0**-50)
+    total = math.fsum(np.abs(coeffs).tolist())
+    dot = 2 * m if np.iscomplexobj(values) else m
+    k = _pairwise_depth(len(coeffs) // m + 1) + _pairwise_depth(dot) + 2
+    gamma = k * _UNIT / (1.0 - k * _UNIT)
+    return gamma * float(np.abs(values).max()) * total * (1.0 + 2.0**-50)
 
 
 def coefficient_fold(coefficients: Callable[[int], np.ndarray]) -> Callable[[int, int], np.ndarray]:
@@ -517,11 +467,11 @@ def character_series(
     values[n % m] w[n % b] of period lcm(m, b) <= MODULUS_CEILING must sum to
     0 over a period (PeriodicSums).
 
-    The head sums prefactor * values[n % m] a_n to N by fold_head over the m
-    residue classes.  The atoms' tail is sum_r values[r] K[r] for the kernel
-    K = tail(m, N), reciprocal_tail(atoms, m, N) by default (a caller may
-    cache it: it does not depend on values).  Its bound is |prefactor|
-    times, per atom, |coef| times the absolute sum of its (twisted) period
+    The head to N and the atoms' tail are one fold_head over the m residue
+    classes: sum_r values[r] (A[r] + K[r]), A = fold(m, N) and K = tail(m, N)
+    the atoms' kernel, reciprocal_tail(atoms, m, N) by default (a caller may
+    cache it: it does not depend on values).  The atoms' tail bound is
+    |prefactor| times, per atom, |coef| times the absolute sum of its (twisted) period
     times _remainder at N + 1; the remainder's tail is bounded by
     2 K C |prefactor| / (N + 1)^p, K = partial_sum_bound(m), which also
     bounds the mean of the tails beyond N .. 2N (fourier's Cesaro window);
@@ -548,9 +498,10 @@ def character_series(
         n_terms = min(max(start, math.ceil(min(need, cap))), cap)
         if bounds:
             n_terms = max(n_terms, _atom_terms(bounds, target / (2 * len(bounds)), cap))
-    head = fold_head(values, fold(m, n_terms))
+    folded = fold(m, n_terms)
     if atoms:
-        head += values @ (reciprocal_tail(atoms, m, n_terms) if tail is None else tail(m, n_terms))
+        folded = folded + (reciprocal_tail(atoms, m, n_terms) if tail is None else tail(m, n_terms))
+    head = fold_head(values, folded)
     bound = sum(scale * _remainder(power, period, n_terms + 1.0) for scale, power, period in bounds)
     return prefactor * head, n_terms, bound + weight / float(n_terms + 1) ** p
 
@@ -595,7 +546,7 @@ def l_one(chi: DirichletCharacter, target_accuracy: float = 1e-9) -> LValue:
         1.0,
         2.0 * (target_accuracy - slack),  # the engine spends half its target on the atoms
         1,
-        2**22,
+        TERMS_CEILING,
         atoms=[(1.0, 0.0)],
     )
     value = float(value.real) if real else complex(value)

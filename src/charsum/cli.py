@@ -21,7 +21,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .analytic import check_tolerance
+from .analytic import TERMS_CEILING, check_tolerance
 from .characters import (
     MODULUS_CEILING,
     build_character_group,
@@ -182,6 +182,8 @@ def _cmd_characters(args, command: str) -> int:
 def _cmd_verify_theorem(args, command: str) -> int:
     if args.modulus < 3:
         raise ValueError(f"the series identity needs modulus >= 3, got {args.modulus}")
+    if args.terms_cap > TERMS_CEILING:
+        raise ValueError(f"--terms-cap {args.terms_cap} exceeds the ceiling {TERMS_CEILING}")
     if args.terms is not None and args.terms > args.terms_cap:
         raise ValueError(f"--terms {args.terms} exceeds --terms-cap {args.terms_cap}")
     f = builtin_function(args.function)

@@ -41,7 +41,7 @@ from functools import partial
 
 import numpy as np
 
-from .analytic import character_series, check_tolerance, reciprocal_tail, residue_fold
+from .analytic import TERMS_CEILING, character_series, check_tolerance, reciprocal_tail, residue_fold
 from .characters import DirichletCharacter
 from .functions import FunctionSpec, VariationClass
 from .gauss_sums import tau
@@ -247,7 +247,7 @@ def cached_fold(f: FunctionSpec, kind: str, m: int, n_terms: int) -> np.ndarray:
 
     This is the fold callable of every theorem series without the Cesaro
     window (partial(cached_fold, f, kind)).  Folds are cached per spec and
-    keyed by (kind, N), for the modulus in use only; a fold is a new (2, m)
+    keyed by (kind, N), for the modulus in use only; a fold is a new (m,)
     array and keeps no reference to the coefficients it was built from.
     """
     return _modulus_table(f, m, (kind, n_terms),
@@ -331,14 +331,17 @@ def theorem_series(
     the same bound, N at most half the cap (tail method "cesaro").  When the
     bound cannot reach target_accuracy within the cap the evaluation is
     best-effort with the bound reported as is.  An explicit
-    `terms` overrides the choice of N and must not exceed terms_cap.  The head
-    and tail are summed by one analytic.character_series call.
+    `terms` overrides the choice of N and must not exceed terms_cap, which
+    must not exceed analytic.TERMS_CEILING.  The head and tail are summed by
+    one analytic.character_series call.
     target_accuracy obeys analytic.check_tolerance.
     """
     _require_primitive(chi)
     if f.variation_class is VariationClass.UNBOUNDED_VARIATION:
         raise ValueError(f"function {f.name!r} declares unbounded variation; series diverges")
     check_tolerance(target_accuracy, "target_accuracy")
+    if terms_cap > TERMS_CEILING:
+        raise ValueError(f"terms_cap (--terms-cap) must be at most {TERMS_CEILING}, got {terms_cap}")
     if terms is not None and not 1 <= terms <= terms_cap:
         raise ValueError(f"terms must be >= 1 and at most terms_cap = {terms_cap}, got {terms}")
 

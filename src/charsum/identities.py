@@ -28,6 +28,7 @@ from functools import partial
 # si_complement_array and tau stay bound here: perfbench/spans.py wraps them
 # by name
 from .analytic import (  # noqa: F401
+    TERMS_CEILING,
     PeriodicSums,
     character_series,
     check_tolerance,
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCES = {1: 1e-7, 2: 1e-7, 3: 1e-8, 4: 5e-4}
-_PARTIAL_SUM_TERMS_CAP = 2**22
 
 
 @dataclass(frozen=True)
@@ -165,10 +165,10 @@ def check_partial_sum_identity(
     y = a/b the step's atoms carry weights of period b, so the series tail
     beyond N is summed by class over the period lcm(q, b), which must not
     exceed MODULUS_CEILING; N starts at 4 lcm(q, b), and an explicit `terms`
-    fixes N and must not exceed 2^22.
+    fixes N and must not exceed TERMS_CEILING.
     """
-    if terms is not None and not 1 <= terms <= _PARTIAL_SUM_TERMS_CAP:
-        raise ValueError(f"terms must be >= 1 and at most {_PARTIAL_SUM_TERMS_CAP}, got {terms}")
+    if terms is not None and not 1 <= terms <= TERMS_CEILING:
+        raise ValueError(f"terms must be >= 1 and at most {TERMS_CEILING}, got {terms}")
     y = Fraction(y) if not isinstance(y, Fraction) else y
     if not 0 < y < 1:
         raise ValueError(f"y must lie in (0, 1); got {y}")
@@ -182,7 +182,7 @@ def check_partial_sum_identity(
             "denominator, such as 1/5"
         )
     f = builtin_function(f"step:{y}")
-    return _theorem_check(4, d, y, f, tol, tol / 2, 4 * period, _PARTIAL_SUM_TERMS_CAP, terms)
+    return _theorem_check(4, d, y, f, tol, tol / 2, 4 * period, TERMS_CEILING, terms)
 
 
 IDENTITY_IDS = {

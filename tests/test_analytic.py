@@ -6,10 +6,12 @@ here from scratch, and Si, pi/2 - Si and Ci against 40-digit mpmath values
 and a brute-force partial-sum value recorded before the build; the tail
 kernel's class sums against 40-digit digamma, Hurwitz zeta and Stieltjes
 values; the series engine in each of its modes, and over fourier's Cesaro
-window, against long brute sums.
+window, against long brute sums; the head against its rounding bound, and
+NumPy's pairwise summation order, which that bound assumes, bit for bit.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -20,6 +22,7 @@ from charsum.analytic import (
     LOG_ATOM,
     PeriodicSums,
     _class_sums,
+    _pairwise_depth,
     _remainder,
     character_series,
     coefficient_fold,
@@ -616,7 +619,7 @@ def test_fold_head_is_the_exact_series_head(m, length, complex_period, window):
     else:
         weighted = coeffs
     folded = residue_fold(weighted, m)
-    assert folded.shape == (2, m) and not np.shares_memory(folded, weighted)
+    assert folded.shape == (m,) and not np.shares_memory(folded, weighted)
     head = fold_head(values, folded)
     assert isinstance(head, complex if complex_period else float)
     bound += head_rounding_bound(values, weighted)
@@ -624,29 +627,73 @@ def test_fold_head_is_the_exact_series_head(m, length, complex_period, window):
         assert error <= bound
 
 
-def test_fold_head_no_worse_than_the_pairwise_head():
-    # over random periods and coefficients, the fold's head is at least as
-    # close to the exact value as the pairwise sum of the products, and the
-    # Cesaro head as close as the mean of the cumulative sums
-    rng = np.random.default_rng(2024)
-    for trial in range(24):
-        m = int(rng.integers(2, 300))
-        length = 2 * int(rng.integers(1, 1500))
-        values = rng.choice([-1.0, 1.0], m)
-        if trial % 2:
-            values = np.exp(2j * math.pi * rng.random(m))
-        if trial % 3:
-            coeffs = rng.standard_normal(length) / np.arange(1, length + 1)
-        else:
-            coeffs = rng.random(length)
-        products = values[np.arange(1, length + 1) % m] * coeffs
-        for window, pairwise in (
-            (False, products.sum()),
-            (True, np.cumsum(products)[length // 2 - 1 :].mean()),
-        ):
-            exact = _exact_head(values, coeffs, window)
-            head = fold_head(values, residue_fold(_cesaro_window(coeffs) if window else coeffs, m))
-            fold_errors = _head_errors(complex(head), exact)
-            pairwise_errors = _head_errors(complex(pairwise), exact)
-            for fold_error, pairwise_error in zip(fold_errors, pairwise_errors):
-                assert fold_error <= pairwise_error, (trial, window)
+@pytest.mark.parametrize("m", [3, 5, 7, 12, 101])
+def test_fold_head_within_rounding_bound_on_long_classes(m):
+    # a small m with N >> m: each class sums L/m terms.  With a +-1 period
+    # every product is exact, so math.fsum of the products is the correctly
+    # rounded head (within one ulp of the exact one); a complex period is
+    # checked against the exact Fraction head at a smaller L
+    rng = np.random.default_rng(m)
+    length = 10**6
+    n = np.arange(1, length + 1)
+    values = rng.choice([-1.0, 1.0], m)
+    for coeffs in (rng.random(length), rng.standard_normal(length) / n):
+        head = fold_head(values, residue_fold(coeffs, m))
+        exact = math.fsum((values[n % m] * coeffs).tolist())
+        assert abs(head - exact) <= head_rounding_bound(values, coeffs) + math.ulp(exact)
+    values = np.exp(2j * math.pi * rng.random(m))
+    coeffs = rng.random(5000)
+    head = fold_head(values, residue_fold(coeffs, m))
+    for error in _head_errors(head, _exact_head(values, coeffs, False)):
+        assert error <= head_rounding_bound(values, coeffs)
+
+
+def _numpy_sum(scalars, lanes=1, add=operator.add):
+    """NumPy's pairwise sum of `scalars`, as `lanes` interleaved sums (2 for
+    the real and imaginary parts of a complex array): sequential below 8
+    terms; up to 128, 8 running sums, combined as a balanced tree within
+    each lane, then the leftover terms one by one; above 128, the sums of
+    two halves, the first rounded down to a multiple of 8."""
+    n = len(scalars)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        left, right = _numpy_sum(scalars[:half], lanes, add), _numpy_sum(scalars[half:], lanes, add)
+        return [add(a, b) for a, b in zip(left, right)]
+    if n < 8:
+        sums, rest = [0.0] * lanes, 0
+    else:
+        running = list(scalars[:8])
+        rest = n - n % 8
+        for i in range(8, rest, 8):
+            running = [add(a, b) for a, b in zip(running, scalars[i : i + 8])]
+        sums = []
+        for lane in range(lanes):
+            tree = running[lane::lanes]
+            while len(tree) > 1:
+                tree = [add(a, b) for a, b in zip(tree[::2], tree[1::2])]
+            sums.append(tree[0])
+    for i in range(rest, n):
+        sums[i % lanes] = add(sums[i % lanes], scalars[i])
+    return sums
+
+
+def test_numpy_summation_order():
+    # residue_fold, fold_head and the depth of _pairwise_depth assume NumPy's
+    # pairwise order; on ill-conditioned data any other order shows in the bits
+    rng = np.random.default_rng(7)
+
+    def data(size):
+        return rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size)
+
+    def depth_add(a, b):
+        return max(a, b) + 1
+
+    for count in [*range(1, 401), 4097, 10**5]:
+        terms = data(count)
+        assert terms.sum() == _numpy_sum(terms.tolist())[0], count
+        rows = data(3 * count).reshape(3, count)
+        assert rows.sum(axis=1).tolist() == [_numpy_sum(row)[0] for row in rows.tolist()], count
+        z = data(count) + 1j * data(count)
+        assert [z.sum().real, z.sum().imag] == _numpy_sum(z.view(float).tolist(), 2), count
+        assert max(_numpy_sum([0] * count, 1, depth_add)) <= _pairwise_depth(count)
+        assert max(_numpy_sum([0] * 2 * count, 2, depth_add)) <= _pairwise_depth(2 * count)

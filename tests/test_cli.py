@@ -228,6 +228,23 @@ def test_example_4_rejects_terms_above_cap_before_allocating(capsys, monkeypatch
     assert "at most 4194304" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("terms", [None, 10**12])
+def test_verify_theorem_rejects_terms_cap_above_ceiling_before_allocating(capsys, monkeypatch, terms):
+    # 2^22 is the most coefficients any series sums; a cap of 10^12 would
+    # ask for terabytes, with or without an explicit --terms of that size
+    import charsum.fourier as fourier
+
+    def no_coefficients(*args, **kwargs):
+        raise AssertionError("no coefficients may be generated")
+
+    monkeypatch.setattr(fourier, "cached_coefficients", no_coefficients)
+    argv = ["verify-theorem", "-q", "5", "--function", "t2", "--terms-cap", str(10**12),
+            "--tol", "1e-300"]
+    code, out, err = run_cli(capsys, *argv, *(["--terms", str(terms)] if terms else []))
+    assert code == 2 and out == ""
+    assert "--terms-cap 1000000000000" in err and "4194304" in err and "Traceback" not in err
+
+
 def test_example_parity_gate(capsys):
     code, _, err = run_cli(capsys, "example", "--id", "1", "-d", "5")
     assert code == 2

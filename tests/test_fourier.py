@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from charsum import fourier
-from charsum.analytic import head_rounding_bound, reciprocal_tail, residue_fold
+from charsum.analytic import TERMS_CEILING, head_rounding_bound, reciprocal_tail, residue_fold
 from charsum.characters import build_character_group, real_primitive_character
 from charsum.fourier import direct_sum, theorem_series, verify_theorem
 from charsum.functions import FunctionSpec, VariationClass, builtin_function, fstar
@@ -196,6 +196,21 @@ def test_explicit_terms_above_cap_rejected_before_allocating(odd3, monkeypatch):
     for f in (builtin_function("t"), log_without_atoms()):  # kernel and Cesaro tails
         with pytest.raises(ValueError, match="at most terms_cap = 1000000"):
             theorem_series(odd3, f, 1e-8, terms=10**12)
+
+
+def test_terms_cap_above_ceiling_rejected_before_allocating(odd3, monkeypatch):
+    t = builtin_function("t")
+    sev = theorem_series(odd3, t, 1e-8, terms=40, terms_cap=TERMS_CEILING)
+    assert sev.terms_used == 40
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("the series must not be set up")
+
+    for name in ("cached_coefficients", "character_series"):
+        monkeypatch.setattr(fourier, name, no_series)
+    for cap in (TERMS_CEILING + 1, 10**12):
+        with pytest.raises(ValueError, match=f"--terms-cap.*at most {TERMS_CEILING}, got {cap}"):
+            theorem_series(odd3, t, 1e-300, terms_cap=cap)
 
 
 def test_unbounded_variation_rejected(chi5):
