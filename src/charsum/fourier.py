@@ -28,8 +28,11 @@ at N.
 Coefficients without a closed form come from piecewise Filon quadrature.  f is
 sampled once per piece (an interval between jumps, or one interval of the
 graded mesh toward a singular 0) on nested grids held per spec, shared by
-every n, both kinds and every panel doubling; the coefficients are
-bit-identical to sampling f afresh for each one.
+every n, both kinds and every panel doubling.  The new n of a cache growth
+are one batch: one panel-doubling pass per piece (quadrature.filon_adaptive
+over the array of omega = 2 pi n) serves all of them, and the pieces are
+added in order.  The coefficients are bit-identical to the rule for each n
+alone, sampling f afresh.
 """
 
 from __future__ import annotations
@@ -180,10 +183,12 @@ def _piece_samples(f: FunctionSpec) -> list[NestedSamples]:
     return pieces
 
 
-def _coefficient_quadrature(f: FunctionSpec, n: int, kind: str) -> float:
-    """One coefficient by piecewise Filon quadrature with a graded singular mesh."""
-    omega = 2.0 * math.pi * n
-    total = 0.0
+def _coefficient_quadrature(f: FunctionSpec, ns: np.ndarray, kind: str) -> np.ndarray:
+    """The coefficients of every n in ns by piecewise Filon quadrature with a
+    graded singular mesh: one filon_adaptive call per piece serves the whole
+    array, and the pieces are added in order."""
+    omega = 2.0 * math.pi * ns
+    total = np.zeros(len(ns))
     for piece in _piece_samples(f):
         total += filon_adaptive(piece, piece.a, piece.b, omega, kind)[0]
     return total
@@ -194,7 +199,7 @@ def fourier_coefficient(f: FunctionSpec, n: int, kind: str) -> float:
 
     Uses the closed form when the spec carries one, otherwise adaptive Filon
     quadrature to ~1e-12 relative accuracy (QuadratureError on failure, with
-    the achieved accuracy attached).
+    the achieved accuracy attached), as the batch of n alone.
     """
     if n < 1:
         raise ValueError(f"coefficient index must be a positive integer, got {n}")
@@ -202,16 +207,19 @@ def fourier_coefficient(f: FunctionSpec, n: int, kind: str) -> float:
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
     if f.closed_form is not None:
         return float(f.closed_form(np.array([n]), kind)[0])
-    return _coefficient_quadrature(f, n, kind)
+    return float(_coefficient_quadrature(f, np.array([n]), kind)[0])
 
 
 def cached_coefficients(f: FunctionSpec, kind: str, count: int) -> np.ndarray:
     """Coefficients for n = 1..count, cached per spec and kind and grown on demand.
 
-    cached_fold and the envelope measurement share this cache.  The built-in
-    closed forms are elementwise, so their values do not depend on how the
-    cache grew.  An array longer than RETAINED_TERMS is returned but not
-    kept: it is only needed to build a fold, which is cached instead.
+    cached_fold and the envelope measurement share this cache.  The cache
+    grows by one batch of the new n: one closed-form call, or one
+    quadrature pass (one doubling pass per piece for every new n).  Both are
+    elementwise, the quadrature bit-identical to the rule for each n alone,
+    so the values do not depend on how the cache grew.  An array longer than
+    RETAINED_TERMS is returned but not kept: it is only needed to build a
+    fold, which is cached instead.
     """
     per_f = _coeff_cache.setdefault(f, {})
     arr = per_f.get(kind)
@@ -221,7 +229,7 @@ def cached_coefficients(f: FunctionSpec, kind: str, count: int) -> np.ndarray:
         if f.closed_form is not None:
             new = np.asarray(f.closed_form(n_new, kind), dtype=float)
         else:
-            new = np.array([_coefficient_quadrature(f, int(n), kind) for n in n_new])
+            new = _coefficient_quadrature(f, n_new, kind)
         arr = new if arr is None else np.concatenate([arr, new])
         arr.flags.writeable = False
         if count <= RETAINED_TERMS:

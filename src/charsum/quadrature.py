@@ -14,6 +14,17 @@ the finest grid requested so far and f on it, and filon_integral asks it for
 both by panel count: a finer grid is built once, evaluating f only at the new
 points.  One NestedSamples per interval can therefore serve every omega, both
 kinds and every doubling, with results bit-identical to fresh sampling.
+
+Both rules take a 1-D array of omegas, a scalar being the length-1 case, so
+one panel-doubling pass over an interval serves every omega: each doubling is
+one filon_integral call over the omegas not yet accepted, and each omega is
+accepted at the doubling its own test would accept alone.  The weights and
+endpoint terms stay scalar libm calls per omega, since a NumPy build's SIMD
+sin/cos need not match libm to the ulp; the grid trig cos/sin(omega x) runs
+over row chunks of the outer product of at most CHUNK_ELEMENTS = 2^12
+elements (one row when a row is longer), so no temporary outgrows
+max(2^12, 2P + 1) floats, and each row is summed in the pairwise order of a
+1-D sum.  Every value is thus bit-identical to the call for its omega alone.
 """
 
 from __future__ import annotations
@@ -37,6 +48,8 @@ ABS_FLOOR = 1e-14
 # filon_adaptive's panel cap and the graded mesh's stop toward 0 (graded_edges)
 MAX_PANELS = 2**15
 GRADED_CUTOFF = 1e-18
+# the most elements of one row chunk of the grid trig in filon_integral
+CHUNK_ELEMENTS = 2**12
 
 
 class QuadratureError(ArithmeticError):
@@ -95,38 +108,51 @@ def _filon_weights(theta: float) -> tuple[float, float, float]:
     return alpha, beta, gamma
 
 
+def _omegas(omega) -> np.ndarray:
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    if omega.ndim != 1:
+        raise ValueError(f"omega must be a scalar or a 1-D array, got shape {omega.shape}")
+    return omega
+
+
 def filon_integral(
     f: NestedSamples | Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    omega: float,
+    omega,
     kind: str,
     panels: int,
-) -> float:
-    """integral_a^b f(t) cos/sin(omega t) dt on 2*panels subintervals.
+) -> np.ndarray:
+    """integral_a^b f(t) cos/sin(omega t) dt on 2*panels subintervals, for
+    each omega of a 1-D array (a scalar is the length-1 case).
 
     f is a NestedSamples of [a, b], whose grid and samples are reused, or a
-    vectorized callable, sampled afresh.
+    vectorized callable, sampled afresh.  Each value is bit-identical to the
+    call for its omega alone (see the module docstring).
     """
     samples = f if isinstance(f, NestedSamples) else NestedSamples(f, a, b)
     if (samples.a, samples.b) != (a, b):
         raise ValueError(f"samples requested off the grids of [{samples.a}, {samples.b}]")
-    h = (b - a) / (2 * panels)
-    theta = omega * h
-    alpha, beta, gamma = _filon_weights(theta)
-    x, fx = samples.grid(panels)  # exact endpoints for one-sided limits
-    wx = omega * x
-    if kind == "cos":
-        g = np.cos(wx)
-        endpoint = alpha * (fx[-1] * math.sin(omega * b) - fx[0] * math.sin(omega * a))
-    elif kind == "sin":
-        g = np.sin(wx)
-        endpoint = -alpha * (fx[-1] * math.cos(omega * b) - fx[0] * math.cos(omega * a))
-    else:
+    if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    fg = fx * g
-    even = fg[::2].sum() - 0.5 * (fg[0] + fg[-1])
-    odd = fg[1::2].sum()
+    omega = _omegas(omega)
+    trig, edge = (np.cos, math.sin) if kind == "cos" else (np.sin, math.cos)
+    h = (b - a) / (2 * panels)
+    alpha, beta, gamma, edge_b, edge_a = np.array(
+        [(*_filon_weights(w * h), edge(w * b), edge(w * a)) for w in omega.tolist()]
+    ).reshape(-1, 5).T
+    x, fx = samples.grid(panels)  # exact endpoints for one-sided limits
+    endpoint = alpha * (fx[-1] * edge_b - fx[0] * edge_a)
+    if kind == "sin":
+        endpoint = -endpoint
+    even, odd = np.empty(len(omega)), np.empty(len(omega))
+    rows = max(1, CHUNK_ELEMENTS // len(x))
+    for lo in range(0, len(omega), rows):
+        fg = np.multiply.outer(omega[lo : lo + rows], x)
+        trig(fg, out=fg)
+        fg *= fx
+        even[lo : lo + rows] = fg[:, ::2].sum(axis=1) - 0.5 * (fg[:, 0] + fg[:, -1])
+        odd[lo : lo + rows] = fg[:, 1::2].sum(axis=1)
     return h * (endpoint + beta * even + gamma * odd)
 
 
@@ -134,29 +160,40 @@ def filon_adaptive(
     f: NestedSamples | Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    omega: float,
+    omega,
     kind: str,
-) -> tuple[float, float]:
-    """Panel-doubling Filon integration; returns (value, error estimate).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Panel-doubling Filon integration for each omega of a 1-D array (a
+    scalar is the length-1 case); returns arrays (value, error estimate).
 
     Panels start at 8 and double while they are at most MAX_PANELS, so the
-    finest rule has up to 2 * MAX_PANELS panels.  Raises QuadratureError when
-    that cap is reached before the doubling increment falls under
-    max(REL_TOL * |value|, ABS_FLOOR).  Pass a NestedSamples as f to keep the
-    grid and samples for the next call.
+    finest rule has up to 2 * MAX_PANELS panels.  Each doubling is one
+    filon_integral call over the omegas still open, and an omega is accepted
+    at the first doubling whose increment falls under
+    max(REL_TOL * |value|, ABS_FLOOR), as a call for it alone would accept.
+    Raises QuadratureError, naming the smallest omega still open and carrying
+    its achieved accuracy, when the cap is reached first.  Pass a
+    NestedSamples as f to keep the grid and samples for the next call.
     """
+    omega = _omegas(omega)
     panels = 8
     prev = filon_integral(f, a, b, omega, kind, panels)
-    while panels <= MAX_PANELS:
+    value, err = np.empty(len(omega)), np.empty(len(omega))
+    live = np.arange(len(omega))
+    while live.size and panels <= MAX_PANELS:
         panels *= 2
-        cur = filon_integral(f, a, b, omega, kind, panels)
-        err = abs(cur - prev)
-        if err <= max(REL_TOL * abs(cur), ABS_FLOOR):
-            return cur, err
-        prev = cur
-    raise QuadratureError(
-        f"Filon refinement did not converge on [{a}, {b}] at omega = {omega}", err
-    )
+        cur = filon_integral(f, a, b, omega[live], kind, panels)
+        change = np.abs(cur - prev)
+        done = change <= np.maximum(REL_TOL * np.abs(cur), ABS_FLOOR)
+        value[live[done]], err[live[done]] = cur[done], change[done]
+        live, prev, change = live[~done], cur[~done], change[~done]
+    if live.size:
+        worst = np.argmin(omega[live])
+        raise QuadratureError(
+            f"Filon refinement did not converge on [{a}, {b}] at omega = {float(omega[live[worst]])}",
+            float(change[worst]),
+        )
+    return value, err
 
 
 def graded_edges(lo: float, hi: float) -> list[tuple[float, float]]:

@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from charsum import fourier, quadrature
 from charsum.characters import build_character_group
 from charsum.fourier import theorem_series
 from charsum.functions import builtin_function
@@ -52,3 +53,24 @@ def test_table_sizes_read_the_character_caches():
         assert isinstance(chi._cache, dict)
         chi.values_complex()
     assert spans._table_mb([group]) >= 6 * 7 * (8 + 16) / 1e6
+
+
+def test_user_spec_coefficients_go_through_the_spanned_quadrature_names(monkeypatch):
+    # the traced theorem-quad pass proves that quadrature ran by counting
+    # samples through these two names, so they must stay on the call path
+    calls = {}
+    for module, attr in ((fourier, "filon_adaptive"), (quadrature, "filon_integral")):
+        inner = getattr(module, attr)
+
+        def counted(*args, inner=inner, attr=attr, **kwargs):
+            calls[attr] = calls.get(attr, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    t2 = builtin_function("t2")  # fresh copies, so that both caches start cold
+    closed = dataclasses.replace(t2, name="t2#closed")
+    user = dataclasses.replace(t2, name="t2#user", closed_form=None, atoms=(), envelope=())
+    fourier.cached_coefficients(closed, "cos", 16)
+    assert calls == {}  # a closed form runs no quadrature
+    fourier.cached_coefficients(user, "cos", 16)
+    assert calls["filon_adaptive"] >= 1 and calls["filon_integral"] >= 2

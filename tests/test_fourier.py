@@ -8,12 +8,12 @@ import weakref
 import numpy as np
 import pytest
 
-from charsum import fourier
+from charsum import fourier, quadrature
 from charsum.analytic import TERMS_CEILING, head_rounding_bound, reciprocal_tail, residue_fold
 from charsum.characters import build_character_group, real_primitive_character
 from charsum.fourier import direct_sum, theorem_series, verify_theorem
 from charsum.functions import FunctionSpec, VariationClass, builtin_function, fstar
-from charsum.quadrature import QuadratureError, filon_adaptive, graded_edges
+from charsum.quadrature import QuadratureError, graded_edges
 
 
 def log_without_atoms():
@@ -384,8 +384,57 @@ def _user_specs():
     ]
 
 
+# The per-n Filon rule, kept here as the oracle of the batched library rule:
+# one omega per call, a fresh grid per panel count, scalar sums.
+
+
+def _scalar_filon_weights(theta):
+    if theta >= 1.0 / 6.0:
+        s, c = math.sin(theta), math.cos(theta)
+        t3 = theta**3
+        alpha = (theta**2 + theta * s * c - 2.0 * s * s) / t3
+        beta = 2.0 * (theta * (1.0 + c * c) - 2.0 * s * c) / t3
+        gamma = 4.0 * (s - theta * c) / t3
+    else:
+        t2 = theta * theta
+        alpha = theta * t2 * (2.0 / 45 + t2 * (-2.0 / 315 + t2 * (2.0 / 4725)))
+        beta = 2.0 / 3 + t2 * (2.0 / 15 + t2 * (-4.0 / 105 + t2 * (2.0 / 567)))
+        gamma = 4.0 / 3 + t2 * (-2.0 / 15 + t2 * (1.0 / 210 + t2 * (-1.0 / 11340)))
+    return alpha, beta, gamma
+
+
+def _scalar_filon_integral(f, a, b, omega, kind, panels):
+    h = (b - a) / (2 * panels)
+    alpha, beta, gamma = _scalar_filon_weights(omega * h)
+    x = np.linspace(a, b, 2 * panels + 1)
+    fx = f(x)
+    if kind == "cos":
+        g = np.cos(omega * x)
+        endpoint = alpha * (fx[-1] * math.sin(omega * b) - fx[0] * math.sin(omega * a))
+    else:
+        g = np.sin(omega * x)
+        endpoint = -alpha * (fx[-1] * math.cos(omega * b) - fx[0] * math.cos(omega * a))
+    fg = fx * g
+    even = fg[::2].sum() - 0.5 * (fg[0] + fg[-1])
+    odd = fg[1::2].sum()
+    return h * (endpoint + beta * even + gamma * odd)
+
+
+def _scalar_filon_adaptive(f, a, b, omega, kind):
+    panels = 8
+    prev = _scalar_filon_integral(f, a, b, omega, kind, panels)
+    while panels <= quadrature.MAX_PANELS:
+        panels *= 2
+        cur = _scalar_filon_integral(f, a, b, omega, kind, panels)
+        err = abs(cur - prev)
+        if err <= max(quadrature.REL_TOL * abs(cur), quadrature.ABS_FLOOR):
+            return cur, err
+        prev = cur
+    raise QuadratureError(f"no convergence at omega = {omega}", err)
+
+
 def _cold_coefficient(f, n, kind):
-    """One coefficient with a fresh evaluator per piece and no sample reuse."""
+    """One coefficient by the per-n rule, sampling f afresh at every doubling."""
     omega = 2.0 * math.pi * n
     breakpoints = [0.0] + [t for t, _, _ in f.jump_points] + [1.0]
     total = 0.0
@@ -403,7 +452,7 @@ def _cold_coefficient(f, n, kind):
 
         edges = graded_edges(0.0, b) if f.singular_at_zero and a == 0.0 else [(a, b)]
         for lo, hi in edges:
-            total += filon_adaptive(evaluator, lo, hi, omega, kind)[0]
+            total += _scalar_filon_adaptive(evaluator, lo, hi, omega, kind)[0]
     return total
 
 

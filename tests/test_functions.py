@@ -6,6 +6,7 @@ the integrate-by-parts reduction to quadrature-evaluated sine integrals.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -17,7 +18,7 @@ from charsum import functions, quadrature
 from charsum.analytic import character_series, coefficient_fold, reciprocal_tail
 from charsum.characters import real_primitive_character
 from charsum.functions import FunctionSpec, VariationClass, builtin_function, fstar
-from charsum.fourier import fourier_coefficient
+from charsum.fourier import cached_coefficients, fourier_coefficient
 from charsum.quadrature import NestedSamples, QuadratureError, filon_adaptive, filon_integral
 
 
@@ -165,6 +166,16 @@ def test_quadrature_error_carries_achieved_accuracy(monkeypatch):
     with pytest.raises(QuadratureError) as exc:
         filon_adaptive(wild, 0.0, 1.0, 2 * math.pi, "cos")
     assert exc.value.achieved > 0
+    # a mixed batch, out of order, raises the error of its smallest failing omega
+    converges = 400 * math.pi  # its 32- and 64-panel rules agree
+    filon_adaptive(wild, 0.0, 1.0, converges, "cos")
+    with pytest.raises(QuadratureError) as single:
+        filon_adaptive(wild, 0.0, 1.0, 4 * math.pi, "cos")
+    with pytest.raises(QuadratureError) as batch:
+        filon_adaptive(wild, 0.0, 1.0, [1000 * math.pi, converges, 20 * math.pi, 4 * math.pi], "cos")
+    assert f"omega = {4 * math.pi} " in str(batch.value)
+    assert batch.value.achieved == single.value.achieved
+    assert str(batch.value) == str(single.value)
 
 
 def test_quadrature_panel_cap_of_the_first_rule_allows_one_doubling(monkeypatch):
@@ -214,6 +225,92 @@ def test_nested_samples_evaluate_each_grid_point_once():
         filon_integral(samples, a, 0.9, 0.5, "cos", 8)
     assert len(seen) == evaluated
 
+
+
+# --- the Filon rule over a batch of omegas ------------------------------------
+
+
+def _smooth(x):
+    return np.exp(-x) * np.cos(3.0 * x)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_filon_batch_equals_per_omega_calls_bit_for_bit():
+    a, b = 0.1, 0.8
+    omegas = np.array([0.3, 1.0, 3.0, 3.9, 500.0] + [2 * math.pi * n for n in range(1, 41)])
+    theta = omegas * (b - a) / 16  # the 8-panel rule's phase
+    assert (theta < 1 / 6).any() and (theta >= 1 / 6).any()  # both weight branches
+    for kind in ("cos", "sin"):
+        samples = NestedSamples(_smooth, a, b)
+        batch = filon_integral(samples, a, b, omegas, kind, 8)
+        single = [filon_integral(_smooth, a, b, w, kind, 8) for w in omegas]
+        assert all(len(v) == 1 for v in single)  # a scalar omega is the length-1 batch
+        assert _bits(batch) == _bits(np.concatenate(single)), kind
+        value, err = filon_adaptive(samples, a, b, omegas, kind)
+        single = [filon_adaptive(_smooth, a, b, w, kind) for w in omegas]
+        assert _bits(value) == _bits([v[0] for v, _ in single]), kind
+        assert _bits(err) == _bits([e[0] for _, e in single]), kind
+
+
+def test_filon_batch_chunk_boundaries_do_not_matter(monkeypatch):
+    omegas = 2 * math.pi * np.arange(1, 101)
+    samples = NestedSamples(_smooth, 0.0, 1.0)
+
+    def results():
+        return [
+            _bits(filon_integral(samples, 0.0, 1.0, omegas, kind, 64))
+            + _bits(np.concatenate(filon_adaptive(samples, 0.0, 1.0, omegas, kind)))
+            for kind in ("cos", "sin")
+        ]
+
+    default = results()  # 129 points: 31 rows a chunk, so 4 chunks
+    for elements in (1, 10**9):  # one row a chunk, one chunk for the batch
+        monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", elements)
+        assert results() == default, elements
+
+
+def _quadrature_specs():
+    y = 5 / 11
+    return [
+        FunctionSpec(
+            name="jump#batch",
+            evaluator=lambda t: 1.0 + t if t <= y else t * t,
+            variation_class=VariationClass.PIECEWISE_SMOOTH,
+            jump_points=((y, 1.0 + y, y * y),),
+        ),
+        FunctionSpec(
+            name="log-singular#batch",
+            evaluator=lambda t: math.log(t) * (1.0 - 0.5 * t),
+            variation_class=VariationClass.INTEGRABLE_SINGULAR_AT_ZERO,
+            singular_at_zero=True,
+        ),
+    ]
+
+
+def test_coefficient_cache_grown_in_two_batches_equals_one_batch():
+    # the envelope's sample of 64, then the fold's 128, against 128 at once
+    for grown, whole in zip(_quadrature_specs(), _quadrature_specs()):
+        for kind in ("cos", "sin"):
+            cached_coefficients(grown, kind, 64)
+            assert _bits(cached_coefficients(grown, kind, 128)) == _bits(
+                cached_coefficients(whole, kind, 128)
+            ), (grown.name, kind)
+
+
+def test_filon_batch_memory_stays_within_chunks():
+    # 128 omegas on 8,193 points: the whole outer product would be 8.4 MB a
+    # temporary; one-row chunks keep the peak, sampling included, under 1 MB
+    omegas = 2 * math.pi * np.arange(1, 129)
+    tracemalloc.start()
+    try:
+        filon_integral(_smooth, 0.0, 1.0, omegas, "cos", 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
 
 def _atom_sum(f, kind, n):
     # a periodic coef is one period of weights, indexed by n mod b; the
