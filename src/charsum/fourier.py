@@ -31,8 +31,9 @@ graded mesh toward a singular 0) on nested grids held per spec, shared by
 every n, both kinds and every panel doubling.  The new n of a cache growth
 are one batch: one panel-doubling pass per piece (quadrature.filon_adaptive
 over the array of omega = 2 pi n) serves all of them, and the pieces are
-added in order.  The coefficients are bit-identical to the rule for each n
-alone, sampling f afresh.
+added in order.  Each doubling halves the last rule's running sums, so it
+evaluates cos/sin(omega x) only at its new midpoints.  The coefficients are
+bit-identical to the halving rule for each n alone, sampling f afresh.
 """
 
 from __future__ import annotations

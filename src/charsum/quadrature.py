@@ -18,13 +18,21 @@ kinds and every doubling, with results bit-identical to fresh sampling.
 Both rules take a 1-D array of omegas, a scalar being the length-1 case, so
 one panel-doubling pass over an interval serves every omega: each doubling is
 one filon_integral call over the omegas not yet accepted, and each omega is
-accepted at the doubling its own test would accept alone.  The weights and
-endpoint terms stay scalar libm calls per omega, since a NumPy build's SIMD
-sin/cos need not match libm to the ulp; the grid trig cos/sin(omega x) runs
-over row chunks of the outer product of at most CHUNK_ELEMENTS = 2^12
-elements (one row when a row is longer), so no temporary outgrows
-max(2^12, 2P + 1) floats, and each row is summed in the pairwise order of a
-1-D sum.  Every value is thus bit-identical to the call for its omega alone.
+accepted at the doubling its own test would accept alone.  The pass carries
+the rule's sums per omega (RuleSums) from one doubling to the next, in the
+halving form of Filon's rule (L. N. G. Filon, Proc. Roy. Soc. Edinburgh 49,
+1928; Abramowitz & Stegun 25.4.47): the even points of the grid of 2P panels
+are the whole grid of P panels, so the new even sum is the old even sum plus
+the old odd sum, and only the new odd points need cos/sin(omega x).  The first rule evaluates every
+grid point, and the endpoint terms f(b) sin/cos(omega b) and f(a)
+sin/cos(omega a) are computed once per pass.  The weights' Taylor branch is
+array arithmetic in the scalar rule's operation order; their closed forms and
+the endpoint terms stay scalar libm calls per omega, since a NumPy build's
+SIMD sin/cos need not match libm to the ulp.  The grid trig runs over row
+chunks of the outer product of at most CHUNK_ELEMENTS = 2^12 elements (one
+row when a row is longer), so no temporary outgrows max(2^12, 2P + 1)
+floats, and each row is summed in the pairwise order of a 1-D sum.  Every
+value is thus bit-identical to the call for its omega alone.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import numpy as np
 __all__ = [
     "NestedSamples",
     "QuadratureError",
+    "RuleSums",
     "filon_integral",
     "filon_adaptive",
     "graded_edges",
@@ -93,18 +102,23 @@ class NestedSamples:
         return x, values
 
 
-def _filon_weights(theta: float) -> tuple[float, float, float]:
-    if theta >= 1.0 / 6.0:
-        s, c = math.sin(theta), math.cos(theta)
-        t3 = theta**3
-        alpha = (theta**2 + theta * s * c - 2.0 * s * s) / t3
-        beta = 2.0 * (theta * (1.0 + c * c) - 2.0 * s * c) / t3
-        gamma = 4.0 * (s - theta * c) / t3
-    else:
-        t2 = theta * theta
-        alpha = theta * t2 * (2.0 / 45 + t2 * (-2.0 / 315 + t2 * (2.0 / 4725)))
-        beta = 2.0 / 3 + t2 * (2.0 / 15 + t2 * (-4.0 / 105 + t2 * (2.0 / 567)))
-        gamma = 4.0 / 3 + t2 * (-2.0 / 15 + t2 * (1.0 / 210 + t2 * (-1.0 / 11340)))
+def _filon_weights(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Filon weights (alpha, beta, gamma) of each panel phase theta.
+
+    Below theta = 1/6 they are Taylor polynomials, in array arithmetic; from
+    1/6 on, the closed forms, by scalar libm sin/cos per theta.
+    """
+    t2 = theta * theta
+    alpha = theta * t2 * (2.0 / 45 + t2 * (-2.0 / 315 + t2 * (2.0 / 4725)))
+    beta = 2.0 / 3 + t2 * (2.0 / 15 + t2 * (-4.0 / 105 + t2 * (2.0 / 567)))
+    gamma = 4.0 / 3 + t2 * (-2.0 / 15 + t2 * (1.0 / 210 + t2 * (-1.0 / 11340)))
+    large = np.flatnonzero(theta >= 1.0 / 6.0)
+    for i, th in zip(large.tolist(), theta[large].tolist()):
+        s, c = math.sin(th), math.cos(th)
+        t3 = th**3
+        alpha[i] = (th**2 + th * s * c - 2.0 * s * s) / t3
+        beta[i] = 2.0 * (th * (1.0 + c * c) - 2.0 * s * c) / t3
+        gamma[i] = 4.0 * (s - th * c) / t3
     return alpha, beta, gamma
 
 
@@ -115,6 +129,40 @@ def _omegas(omega) -> np.ndarray:
     return omega
 
 
+class RuleSums:
+    """The running sums of the Filon rule on one interval, one entry per omega.
+
+    At `panels` panels: `even` and `odd` sum f(x) trig(omega x) over the even
+    and the odd grid points, `half` is half the sum of its two end terms, and
+    `edge` is f(b) edge(omega b) - f(a) edge(omega a), negated for the sine
+    kind (edge is sin for the cosine kind, cos for the sine kind).  Empty
+    (panels 0) until filon_integral fills it with a first rule.
+    """
+
+    def __init__(self):
+        self.panels = 0
+        self.even = self.odd = self.half = self.edge = np.empty(0)
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the omegas where mask is False."""
+        self.even, self.odd, self.half, self.edge = (
+            self.even[mask], self.odd[mask], self.half[mask], self.edge[mask]
+        )
+
+
+def _trig_rows(omega: np.ndarray, x: np.ndarray, fx: np.ndarray, trig):
+    """Yield (rows, fg), fg = trig(omega x) f(x) for the omegas omega[rows],
+    over row chunks of at most CHUNK_ELEMENTS elements (one row when a row
+    is longer)."""
+    step = max(1, CHUNK_ELEMENTS // len(x))
+    for lo in range(0, len(omega), step):
+        rows = slice(lo, lo + step)
+        fg = np.multiply.outer(omega[rows], x)
+        trig(fg, out=fg)
+        fg *= fx
+        yield rows, fg
+
+
 def filon_integral(
     f: NestedSamples | Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -122,13 +170,18 @@ def filon_integral(
     omega,
     kind: str,
     panels: int,
+    sums: RuleSums | None = None,
 ) -> np.ndarray:
     """integral_a^b f(t) cos/sin(omega t) dt on 2*panels subintervals, for
     each omega of a 1-D array (a scalar is the length-1 case).
 
     f is a NestedSamples of [a, b], whose grid and samples are reused, or a
-    vectorized callable, sampled afresh.  Each value is bit-identical to the
-    call for its omega alone (see the module docstring).
+    vectorized callable, sampled afresh.  Without `sums`, or with an empty
+    one, this is the first rule: trig(omega x) at every grid point.  A
+    RuleSums of these omegas at panels // 2 panels is halved instead:
+    trig(omega x) only at the new odd points, the old odd sum joining the
+    even one.  Either way `sums` is left at `panels`.  Each value is
+    bit-identical to the call for its omega alone (see the module docstring).
     """
     samples = f if isinstance(f, NestedSamples) else NestedSamples(f, a, b)
     if (samples.a, samples.b) != (a, b):
@@ -136,24 +189,34 @@ def filon_integral(
     if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
     omega = _omegas(omega)
-    trig, edge = (np.cos, math.sin) if kind == "cos" else (np.sin, math.cos)
-    h = (b - a) / (2 * panels)
-    alpha, beta, gamma, edge_b, edge_a = np.array(
-        [(*_filon_weights(w * h), edge(w * b), edge(w * a)) for w in omega.tolist()]
-    ).reshape(-1, 5).T
+    sums = RuleSums() if sums is None else sums
+    trig = np.cos if kind == "cos" else np.sin
     x, fx = samples.grid(panels)  # exact endpoints for one-sided limits
-    endpoint = alpha * (fx[-1] * edge_b - fx[0] * edge_a)
-    if kind == "sin":
-        endpoint = -endpoint
-    even, odd = np.empty(len(omega)), np.empty(len(omega))
-    rows = max(1, CHUNK_ELEMENTS // len(x))
-    for lo in range(0, len(omega), rows):
-        fg = np.multiply.outer(omega[lo : lo + rows], x)
-        trig(fg, out=fg)
-        fg *= fx
-        even[lo : lo + rows] = fg[:, ::2].sum(axis=1) - 0.5 * (fg[:, 0] + fg[:, -1])
-        odd[lo : lo + rows] = fg[:, 1::2].sum(axis=1)
-    return h * (endpoint + beta * even + gamma * odd)
+    if not sums.panels:
+        edge = math.sin if kind == "cos" else math.cos
+        sign = 1.0 if kind == "cos" else -1.0
+        sums.edge = np.array(
+            [sign * (fx[-1] * edge(w * b) - fx[0] * edge(w * a)) for w in omega.tolist()]
+        )
+        sums.even, sums.odd, sums.half = np.empty((3, len(omega)))
+        for rows, fg in _trig_rows(omega, x, fx, trig):
+            sums.even[rows] = fg[:, ::2].sum(axis=1)
+            sums.odd[rows] = fg[:, 1::2].sum(axis=1)
+            sums.half[rows] = 0.5 * (fg[:, 0] + fg[:, -1])
+    else:
+        if 2 * sums.panels != panels or len(sums.odd) != len(omega):
+            raise ValueError(
+                f"sums of {len(sums.odd)} omegas at {sums.panels} panels cannot be "
+                f"halved to {panels} panels for {len(omega)} omegas"
+            )
+        sums.even = sums.even + sums.odd
+        sums.odd = np.empty(len(omega))
+        for rows, fg in _trig_rows(omega, x[1::2], fx[1::2], trig):
+            sums.odd[rows] = fg.sum(axis=1)
+    sums.panels = panels
+    h = (b - a) / (2 * panels)
+    alpha, beta, gamma = _filon_weights(omega * h)
+    return h * (alpha * sums.edge + beta * (sums.even - sums.half) + gamma * sums.odd)
 
 
 def filon_adaptive(
@@ -168,25 +231,28 @@ def filon_adaptive(
 
     Panels start at 8 and double while they are at most MAX_PANELS, so the
     finest rule has up to 2 * MAX_PANELS panels.  Each doubling is one
-    filon_integral call over the omegas still open, and an omega is accepted
-    at the first doubling whose increment falls under
-    max(REL_TOL * |value|, ABS_FLOOR), as a call for it alone would accept.
-    Raises QuadratureError, naming the smallest omega still open and carrying
-    its achieved accuracy, when the cap is reached first.  Pass a
-    NestedSamples as f to keep the grid and samples for the next call.
+    filon_integral call over the omegas still open, halving their running
+    sums, and an omega is accepted at the first doubling whose increment
+    falls under max(REL_TOL * |value|, ABS_FLOOR), as a call for it alone
+    would accept.  Raises QuadratureError, naming the smallest omega still
+    open and carrying its achieved accuracy, when the cap is reached first.
+    A plain callable f is sampled once, on nested grids; pass a NestedSamples
+    to keep the grid and samples for the next call.
     """
+    samples = f if isinstance(f, NestedSamples) else NestedSamples(f, a, b)
     omega = _omegas(omega)
-    panels = 8
-    prev = filon_integral(f, a, b, omega, kind, panels)
+    panels, sums = 8, RuleSums()
+    prev = filon_integral(samples, a, b, omega, kind, panels, sums)
     value, err = np.empty(len(omega)), np.empty(len(omega))
     live = np.arange(len(omega))
     while live.size and panels <= MAX_PANELS:
         panels *= 2
-        cur = filon_integral(f, a, b, omega[live], kind, panels)
+        cur = filon_integral(samples, a, b, omega[live], kind, panels, sums)
         change = np.abs(cur - prev)
         done = change <= np.maximum(REL_TOL * np.abs(cur), ABS_FLOOR)
         value[live[done]], err[live[done]] = cur[done], change[done]
         live, prev, change = live[~done], cur[~done], change[~done]
+        sums.keep(~done)
     if live.size:
         worst = np.argmin(omega[live])
         raise QuadratureError(

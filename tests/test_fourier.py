@@ -384,8 +384,10 @@ def _user_specs():
     ]
 
 
-# The per-n Filon rule, kept here as the oracle of the batched library rule:
-# one omega per call, a fresh grid per panel count, scalar sums.
+# The per-n Filon rule under panel halving, kept here as the oracle of the
+# batched library rule: one omega per call, a fresh grid and fresh samples per
+# panel count, scalar weights and 1-D sums.  Each doubling sums only its new
+# odd points; its even sum is the last rule's even plus odd sum.
 
 
 def _scalar_filon_weights(theta):
@@ -403,34 +405,54 @@ def _scalar_filon_weights(theta):
     return alpha, beta, gamma
 
 
-def _scalar_filon_integral(f, a, b, omega, kind, panels):
+def _scalar_filon_integral(f, a, b, omega, kind, panels, sums):
+    """The rule at `panels` panels; sums is None for the first rule, else
+    (even, odd, half, edge) at panels // 2.  Returns (value, sums)."""
     h = (b - a) / (2 * panels)
     alpha, beta, gamma = _scalar_filon_weights(omega * h)
     x = np.linspace(a, b, 2 * panels + 1)
     fx = f(x)
-    if kind == "cos":
-        g = np.cos(omega * x)
-        endpoint = alpha * (fx[-1] * math.sin(omega * b) - fx[0] * math.sin(omega * a))
+    trig = np.cos if kind == "cos" else np.sin
+    if sums is None:
+        if kind == "cos":
+            edge = fx[-1] * math.sin(omega * b) - fx[0] * math.sin(omega * a)
+        else:
+            edge = -(fx[-1] * math.cos(omega * b) - fx[0] * math.cos(omega * a))
+        fg = fx * trig(omega * x)
+        even, odd, half = fg[::2].sum(), fg[1::2].sum(), 0.5 * (fg[0] + fg[-1])
     else:
-        g = np.sin(omega * x)
-        endpoint = -alpha * (fx[-1] * math.cos(omega * b) - fx[0] * math.cos(omega * a))
-    fg = fx * g
-    even = fg[::2].sum() - 0.5 * (fg[0] + fg[-1])
-    odd = fg[1::2].sum()
-    return h * (endpoint + beta * even + gamma * odd)
+        even, odd, half, edge = sums
+        even, odd = even + odd, (fx[1::2] * trig(omega * x[1::2])).sum()
+    value = h * (alpha * edge + beta * (even - half) + gamma * odd)
+    return value, (even, odd, half, edge)
 
 
 def _scalar_filon_adaptive(f, a, b, omega, kind):
     panels = 8
-    prev = _scalar_filon_integral(f, a, b, omega, kind, panels)
+    prev, sums = _scalar_filon_integral(f, a, b, omega, kind, panels, None)
     while panels <= quadrature.MAX_PANELS:
         panels *= 2
-        cur = _scalar_filon_integral(f, a, b, omega, kind, panels)
+        cur, sums = _scalar_filon_integral(f, a, b, omega, kind, panels, sums)
         err = abs(cur - prev)
         if err <= max(quadrature.REL_TOL * abs(cur), quadrature.ABS_FLOOR):
             return cur, err
         prev = cur
     raise QuadratureError(f"no convergence at omega = {omega}", err)
+
+
+def test_filon_taylor_weights_bit_identical_to_scalar():
+    # the library's Taylor branch (theta < 1/6) is array arithmetic in the
+    # scalar rule's operation order; the closed forms stay scalar libm calls
+    sixth = 1.0 / 6.0
+    rng = np.random.default_rng(23)
+    theta = np.concatenate([
+        [0.0, 5e-324, np.nextafter(sixth, 0.0), sixth, np.nextafter(sixth, 1.0)],
+        np.geomspace(1e-12, sixth, 20_000, endpoint=False),
+        rng.uniform(0.0, sixth, 20_000),
+        rng.uniform(sixth, 300.0, 2_000),
+    ])
+    expected = np.array([_scalar_filon_weights(t) for t in theta.tolist()]).T
+    assert np.stack(quadrature._filon_weights(theta)).tobytes() == expected.tobytes()
 
 
 def _cold_coefficient(f, n, kind):

@@ -187,7 +187,9 @@ def test_quadrature_panel_cap_of_the_first_rule_allows_one_doubling(monkeypatch)
 
     monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
     value, err = filon_adaptive(f, 0.0, 1.0, 2 * math.pi, "sin")
-    assert abs(value) < 1e-14 and sampled == [17, 33]
+    # a plain callable is sampled on nested grids: the 16-panel rule
+    # evaluates f only at its 16 new midpoints
+    assert abs(value) < 1e-14 and sampled == [17, 16]
 
 
 def test_nested_samples_evaluate_each_grid_point_once():
@@ -270,6 +272,30 @@ def test_filon_batch_chunk_boundaries_do_not_matter(monkeypatch):
     for elements in (1, 10**9):  # one row a chunk, one chunk for the batch
         monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", elements)
         assert results() == default, elements
+
+
+def test_filon_doubling_evaluates_trig_once_per_grid_point(monkeypatch):
+    # a doubling evaluates cos/sin(omega x) only at its new odd points, so an
+    # omega whose finest rule has P panels costs 2P + 1 evaluations
+    points, panels = [], []
+    for name in ("cos", "sin"):
+        def counted(x, *args, inner=getattr(np, name), **kwargs):
+            points.append(np.size(x))
+            return inner(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    integral = quadrature.filon_integral
+
+    def recorded(*args):
+        panels.append(args[5])
+        return integral(*args)
+
+    monkeypatch.setattr(quadrature, "filon_integral", recorded)
+    for kind in ("cos", "sin"):
+        points.clear(), panels.clear()
+        filon_adaptive(lambda x: np.exp(-x) * (1.0 + x * x), 0.1, 0.8, 7.0, kind)
+        assert len(panels) >= 4 and panels == [8 * 2**k for k in range(len(panels))]
+        assert sum(points) == 2 * panels[-1] + 1, kind
 
 
 def _quadrature_specs():
