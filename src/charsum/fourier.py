@@ -32,7 +32,8 @@ every n, both kinds and every panel doubling.  The new n of a cache growth
 are one batch: one panel-doubling pass per piece (quadrature.filon_adaptive
 over the array of omega = 2 pi n) serves all of them, and the pieces are
 added in order.  Each doubling halves the last rule's running sums, so it
-evaluates cos/sin(omega x) only at its new midpoints.  The coefficients are
+evaluates cos/sin(omega x) only at its new midpoints, and no n is accepted
+from a rule whose grid aliases omega (phase omega h >= pi).  The coefficients are
 bit-identical to the halving rule for each n alone, sampling f afresh.
 """
 

@@ -18,7 +18,10 @@ kinds and every doubling, with results bit-identical to fresh sampling.
 Both rules take a 1-D array of omegas, a scalar being the length-1 case, so
 one panel-doubling pass over an interval serves every omega: each doubling is
 one filon_integral call over the omegas not yet accepted, and each omega is
-accepted at the doubling its own test would accept alone.  The pass carries
+accepted at the doubling its own test would accept alone.  No omega is
+accepted while the coarser rule's phase theta = omega h is pi or more: on a
+grid with omega h a multiple of pi every cos/sin(omega x) is 0 or +-1, and
+two such rules can agree far from the integral.  The pass carries
 the rule's sums per omega (RuleSums) from one doubling to the next, in the
 halving form of Filon's rule (L. N. G. Filon, Proc. Roy. Soc. Edinburgh 49,
 1928; Abramowitz & Stegun 25.4.47): the even points of the grid of 2P panels
@@ -233,8 +236,8 @@ def filon_adaptive(
     finest rule has up to 2 * MAX_PANELS panels.  Each doubling is one
     filon_integral call over the omegas still open, halving their running
     sums, and an omega is accepted at the first doubling whose increment
-    falls under max(REL_TOL * |value|, ABS_FLOOR), as a call for it alone
-    would accept.  Raises QuadratureError, naming the smallest omega still
+    falls under max(REL_TOL * |value|, ABS_FLOOR) and whose coarser rule has
+    the phase omega h < pi, as a call for it alone would accept.  Raises QuadratureError, naming the smallest omega still
     open and carrying its achieved accuracy, when the cap is reached first.
     A plain callable f is sampled once, on nested grids; pass a NestedSamples
     to keep the grid and samples for the next call.
@@ -246,10 +249,14 @@ def filon_adaptive(
     value, err = np.empty(len(omega)), np.empty(len(omega))
     live = np.arange(len(omega))
     while live.size and panels <= MAX_PANELS:
+        # the coarser rule's phase theta = omega h must be under pi: on a grid
+        # with omega h a multiple of pi, every trig value is 0 or +-1, and
+        # two such rules can agree far from the integral
+        resolved = omega[live] * ((b - a) / (2 * panels)) < math.pi
         panels *= 2
         cur = filon_integral(samples, a, b, omega[live], kind, panels, sums)
         change = np.abs(cur - prev)
-        done = change <= np.maximum(REL_TOL * np.abs(cur), ABS_FLOOR)
+        done = (change <= np.maximum(REL_TOL * np.abs(cur), ABS_FLOOR)) & resolved
         value[live[done]], err[live[done]] = cur[done], change[done]
         live, prev, change = live[~done], cur[~done], change[~done]
         sums.keep(~done)

@@ -431,10 +431,11 @@ def _scalar_filon_adaptive(f, a, b, omega, kind):
     panels = 8
     prev, sums = _scalar_filon_integral(f, a, b, omega, kind, panels, None)
     while panels <= quadrature.MAX_PANELS:
+        resolved = omega * ((b - a) / (2 * panels)) < math.pi  # not an aliased grid
         panels *= 2
         cur, sums = _scalar_filon_integral(f, a, b, omega, kind, panels, sums)
         err = abs(cur - prev)
-        if err <= max(quadrature.REL_TOL * abs(cur), quadrature.ABS_FLOOR):
+        if resolved and err <= max(quadrature.REL_TOL * abs(cur), quadrature.ABS_FLOOR):
             return cur, err
         prev = cur
     raise QuadratureError(f"no convergence at omega = {omega}", err)

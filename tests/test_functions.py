@@ -166,15 +166,21 @@ def test_quadrature_error_carries_achieved_accuracy(monkeypatch):
     with pytest.raises(QuadratureError) as exc:
         filon_adaptive(wild, 0.0, 1.0, 2 * math.pi, "cos")
     assert exc.value.achieved > 0
-    # a mixed batch, out of order, raises the error of its smallest failing omega
-    converges = 400 * math.pi  # its 32- and 64-panel rules agree
-    filon_adaptive(wild, 0.0, 1.0, converges, "cos")
+    # a mixed batch, out of order, raises the error of its smallest failing
+    # omega.  Under a cap of 2^10 panels a smooth f converges at 2 pi, and no
+    # omega from 2048 pi on is accepted: the rule of 1024 panels, the last
+    # one a doubling is compared with, has the phase omega h >= pi there
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 2**10)
+    converges = 2 * math.pi
+    filon_adaptive(_smooth, 0.0, 1.0, converges, "cos")
     with pytest.raises(QuadratureError) as single:
-        filon_adaptive(wild, 0.0, 1.0, 4 * math.pi, "cos")
+        filon_adaptive(_smooth, 0.0, 1.0, 2200 * math.pi, "cos")
     with pytest.raises(QuadratureError) as batch:
-        filon_adaptive(wild, 0.0, 1.0, [1000 * math.pi, converges, 20 * math.pi, 4 * math.pi], "cos")
-    assert f"omega = {4 * math.pi} " in str(batch.value)
-    assert batch.value.achieved == single.value.achieved
+        filon_adaptive(
+            _smooth, 0.0, 1.0, [5000 * math.pi, converges, 3000 * math.pi, 2200 * math.pi], "cos"
+        )
+    assert f"omega = {2200 * math.pi} " in str(batch.value)
+    assert batch.value.achieved > 0 and batch.value.achieved == single.value.achieved
     assert str(batch.value) == str(single.value)
 
 
@@ -190,6 +196,46 @@ def test_quadrature_panel_cap_of_the_first_rule_allows_one_doubling(monkeypatch)
     # a plain callable is sampled on nested grids: the 16-panel rule
     # evaluates f only at its 16 new midpoints
     assert abs(value) < 1e-14 and sampled == [17, 16]
+
+
+def _aliasing_exact(name, n, kind):
+    """The coefficient of e^-t cos 3t ("smooth") or ln(t)(1 - t/2)
+    ("log-singular") to 30 digits.  The first is half the sum of
+    integral_0^1 e^((-1 + ik)t) dt over k = w +- 3; for the second,
+    integral_0^1 ln(t) e^(iwt) dt is (-Si(w) + i (Ci(w) - gamma - ln w))/w,
+    and the t ln(t) term is -i times its derivative in w, at w = 2 pi n."""
+    with mpmath.workdps(30):
+        w = 2 * mpmath.pi * n
+        if name == "smooth":
+            z = sum((mpmath.exp(-1 + 1j * k) - 1) / (-1 + 1j * k) for k in (w + 3, w - 3)) / 2
+            return float(z.real if kind == "cos" else z.imag)
+        si, cl = mpmath.si(w), mpmath.ci(w) - mpmath.euler - mpmath.log(w)
+        return float(-si / w + cl / (2 * w**2) if kind == "cos" else cl / w + si / (2 * w**2))
+
+
+@pytest.mark.parametrize("kind", ["cos", "sin"])
+def test_quadrature_does_not_accept_an_aliased_grid(kind):
+    # at omega = 2 pi n the panel phase omega h is a multiple of pi on the
+    # first grids of [0, 1] and of the graded mesh, where every trig value is
+    # 0 or +-1 and successive rules can agree far from the integral: accepted
+    # there, these coefficients were off by 2e-11 to 1.1e-5
+    specs = [
+        FunctionSpec(
+            name="smooth",
+            evaluator=lambda t: math.exp(-t) * math.cos(3.0 * t),
+            variation_class=VariationClass.SMOOTH_C2,
+        ),
+        FunctionSpec(
+            name="log-singular",
+            evaluator=lambda t: math.log(t) * (1.0 - 0.5 * t),
+            variation_class=VariationClass.INTEGRABLE_SINGULAR_AT_ZERO,
+            singular_at_zero=True,
+        ),
+    ]
+    for f in specs:
+        for n in (8, 16, 32, 64, 96, 128):
+            error = abs(fourier_coefficient(f, n, kind) - _aliasing_exact(f.name, n, kind))
+            assert error <= 1e-13, (f.name, n, error)
 
 
 def test_nested_samples_evaluate_each_grid_point_once():
