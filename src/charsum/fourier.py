@@ -173,9 +173,7 @@ def _piece_samples(f: FunctionSpec) -> list[NestedSamples]:
     if pieces is None:
         pieces = []
         breakpoints = [0.0] + [t for t, _, _ in f.jump_points] + [1.0]
-        for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-            if b <= a:
-                continue
+        for a, b in zip(breakpoints[:-1], breakpoints[1:]):  # increasing: FunctionSpec checks
             evaluator = _piece_evaluator(f, a, b)
             if f.singular_at_zero and a == 0.0:
                 pieces += [NestedSamples(evaluator, lo, hi) for lo, hi in graded_edges(0.0, b)]

@@ -64,6 +64,8 @@ class FunctionSpec:
     Re(c) >= 0, and c = 0 when m > 1 and for ln(n)/n.  A coef is a scalar or
     one period of weights: a non-empty, finite 1-D array w of length b (kept
     read-only), meaning w[n mod b] / (n + c)^m or w[n mod b] ln(n)/n.
+    ``jump_points`` are (t, left, right) triples, finite, with t strictly
+    increasing inside (0, 1).
     ``envelope[kind] = (C, p)`` asserts |coefficient_n - atoms| <= C / n**p
     for all n >= 1, with C finite and >= 0 and p an integer >= 1.  Atoms
     without an envelope for their kind are exact (zero remainder); a kind with
@@ -81,6 +83,15 @@ class FunctionSpec:
     atoms: tuple[tuple[str, tuple[tuple, ...]], ...] = ()
 
     def __post_init__(self):
+        # the quadrature pieces run between consecutive jump points
+        for t, left, right in self.jump_points:
+            if not all(math.isfinite(v) for v in (t, left, right)):
+                raise ValueError(f"jump point {(t, left, right)!r} is not finite")
+            if not 0.0 < t < 1.0:
+                raise ValueError(f"jump point t = {t} must lie in (0, 1)")
+        points = [t for t, _, _ in self.jump_points]
+        if any(s >= t for s, t in zip(points, points[1:])):
+            raise ValueError(f"jump points {points} must be strictly increasing")
         for kind, pairs in self.atoms:
             if kind not in ("cos", "sin"):
                 raise ValueError(f"atom kind must be 'cos' or 'sin', got {kind!r}")

@@ -615,3 +615,35 @@ def test_atoms_validated_at_construction():
                 variation_class=VariationClass.SMOOTH_C2,
                 envelope=(envelope,),
             )
+
+
+def test_jump_points_validated_at_construction():
+    # unsorted, repeated or out-of-range jumps made the quadrature skip or
+    # overlap pieces: ((0.7, ...), (0.3, ...)) on 1 + t gave a_1(sin) = -0.1877
+    # against -1/(2 pi), and a jump at 1.5 integrated over [0, 1.5]
+    bad_jumps = [
+        (((0.7, 1.7, 1.7), (0.3, 1.3, 1.3)), "strictly increasing"),
+        (((0.3, 1.3, 1.3), (0.3, 1.3, 1.3)), "strictly increasing"),
+        (((1.5, 2.5, 2.5),), r"\(0, 1\)"),
+        (((0.0, 1.0, 1.0),), r"\(0, 1\)"),
+        (((1.0, 2.0, 2.0),), r"\(0, 1\)"),
+        (((-0.25, 0.75, 0.75),), r"\(0, 1\)"),
+        (((math.nan, 1.0, 1.0),), "not finite"),
+        (((0.5, math.inf, 1.0),), "not finite"),
+        (((0.5, 1.0, -math.inf),), "not finite"),
+    ]
+    for jumps, message in bad_jumps:
+        with pytest.raises(ValueError, match=message):
+            FunctionSpec(
+                name="bad-jumps",
+                evaluator=lambda t: 1.0 + t,
+                variation_class=VariationClass.PIECEWISE_SMOOTH,
+                jump_points=jumps,
+            )
+    two = FunctionSpec(
+        name="two-jumps",
+        evaluator=lambda t: 1.0 + t,
+        variation_class=VariationClass.PIECEWISE_SMOOTH,
+        jump_points=((0.3, 1.3, 1.3), (0.7, 1.7, 1.7)),
+    )
+    assert fourier_coefficient(two, 1, "sin") == pytest.approx(-1 / (2 * math.pi), abs=1e-12)
