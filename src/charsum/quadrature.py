@@ -237,10 +237,11 @@ def filon_adaptive(
     filon_integral call over the omegas still open, halving their running
     sums, and an omega is accepted at the first doubling whose increment
     falls under max(REL_TOL * |value|, ABS_FLOOR) and whose coarser rule has
-    the phase omega h < pi, as a call for it alone would accept.  Raises QuadratureError, naming the smallest omega still
-    open and carrying its achieved accuracy, when the cap is reached first.
-    A plain callable f is sampled once, on nested grids; pass a NestedSamples
-    to keep the grid and samples for the next call.
+    the phase omega h < pi, as a call for it alone would accept.  Raises
+    QuadratureError, naming the smallest omega still open and carrying its
+    achieved accuracy, when the cap is reached first.  A plain callable f is
+    sampled once, on nested grids; pass a NestedSamples to keep the grid and
+    samples for the next call.
     """
     samples = f if isinstance(f, NestedSamples) else NestedSamples(f, a, b)
     omega = _omegas(omega)

@@ -342,6 +342,11 @@ def test_filon_doubling_evaluates_trig_once_per_grid_point(monkeypatch):
         filon_adaptive(lambda x: np.exp(-x) * (1.0 + x * x), 0.1, 0.8, 7.0, kind)
         assert len(panels) >= 4 and panels == [8 * 2**k for k in range(len(panels))]
         assert sum(points) == 2 * panels[-1] + 1, kind
+    sums = quadrature.RuleSums()
+    integral(_smooth, 0.0, 1.0, [1.0, 2.0], "cos", 8, sums)
+    for panels, omegas in ((32, [1.0, 2.0]), (16, [1.0])):
+        with pytest.raises(ValueError, match="halved"):
+            integral(_smooth, 0.0, 1.0, omegas, "cos", panels, sums)
 
 
 def _quadrature_specs():
