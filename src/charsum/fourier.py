@@ -33,8 +33,9 @@ are one batch: one panel-doubling pass per piece (quadrature.filon_adaptive
 over the array of omega = 2 pi n) serves all of them, and the pieces are
 added in order.  Each doubling halves the last rule's running sums, so it
 evaluates cos/sin(omega x) only at its new midpoints, and no n is accepted
-from a rule whose grid aliases omega (phase omega h >= pi).  The coefficients are
-bit-identical to the halving rule for each n alone, sampling f afresh.
+from a rule whose grid may alias omega (phase omega h >= pi).  The
+coefficients are bit-identical to the halving rule for each n alone,
+sampling f afresh.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def _piece_samples(f: FunctionSpec) -> list[NestedSamples]:
     if pieces is None:
         pieces = []
         breakpoints = [0.0] + [t for t, _, _ in f.jump_points] + [1.0]
-        for a, b in zip(breakpoints[:-1], breakpoints[1:]):  # increasing: FunctionSpec checks
+        for a, b in zip(breakpoints[:-1], breakpoints[1:]):  # increasing (FunctionSpec)
             evaluator = _piece_evaluator(f, a, b)
             if f.singular_at_zero and a == 0.0:
                 pieces += [NestedSamples(evaluator, lo, hi) for lo, hi in graded_edges(0.0, b)]

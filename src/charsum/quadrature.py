@@ -21,19 +21,19 @@ one filon_integral call over the omegas not yet accepted, and each omega is
 accepted at the doubling its own test would accept alone.  No omega is
 accepted while the coarser rule's phase theta = omega h is pi or more: on a
 grid with omega h a multiple of pi every cos/sin(omega x) is 0 or +-1, and
-two such rules can agree far from the integral.  The pass carries
-the rule's sums per omega (RuleSums) from one doubling to the next, in the
-halving form of Filon's rule (L. N. G. Filon, Proc. Roy. Soc. Edinburgh 49,
-1928; Abramowitz & Stegun 25.4.47): the even points of the grid of 2P panels
-are the whole grid of P panels, so the new even sum is the old even sum plus
-the old odd sum, and only the new odd points need cos/sin(omega x).  The first rule evaluates every
-grid point, and the endpoint terms f(b) sin/cos(omega b) and f(a)
-sin/cos(omega a) are computed once per pass.  The weights' Taylor branch is
-array arithmetic in the scalar rule's operation order; their closed forms and
-the endpoint terms stay scalar libm calls per omega, since a NumPy build's
-SIMD sin/cos need not match libm to the ulp.  The grid trig runs over row
-chunks of the outer product of at most CHUNK_ELEMENTS = 2^12 elements (one
-row when a row is longer), so no temporary outgrows max(2^12, 2P + 1)
+two such rules can agree far from the integral.  The pass carries the rule's
+sums per omega (RuleSums) from one doubling to the next, in the halving form
+of Filon's rule (L. N. G. Filon, Proc. Roy. Soc. Edinburgh 49, 1928;
+Abramowitz & Stegun 25.4.47): the even points of the grid of 2P panels are
+the whole grid of P panels, so the new even sum is the old even sum plus the
+old odd sum, and only the new odd points need cos/sin(omega x).  The first
+rule evaluates every grid point, and the endpoint terms f(b) sin/cos(omega b)
+and f(a) sin/cos(omega a) are computed once per pass.  The weights' Taylor
+branch is array arithmetic in the scalar rule's operation order; their closed
+forms and the endpoint terms stay scalar libm calls per omega, since a NumPy
+build's SIMD sin/cos need not match libm to the ulp.  The grid trig runs over
+row chunks of the outer product of at most CHUNK_ELEMENTS = 2^12 elements
+(one row when a row is longer), so no temporary outgrows max(2^12, 2P + 1)
 floats, and each row is summed in the pairwise order of a 1-D sum.  Every
 value is thus bit-identical to the call for its omega alone.
 """
@@ -193,11 +193,9 @@ def filon_integral(
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
     omega = _omegas(omega)
     sums = RuleSums() if sums is None else sums
-    trig = np.cos if kind == "cos" else np.sin
+    trig, edge, sign = (np.cos, math.sin, 1.0) if kind == "cos" else (np.sin, math.cos, -1.0)
     x, fx = samples.grid(panels)  # exact endpoints for one-sided limits
     if not sums.panels:
-        edge = math.sin if kind == "cos" else math.cos
-        sign = 1.0 if kind == "cos" else -1.0
         sums.edge = np.array(
             [sign * (fx[-1] * edge(w * b) - fx[0] * edge(w * a)) for w in omega.tolist()]
         )
@@ -250,9 +248,7 @@ def filon_adaptive(
     value, err = np.empty(len(omega)), np.empty(len(omega))
     live = np.arange(len(omega))
     while live.size and panels <= MAX_PANELS:
-        # the coarser rule's phase theta = omega h must be under pi: on a grid
-        # with omega h a multiple of pi, every trig value is 0 or +-1, and
-        # two such rules can agree far from the integral
+        # no acceptance from a coarser rule that may alias omega (theta >= pi)
         resolved = omega[live] * ((b - a) / (2 * panels)) < math.pi
         panels *= 2
         cur = filon_integral(samples, a, b, omega[live], kind, panels, sums)
