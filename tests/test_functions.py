@@ -218,7 +218,7 @@ def test_quadrature_does_not_accept_an_aliased_grid(kind):
     # at omega = 2 pi n the panel phase omega h is a multiple of pi on the
     # first grids of [0, 1] and of the graded mesh, where every trig value is
     # 0 or +-1 and successive rules can agree far from the integral: accepted
-    # there, these coefficients were off by 2e-11 to 1.1e-5
+    # there, 20 of these 24 coefficients were off by 1.5e-11 to 1.1e-5
     specs = [
         FunctionSpec(
             name="smooth",
@@ -344,9 +344,9 @@ def test_filon_doubling_evaluates_trig_once_per_grid_point(monkeypatch):
         assert sum(points) == 2 * panels[-1] + 1, kind
     sums = quadrature.RuleSums()
     integral(_smooth, 0.0, 1.0, [1.0, 2.0], "cos", 8, sums)
-    for panels, omegas in ((32, [1.0, 2.0]), (16, [1.0])):
+    for count, omegas in ((32, [1.0, 2.0]), (16, [1.0])):
         with pytest.raises(ValueError, match="halved"):
-            integral(_smooth, 0.0, 1.0, omegas, "cos", panels, sums)
+            integral(_smooth, 0.0, 1.0, omegas, "cos", count, sums)
 
 
 def _quadrature_specs():
