@@ -56,6 +56,7 @@ __all__ = [
     "coefficient_fold",
     "character_series",
     "check_tolerance",
+    "check_terms",
     "partial_sum_bound",
 ]
 
@@ -364,7 +365,7 @@ def reciprocal_tail(atoms: Sequence[tuple], m: int, n_terms: int) -> np.ndarray:
 
 
 _UNIT = 2.0**-53  # unit roundoff of float64
-TERMS_CEILING = 2**22  # the largest cap on N, which bounds the coefficient arrays a series builds
+TERMS_CEILING = 2**22  # the cap on N of every closed-form series, which bounds its coefficient arrays
 
 
 def residue_fold(coeffs: np.ndarray, m: int) -> np.ndarray:
@@ -441,6 +442,13 @@ def check_tolerance(value: float, name: str) -> None:
         raise ValueError(f"{name} must be finite and > 0 (at least {sys.float_info.min}), got {value}")
 
 
+def check_terms(terms: int | None) -> None:
+    """Raise ValueError unless terms, an explicit N, is None or obeys the one
+    rule 1 <= terms <= TERMS_CEILING: no series sums more coefficients."""
+    if terms is not None and not 1 <= terms <= TERMS_CEILING:
+        raise ValueError(f"terms must be >= 1 and at most {TERMS_CEILING}, got {terms}")
+
+
 def character_series(
     values: np.ndarray,
     fold: Callable[[int, int], np.ndarray],
@@ -461,7 +469,9 @@ def character_series(
     coefficients are modelled as a_n = the real part of sum coef g(n) over
     the atoms (coef, c) or (coef, c, e), g(n) = 1/(n + c)^e (e = 1 when
     omitted, Re(c) >= 0, c = 0 when e > 1) or ln(n)/n (e = LOG_ATOM, c = 0),
-    plus a remainder r_n with |r_n| <= C/n^p, envelope = (C, p).  A coef is a
+    plus a remainder r_n with |r_n| <= C/n^p and variation
+    sum_{n > N} |r_n - r_{n+1}| <= C/(N + 1)^p at the N chosen (true when
+    r_n is monotone beyond N), envelope = (C, p).  A coef is a
     scalar, or one period of weights (a 1-D array w of length b) meaning
     w[n % b] g(n).  With atoms, the sequence `values` and each
     values[n % m] w[n % b] of period lcm(m, b) <= MODULUS_CEILING must sum to
@@ -472,11 +482,11 @@ def character_series(
     the atoms' kernel, reciprocal_tail(atoms, m, N) by default (a caller may
     cache it: it does not depend on values).  The atoms' tail bound is
     |prefactor| times, per atom, |coef| times the absolute sum of its (twisted) period
-    times _remainder at N + 1; the remainder's tail is bounded by
+    times _remainder at N + 1; summation by parts bounds the remainder's tail by
     2 K C |prefactor| / (N + 1)^p, K = partial_sum_bound(m), which also
     bounds the mean of the tails beyond N .. 2N (fourier's Cesaro window);
-    both assume |a_n| <= C/n^p past N, which is only sampled for an envelope
-    that fourier measures.  N is the least integer >= start whose remainder
+    both rest on the envelope, which is only sampled for an envelope that
+    fourier measures.  N is the least integer >= start whose remainder
     bound meets the target (half the target with atoms) and at which each of
     k atoms' bounds meets target/(2k), clamped to the cap.  An explicit
     `terms` fixes N.  The bound covers truncation only; head_rounding_bound

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 MODULUS_CEILING = 10**6  # one character's table is O(q)
-# Full-group construction is O(phi(q) * q): phi(q) * q int64 turns, 0.8 GB near 10^4.
+# Full-group construction is O(phi(q) * q): int64 turns are 0.8 GB near 10^4, 2.4 GB with complex tables.
 _GROUP_CEILING = 10**4
 
 
@@ -330,7 +330,7 @@ def build_character_group(q: int) -> CharacterGroup:
     Deterministic ordering: characters sorted by exponent vector on the fixed
     canonical generators.  Raises ValueError for q < 1 or q > 10^4 (before
     any table is built).  Only the last group is cached: a group near the
-    ceiling holds up to 0.8 GB of tables, and every command runs one modulus.
+    ceiling holds up to 2.4 GB of tables, and every command runs one modulus.
     """
     if q > _GROUP_CEILING:
         raise ValueError(f"modulus {q} exceeds {_GROUP_CEILING}, the ceiling for a full character group")

@@ -21,14 +21,14 @@ import sys
 import time
 from fractions import Fraction
 
-from .analytic import TERMS_CEILING, check_tolerance
+from .analytic import TERMS_CEILING, check_terms, check_tolerance
 from .characters import (
     MODULUS_CEILING,
     build_character_group,
     fundamental_discriminants,
     real_primitive_character,
 )
-from .fourier import DEFAULT_TERMS_CAP, verify_theorem
+from .fourier import verify_theorem
 from .functions import builtin_function
 from .gauss_sums import GAUSS_TOLERANCE, quadratic_tau_residual, separability_residual
 from .identities import run_identity
@@ -47,10 +47,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
+def _terms(text: str) -> int:
+    """A --terms value that analytic.check_terms accepts, or argparse's error."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    try:
+        check_terms(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be >= 1 and at most {TERMS_CEILING}, got {text}") from None
     return value
 
 
@@ -76,8 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True,
                    help="one of t2, t, exp, log, step:<y> (y rational in (0,1))")
     p.add_argument("--tol", type=_tolerance, default=1e-8)
-    p.add_argument("--terms-cap", type=_positive_int, default=DEFAULT_TERMS_CAP)
-    p.add_argument("--terms", type=_positive_int, default=None,
+    p.add_argument("--terms", type=_terms, default=None,
                    help="fix the truncation N instead of choosing it from the tail bound")
     _add_common(p)
 
@@ -86,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", "--discriminant", type=int, required=True)
     p.add_argument("--y", default=None, help="rational in (0,1), e.g. 1/5 (identity 4 only)")
     p.add_argument("--tol", type=_tolerance, default=None)
-    p.add_argument("--terms", type=_positive_int, default=None, help="fix N (identity 4 only)")
+    p.add_argument("--terms", type=_terms, default=None, help="fix N (identity 4 only)")
     _add_common(p)
 
     p = sub.add_parser("sweep", help="all applicable checks per fundamental discriminant")
@@ -182,15 +184,11 @@ def _cmd_characters(args, command: str) -> int:
 def _cmd_verify_theorem(args, command: str) -> int:
     if args.modulus < 3:
         raise ValueError(f"the series identity needs modulus >= 3, got {args.modulus}")
-    if args.terms_cap > TERMS_CEILING:
-        raise ValueError(f"--terms-cap {args.terms_cap} exceeds the ceiling {TERMS_CEILING}")
-    if args.terms is not None and args.terms > args.terms_cap:
-        raise ValueError(f"--terms {args.terms} exceeds --terms-cap {args.terms_cap}")
     f = builtin_function(args.function)
     reports = []
     for chi in build_character_group(args.modulus).primitive_characters():
         started = time.perf_counter()
-        chk = verify_theorem(chi, f, args.tol, terms=args.terms, terms_cap=args.terms_cap)
+        chk = verify_theorem(chi, f, args.tol, terms=args.terms)
         reports.append(_row(
             command, started, None, args.modulus, chi.label, chi.is_even,
             f"theorem:{args.function}", chk.direct, chk.series.value, chk.abs_error,

@@ -47,7 +47,8 @@ from functools import partial
 
 import numpy as np
 
-from .analytic import TERMS_CEILING, character_series, check_tolerance, reciprocal_tail, residue_fold
+from .analytic import (TERMS_CEILING, character_series, check_terms, check_tolerance,
+                       reciprocal_tail, residue_fold)
 from .characters import DirichletCharacter
 from .functions import FunctionSpec, VariationClass
 from .gauss_sums import tau
@@ -65,8 +66,7 @@ __all__ = [
     "verify_theorem",
 ]
 
-DEFAULT_TERMS_CAP = 10**6
-_QUADRATURE_TERMS_CAP = 4096
+_QUADRATURE_TERMS_CAP = 4096  # the cap on N without a closed form: each coefficient is a Filon pass
 _MIN_TERMS = 32
 # the variation classes whose series without atoms take the Cesaro window
 _WINDOW_CLASSES = (VariationClass.PIECEWISE_SMOOTH, VariationClass.INTEGRABLE_SINGULAR_AT_ZERO)
@@ -326,7 +326,6 @@ def theorem_series(
     f: FunctionSpec,
     target_accuracy: float,
     terms: int | None = None,
-    terms_cap: int = DEFAULT_TERMS_CAP,
 ) -> SeriesEvaluation:
     """Evaluate the theorem series for chi and f, choosing N from the tail bound.
 
@@ -337,22 +336,19 @@ def theorem_series(
     remainder envelope asks for more.  Otherwise N is picked from the
     envelope bound (tail method "envelope"); jump and singular variation
     classes take the mean of the partial sums over the window [N, 2N] under
-    the same bound, N at most half the cap (tail method "cesaro").  When the
-    bound cannot reach target_accuracy within the cap the evaluation is
-    best-effort with the bound reported as is.  An explicit
-    `terms` overrides the choice of N and must not exceed terms_cap, which
-    must not exceed analytic.TERMS_CEILING.  The head and tail are summed by
-    one analytic.character_series call.
+    the same bound, N at most half the cap (tail method "cesaro").  The cap
+    is analytic.TERMS_CEILING for a closed form and _QUADRATURE_TERMS_CAP
+    without one.  When the bound cannot reach target_accuracy within the cap
+    the evaluation is best-effort with the bound reported as is.  An explicit
+    `terms` overrides the choice of N and obeys analytic.check_terms.  The
+    head and tail are summed by one analytic.character_series call.
     target_accuracy obeys analytic.check_tolerance.
     """
     _require_primitive(chi)
     if f.variation_class is VariationClass.UNBOUNDED_VARIATION:
         raise ValueError(f"function {f.name!r} declares unbounded variation; series diverges")
     check_tolerance(target_accuracy, "target_accuracy")
-    if terms_cap > TERMS_CEILING:
-        raise ValueError(f"terms_cap (--terms-cap) must be at most {TERMS_CEILING}, got {terms_cap}")
-    if terms is not None and not 1 <= terms <= terms_cap:
-        raise ValueError(f"terms must be >= 1 and at most terms_cap = {terms_cap}, got {terms}")
+    check_terms(terms)
 
     q = chi.modulus
     even = chi.is_even
@@ -364,13 +360,12 @@ def theorem_series(
 
     tau_value = tau(chi).value
     prefactor = 2.0 * tau_value if even else -2.0j * tau_value
-    pref_abs = abs(prefactor)
     table = chi.values_real() if chi.is_real else np.conj(chi.values_complex())
 
-    cap = terms_cap if f.closed_form is not None else min(terms_cap, _QUADRATURE_TERMS_CAP)
+    cap = TERMS_CEILING if f.closed_form is not None else _QUADRATURE_TERMS_CAP
     fold = partial(cached_fold, f, kind)
     if windowed:  # the window folds a_1 .. a_2N
-        cap = max(1, cap // 2)
+        cap //= 2
         fold = partial(_window_fold, f, kind)
     start = max(_MIN_TERMS, 8 * q) if atoms else _MIN_TERMS
     value, n_terms, tail = character_series(
@@ -384,7 +379,7 @@ def theorem_series(
         budget = 0.0
     else:  # a cache hit after the series, which folded the same coefficients
         coeffs = cached_coefficients(f, kind, length)
-        budget = pref_abs * (REL_TOL * float(np.abs(coeffs).sum()) + length * ABS_FLOOR)
+        budget = abs(prefactor) * (REL_TOL * float(np.abs(coeffs).sum()) + length * ABS_FLOOR)
 
     if chi.is_real:
         imag = abs(value.imag)
@@ -423,12 +418,11 @@ def verify_theorem(
     f: FunctionSpec,
     target_accuracy: float,
     terms: int | None = None,
-    terms_cap: int = DEFAULT_TERMS_CAP,
 ) -> TheoremCheck:
     """Compare direct_sum and theorem_series; pass iff the difference is within
     tail_bound + 1e-9 + quadrature budget."""
     direct = direct_sum(chi, f)
-    series = theorem_series(chi, f, target_accuracy, terms=terms, terms_cap=terms_cap)
+    series = theorem_series(chi, f, target_accuracy, terms=terms)
     abs_error = abs(direct - series.value)
     tolerance = series.tail_bound + 1e-9 + series.quadrature_budget
     return TheoremCheck(

@@ -66,8 +66,10 @@ class FunctionSpec:
     read-only), meaning w[n mod b] / (n + c)^m or w[n mod b] ln(n)/n.
     ``jump_points`` are (t, left, right) triples, finite, with t strictly
     increasing inside (0, 1).
-    ``envelope[kind] = (C, p)`` asserts |coefficient_n - atoms| <= C / n**p
-    for all n >= 1, with C finite and >= 0 and p an integer >= 1.  Atoms
+    ``envelope[kind] = (C, p)`` asserts that r_n = coefficient_n - atoms has
+    |r_n| <= C / n**p for all n >= 1 and sum_{n > N} |r_n - r_{n+1}| <=
+    C / (N + 1)**p for all N (true when r_n is monotone), with C finite and
+    >= 0 and p an integer >= 1; the tail bound sums by parts.  Atoms
     without an envelope for their kind are exact (zero remainder); a kind with
     neither gets an envelope measured from its first coefficients.
     """
@@ -222,6 +224,9 @@ def builtin_function(name: str) -> FunctionSpec:
         # g(x) = integral e^{-xt} t/(1 + t^2) dt (DLMF 6.7).  Since
         # 1/x^2 - g(x) = integral e^{-xt} t^3/(1 + t^2) dt lies in [0, 6/x^4],
         # it is those atoms and -1/(8 pi^3 n^3) plus at most 3/(16 pi^5 n^5).
+        # Both remainders are 1/x times those integrals (up to sign), so Laplace
+        # transforms of one-signed densities: completely monotone in x, so their
+        # variation beyond N is |r_{N+1}|, within the envelope.
         return FunctionSpec(
             name="log",
             evaluator=math.log,

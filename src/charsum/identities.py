@@ -31,6 +31,7 @@ from .analytic import (  # noqa: F401
     TERMS_CEILING,
     PeriodicSums,
     character_series,
+    check_terms,
     check_tolerance,
     l_one,
     reciprocal_tail,
@@ -72,23 +73,17 @@ class IdentityCheck:
     notes: dict = field(default_factory=dict)
 
 
-def _theorem_check(identity_id, d, y, f, tol, target, start, cap, terms=None) -> IdentityCheck:
+def _theorem_check(identity_id, d, y, f, tol, target, start, terms=None) -> IdentityCheck:
     """The direct sum for chi_d and f against its series, from N = start to
-    the target; passes iff they agree within tol, which obeys check_tolerance."""
+    the target, N at most TERMS_CEILING; passes iff they agree within tol,
+    which obeys check_tolerance."""
     check_tolerance(tol, "tol")
     chi = real_primitive_character(d)
     kind = "cos" if chi.is_even else "sin"
     series, n_terms, bound = character_series(
-        chi.values_real(),
-        partial(cached_fold, f, kind),
-        2.0 * math.sqrt(abs(d)),
-        target,
-        start,
-        cap,
-        atoms=f.atoms_for(kind),
-        envelope=f.envelope_for(kind) or (0.0, 1),
-        terms=terms,
-        tail=partial(cached_tail, f, kind),
+        chi.values_real(), partial(cached_fold, f, kind), 2.0 * math.sqrt(abs(d)), target, start,
+        TERMS_CEILING, f.atoms_for(kind), f.envelope_for(kind) or (0.0, 1), terms,
+        partial(cached_tail, f, kind),
     )
     lhs, rhs = direct_sum(chi, f), series.real
     err = abs(lhs - rhs)
@@ -114,8 +109,7 @@ def check_square_identity(d: int, tol: float = DEFAULT_TOLERANCES[1]) -> Identit
         raise ValueError(
             f"identity 1 requires chi(-1) = -1 (negative fundamental discriminant); got d = {d}"
         )
-    t2 = builtin_function("t2")
-    return _theorem_check(1, d, None, t2, tol, tol / 2, max(2048, 8 * abs(d)), 2**20)
+    return _theorem_check(1, d, None, builtin_function("t2"), tol, tol / 2, max(2048, 8 * abs(d)))
 
 
 def check_log_identity(d: int, tol: float = DEFAULT_TOLERANCES[2]) -> IdentityCheck:
@@ -132,7 +126,7 @@ def check_log_identity(d: int, tol: float = DEFAULT_TOLERANCES[2]) -> IdentityCh
         raise ValueError(
             f"identity 2 requires chi(-1) = +1 (fundamental discriminant d > 1); got d = {d}"
         )
-    check = _theorem_check(2, d, None, builtin_function("log"), tol, tol, 4096, 2**19)
+    check = _theorem_check(2, d, None, builtin_function("log"), tol, tol, 4096)
     # the shift cancels from abs_error, so l_one's target stops above its 1e-13 floor
     target = min(max(tol / 8, 1e-12), 1e-9)
     shift = math.sqrt(d) / 2 * l_one(real_primitive_character(d), target).value
@@ -147,8 +141,7 @@ def check_log_identity(d: int, tol: float = DEFAULT_TOLERANCES[2]) -> IdentityCh
 
 def check_exp_identity(d: int, tol: float = DEFAULT_TOLERANCES[3]) -> IdentityCheck:
     """Identity 3, both parities: the theorem for f = exp."""
-    exp = builtin_function("exp")
-    return _theorem_check(3, d, None, exp, tol, tol / 2, max(2048, 8 * abs(d)), 2**20)
+    return _theorem_check(3, d, None, builtin_function("exp"), tol, tol / 2, max(2048, 8 * abs(d)))
 
 
 def check_partial_sum_identity(
@@ -165,10 +158,9 @@ def check_partial_sum_identity(
     y = a/b the step's atoms carry weights of period b, so the series tail
     beyond N is summed by class over the period lcm(q, b), which must not
     exceed MODULUS_CEILING; N starts at 4 lcm(q, b), and an explicit `terms`
-    fixes N and must not exceed TERMS_CEILING.
+    fixes N and obeys check_terms.
     """
-    if terms is not None and not 1 <= terms <= TERMS_CEILING:
-        raise ValueError(f"terms must be >= 1 and at most {TERMS_CEILING}, got {terms}")
+    check_terms(terms)
     y = Fraction(y) if not isinstance(y, Fraction) else y
     if not 0 < y < 1:
         raise ValueError(f"y must lie in (0, 1); got {y}")
@@ -182,7 +174,7 @@ def check_partial_sum_identity(
             "denominator, such as 1/5"
         )
     f = builtin_function(f"step:{y}")
-    return _theorem_check(4, d, y, f, tol, tol / 2, 4 * period, TERMS_CEILING, terms)
+    return _theorem_check(4, d, y, f, tol, tol / 2, 4 * period, terms)
 
 
 IDENTITY_IDS = {

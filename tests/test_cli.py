@@ -2,14 +2,11 @@
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
-import math
 import os
 import subprocess
 import sys
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -107,43 +104,6 @@ def test_verify_theorem_q9_exp_sweeps_all_primitive(capsys):
     assert all(r["pass"] for r in reports)
 
 
-@pytest.mark.parametrize("function", ["log", "step:1/4"])
-def test_cesaro_with_terms_cap_below_two(capsys, monkeypatch, function):
-    # the Cesaro window [N, 2N] keeps N >= 1 when the cap halves to 0: `log`
-    # runs here as its closed form without atoms, so both parities take the
-    # window; with atoms (the step) N stops at the cap, and the bound at N = 1
-    # is still a bound
-    methods = {"cesaro"} if function == "log" else {"euler_maclaurin"}
-    checks = []
-    verify_theorem = cli.verify_theorem
-    builtin_function = cli.builtin_function
-
-    def recording(*args, **kwargs):
-        checks.append(verify_theorem(*args, **kwargs))
-        return checks[-1]
-
-    def without_atoms(name):
-        f = builtin_function(name)
-        return dataclasses.replace(f, name=f"{name}#noatoms", atoms=(), envelope=())
-
-    monkeypatch.setattr(cli, "verify_theorem", recording)
-    if function == "log":
-        monkeypatch.setattr(cli, "builtin_function", without_atoms)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, _ = run_cli(capsys, "verify-theorem", "-q", "5", "--function", function,
-                               "--terms-cap", "1", "--format", "json")
-    rows = json.loads(out)
-    assert code in (0, 1) and rows
-    assert {chk.series.tail_method for chk in checks} == methods
-    for row in rows:
-        assert math.isfinite(row["rhs"]["re"]) and math.isfinite(row["rhs"]["im"])
-        assert row["terms_used"] >= 1
-    if methods == {"euler_maclaurin"}:
-        assert all(row["terms_used"] == 1 for row in rows)
-        assert all(chk.abs_error <= chk.series.tail_bound for chk in checks)
-
-
 def test_verify_theorem_q6_no_primitive_characters(capsys):
     code, out, err = run_cli(capsys, "verify-theorem", "-q", "6", "--function", "t2")
     assert code == 0
@@ -222,27 +182,11 @@ def test_example_4_rejects_terms_above_cap_before_allocating(capsys, monkeypatch
         raise AssertionError("the series must not be set up")
 
     monkeypatch.setattr(identities, "character_series", no_series)
-    code, _, err = run_cli(capsys, "example", "--id", "4", "-d", "5", "--y", "1/5",
-                           "--terms", str(2**22 + 1))
-    assert code == 2
-    assert "at most 4194304" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("terms", [None, 10**12])
-def test_verify_theorem_rejects_terms_cap_above_ceiling_before_allocating(capsys, monkeypatch, terms):
-    # 2^22 is the most coefficients any series sums; a cap of 10^12 would
-    # ask for terabytes, with or without an explicit --terms of that size
-    import charsum.fourier as fourier
-
-    def no_coefficients(*args, **kwargs):
-        raise AssertionError("no coefficients may be generated")
-
-    monkeypatch.setattr(fourier, "cached_coefficients", no_coefficients)
-    argv = ["verify-theorem", "-q", "5", "--function", "t2", "--terms-cap", str(10**12),
-            "--tol", "1e-300"]
-    code, out, err = run_cli(capsys, *argv, *(["--terms", str(terms)] if terms else []))
-    assert code == 2 and out == ""
-    assert "--terms-cap 1000000000000" in err and "4194304" in err and "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:  # argparse's usage error
+        main(["example", "--id", "4", "-d", "5", "--y", "1/5", "--terms", str(2**22 + 1)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--terms: must be >= 1 and at most 4194304" in err and "Traceback" not in err
 
 
 def test_example_parity_gate(capsys):
@@ -351,8 +295,9 @@ def test_exit_code_reflects_failures(capsys):
         (("verify-theorem", "-q", "5", "--function", "t", "--tol", "-1"), "--tol: must be > 0"),
         (("verify-theorem", "-q", "5", "--function", "t", "--tol", "0"), "--tol: must be > 0"),
         (("verify-theorem", "-q", "5", "--function", "t", "--terms", "0"), "--terms: must be >= 1"),
-        (("verify-theorem", "-q", "5", "--function", "t", "--terms-cap", "0"),
-         "--terms-cap: must be >= 1"),
+        # 2^22 is the most coefficients any series sums
+        (("verify-theorem", "-q", "5", "--function", "t", "--terms", "4194305"),
+         "--terms: must be >= 1 and at most 4194304, got 4194305"),
         (("example", "--id", "1", "-d", "-3", "--tol", "-1"), "--tol: must be > 0"),
         (("example", "--id", "4", "-d", "5", "--y", "1/5", "--terms", "0"),
          "--terms: must be >= 1"),
@@ -369,6 +314,8 @@ def test_exit_code_reflects_failures(capsys):
         (("sweep", "--max-abs-d", "5", "--tol", "4.9e-324"),
          "--tol: must be at least 2.2250738585072014e-308"),
         (("sweep", "--max-abs-d", "5", "--tol", "1e-400"), "--tol: must be > 0"),
+        (("verify-theorem", "-q", "5", "--function", "t2", "--terms", str(10**12)),
+         "--terms: must be >= 1 and at most 4194304, got 1000000000000"),
     ],
 )
 def test_invalid_numeric_arguments_exit_2(capsys, argv, message):
@@ -385,8 +332,7 @@ def test_invalid_numeric_arguments_exit_2(capsys, argv, message):
         (("verify-theorem", "-q", "7", "--function", "step:1/0"), "zero denominator"),
         (("sweep", "--min-abs-d", "2999990", "--max-abs-d", "3000000"),
          "exceeds the supported modulus ceiling"),
-        (("verify-theorem", "-q", "7", "--function", "t", "--terms", "11", "--terms-cap", "10"),
-         "--terms 11 exceeds --terms-cap 10"),
+        (("verify-theorem", "-q", "2", "--function", "t"), "the series identity needs modulus >= 3"),
         (("example", "--id", "3", "-d", "5", "--terms", "3"), "identity 3 does not take terms"),
         # identity 4 at y = 1/2 would need the period lcm(999997, 2) > 10^6
         (("sweep", "--min-abs-d", "999997", "--max-abs-d", "999997"),
@@ -448,8 +394,6 @@ def _argv(draw):
         args += ["--min-abs-d", str(draw(_SWEEP_BOUNDS))] if draw(st.booleans()) else []
     if cmd == "verify-theorem":
         args += ["--function", draw(_FUNCTIONS)]
-        # the cap keeps every valid run short
-        args += _option(draw, "--terms-cap", "64", "4096", required=True)
         args += _option(draw, "--terms", "1", "64")
     if cmd != "characters":
         args += _option(draw, "--tol", "1e-6", "0.01")

@@ -153,24 +153,45 @@ def test_series_conjugation_for_complex_characters():
 
 def test_best_effort_flag_for_slow_sine_branch(odd3):
     # odd chi with smooth f and no atoms: sine coefficients decay like 1/n, so
-    # a 1e-8 target is unreachable by truncation; the engine must flag
-    # best-effort and still satisfy its reported bound
+    # a 1e-8 target is unreachable within the cap TERMS_CEILING; the engine
+    # must stop there, flag best-effort and still satisfy its reported bound
     t2_without_atoms = dataclasses.replace(builtin_function("t2"), name="t2#noatoms", atoms=())
-    sev = theorem_series(odd3, t2_without_atoms, 1e-8, terms_cap=10**5)
-    assert sev.tail_method == "envelope"
+    sev = theorem_series(odd3, t2_without_atoms, 1e-8)
+    assert (sev.tail_method, sev.terms_used) == ("envelope", TERMS_CEILING)
     assert sev.best_effort and sev.tail_bound > 1e-8
     assert abs(sev.value - (-1 / 3)) <= sev.tail_bound
 
 
 @pytest.mark.parametrize("name", ["t", "t2", "exp"])
-def test_abel_tail_clamped_by_small_terms_cap(name):
-    # N stops at the cap; the bound there is reported as is, and holds
+def test_abel_tail_clamped_by_small_terms_cap(name, monkeypatch):
+    # N stops at the cap, here TERMS_CEILING made small; the bound there is
+    # reported as is, and holds
     chi = build_character_group(13).character_by_index(1)
     f = builtin_function(name)
-    sev = theorem_series(chi, f, 1e-12, terms_cap=2 * chi.modulus)
+    monkeypatch.setattr(fourier, "TERMS_CEILING", 2 * chi.modulus)
+    sev = theorem_series(chi, f, 1e-12)
     assert sev.tail_method == "euler_maclaurin" and sev.terms_used == 2 * chi.modulus
     assert sev.best_effort and sev.tail_bound > 1e-12
     assert abs(sev.value - direct_sum(chi, f)) <= sev.tail_bound
+
+
+def test_step_rows_past_a_million_terms_certify():
+    # a jump at 1/991 against q = 1009: the atoms' tail runs over the period
+    # lcm(1009, 991) = 999,919, so N reaches about 4.2e6 (the odd row the cap
+    # TERMS_CEILING itself) before the bound meets 1e-8, past the old 10^6
+    f = builtin_function("step:1/991")
+    group = build_character_group(1009)
+    for parity in ("odd", "even"):
+        chi = next(c for c in group.primitive_characters() if c.is_even == (parity == "even"))
+        chk = verify_theorem(chi, f, 1e-8)
+        sev = chk.series
+        assert 10**6 < sev.terms_used <= TERMS_CEILING, parity
+        assert not sev.best_effort and sev.tail_bound <= 1e-8, parity
+        kind = "cos" if chi.is_even else "sin"
+        table = chi.values_real() if chi.is_real else np.conj(chi.values_complex())
+        coeffs = fourier.cached_coefficients(f, kind, sev.terms_used)
+        rounding = 2 * math.sqrt(1009) * head_rounding_bound(table, coeffs)
+        assert chk.abs_error <= sev.tail_bound + rounding, parity
 
 
 def test_abel_tail_explicit_terms_fix_n(odd3):
@@ -194,23 +215,10 @@ def test_explicit_terms_above_cap_rejected_before_allocating(odd3, monkeypatch):
     for name in ("cached_coefficients", "character_series"):
         monkeypatch.setattr(fourier, name, no_series)
     for f in (builtin_function("t"), log_without_atoms()):  # kernel and Cesaro tails
-        with pytest.raises(ValueError, match="at most terms_cap = 1000000"):
-            theorem_series(odd3, f, 1e-8, terms=10**12)
-
-
-def test_terms_cap_above_ceiling_rejected_before_allocating(odd3, monkeypatch):
-    t = builtin_function("t")
-    sev = theorem_series(odd3, t, 1e-8, terms=40, terms_cap=TERMS_CEILING)
-    assert sev.terms_used == 40
-
-    def no_series(*args, **kwargs):
-        raise AssertionError("the series must not be set up")
-
-    for name in ("cached_coefficients", "character_series"):
-        monkeypatch.setattr(fourier, name, no_series)
-    for cap in (TERMS_CEILING + 1, 10**12):
-        with pytest.raises(ValueError, match=f"--terms-cap.*at most {TERMS_CEILING}, got {cap}"):
-            theorem_series(odd3, t, 1e-300, terms_cap=cap)
+        for terms in (0, TERMS_CEILING + 1, 10**12):
+            with pytest.raises(ValueError, match=f"terms must be >= 1 and at most {TERMS_CEILING}, "
+                                                 f"got {terms}"):
+                theorem_series(odd3, f, 1e-8, terms=terms)
 
 
 def test_unbounded_variation_rejected(chi5):
@@ -284,8 +292,8 @@ def test_cesaro_window_fold_is_the_old_engine_fold():
 
 
 def test_cesaro_window_takes_half_the_cap(odd4, monkeypatch):
-    # a target the cap cannot reach: the window stops at N = cap // 2 and
-    # folds a_1 .. a_2N, the whole cap, once
+    # a target the cap (TERMS_CEILING, made small) cannot reach: the window
+    # stops at N = cap // 2 and folds a_1 .. a_2N, the whole cap, once
     f = dataclasses.replace(log_without_atoms(), name="log#half-cap")
     folds = []
 
@@ -294,17 +302,18 @@ def test_cesaro_window_takes_half_the_cap(odd4, monkeypatch):
         return residue_fold(coeffs, m)
 
     monkeypatch.setattr(fourier, "residue_fold", counted)
-    sev = theorem_series(odd4, f, 1e-30, terms_cap=5000)
+    monkeypatch.setattr(fourier, "TERMS_CEILING", 5000)
+    sev = theorem_series(odd4, f, 1e-30)
     assert (sev.terms_used, sev.tail_method, sev.best_effort) == (2500, "cesaro", True)
     assert folds == [(4, 5000)]
     assert set(fourier._modulus_cache[f][1]) == {("sin", 2500, "cesaro")}
 
 
-def test_cesaro_window_with_terms_cap_below_two(odd4):
-    # a cap of 1 halves to 0, and the window still sums [1, 2]:
-    # (S_1 + S_2)/2 = p_1 + p_2/2 with p_n = conj(chi)(n) b_n
+def test_cesaro_window_at_one_term(odd4):
+    # N = 1 sums the window [1, 2]: (S_1 + S_2)/2 = p_1 + p_2/2 with
+    # p_n = conj(chi)(n) b_n
     f = log_without_atoms()
-    sev = theorem_series(odd4, f, 1e-30, terms_cap=1)
+    sev = theorem_series(odd4, f, 1e-30, terms=1)
     assert (sev.terms_used, sev.tail_method, sev.averaged) == (1, "cesaro", True)
     assert sev.best_effort
     p1, p2 = (odd4.values_real()[[1, 2]] * fourier.cached_coefficients(f, "sin", 2)).tolist()
@@ -313,12 +322,14 @@ def test_cesaro_window_with_terms_cap_below_two(odd4):
     assert sev.value == pytest.approx(expected, rel=1e-15, abs=1e-16)
 
 
-def test_cesaro_window_rows_within_their_bound():
+def test_cesaro_window_rows_within_their_bound(monkeypatch):
     # the window's value minus the series is the mean of the tails beyond
     # N .. 2N, each within the bound at N: over a sample of the characters
     # mod q < 60, log and three steps without atoms take the window on both
-    # sides, at N solved (the cap), 64 and 1000, and stay within their bound
-    # up to the head's rounding
+    # sides, at N solved (the cap, here TERMS_CEILING made 10^6 to keep the
+    # run short), 64 and 1000, and stay within their bound up to the head's
+    # rounding
+    monkeypatch.setattr(fourier, "TERMS_CEILING", 10**6)
     rng = np.random.default_rng(19)
     moduli = [q for q in range(3, 60) if q % 4 != 2]
     for name in ("log", "step:1/3", "step:2/5", "step:1/2"):

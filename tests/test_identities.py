@@ -148,6 +148,19 @@ def test_identity_rejects_tolerance_not_finite_and_positive(identity_id, d, y, t
         run_identity(identity_id, d, y=y, tol=tol)
 
 
+@pytest.mark.parametrize(
+    "identity_id, d, y",
+    [(1, -499991, None), (3, -499991, None), (4, -499991, "1/2"), (2, 499993, None)],
+)
+def test_identity_certifies_near_the_sweep_ceiling(identity_id, d, y):
+    # |d| near 500,000, the top of sweep's range: N runs past 2^20 (2.5e6 for
+    # identity 2) and stops within the one cap TERMS_CEILING = 2^22, where
+    # the tail bound meets the tolerance
+    check = run_identity(identity_id, d, y=y)
+    assert check.passed and check.tail_bound <= check.tolerance
+    assert check.abs_error <= check.tail_bound
+
+
 def test_identity_sweep_small():
     for d in fundamental_discriminants(50):
         if d < 0:
