@@ -215,10 +215,27 @@ def test_explicit_terms_above_cap_rejected_before_allocating(odd3, monkeypatch):
     for name in ("cached_coefficients", "character_series"):
         monkeypatch.setattr(fourier, name, no_series)
     for f in (builtin_function("t"), log_without_atoms()):  # kernel and Cesaro tails
-        for terms in (0, TERMS_CEILING + 1, 10**12):
+        for terms in (0, 10**12):
             with pytest.raises(ValueError, match=f"terms must be >= 1 and at most {TERMS_CEILING}, "
                                                  f"got {terms}"):
                 theorem_series(odd3, f, 1e-8, terms=terms)
+
+
+def test_terms_cap_above_ceiling_rejected_before_allocating(odd3, monkeypatch):
+    # TERMS_CEILING is the one cap on N: one past it is refused before any
+    # coefficient array is built, on both the kernel and the Cesaro tails
+    t = builtin_function("t")
+    sev = theorem_series(odd3, t, 1e-8, terms=40)
+    assert sev.terms_used == 40
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("the series must not be set up")
+
+    for name in ("cached_coefficients", "character_series"):
+        monkeypatch.setattr(fourier, name, no_series)
+    for f in (t, log_without_atoms()):
+        with pytest.raises(ValueError, match=f"at most {TERMS_CEILING}, got {TERMS_CEILING + 1}"):
+            theorem_series(odd3, f, 1e-300, terms=TERMS_CEILING + 1)
 
 
 def test_unbounded_variation_rejected(chi5):
