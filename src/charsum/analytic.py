@@ -548,10 +548,8 @@ def l_one(chi: DirichletCharacter, target_accuracy: float = 1e-9) -> LValue:
                          f"the bound keeps for the head's rounding; got {target_accuracy}")
     if chi.is_principal:
         raise ValueError("L(s, chi_0) has a pole at s = 1 and is not representable")
-    real = chi.is_real
-    values = chi.values_real() if real else chi.values_complex()
     value, n_terms, bound = character_series(
-        values,
+        chi.values(),
         coefficient_fold(lambda count: 1.0 / np.arange(1, count + 1)),
         1.0,
         2.0 * (target_accuracy - slack),  # the engine spends half its target on the atoms
@@ -559,5 +557,5 @@ def l_one(chi: DirichletCharacter, target_accuracy: float = 1e-9) -> LValue:
         TERMS_CEILING,
         atoms=[(1.0, 0.0)],
     )
-    value = float(value.real) if real else complex(value)
+    value = float(value.real) if chi.is_real else complex(value)
     return LValue(value, n_terms, float(bound + slack), chi.label)

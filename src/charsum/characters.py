@@ -4,10 +4,10 @@ A character value is stored as an exact "turn": an integer t meaning the value
 exp(2*pi*i * t / e), where e is the exponent of the unit group (Z/qZ)*.  The
 sentinel -1 marks residues with gcd(k, q) > 1, where the character vanishes.
 All structural checks (multiplicativity, orthogonality, conductor) can
-therefore be carried out in exact integer arithmetic; complex values are
-materialized only when a sum has to be evaluated numerically.  The conductor
-is read from the turns by its definition (_conductor).  Every command runs
-one modulus, so only the last group and the last real character are cached.
+therefore be carried out in exact integer arithmetic; complex tables are
+gathered from the group's roots of unity and not kept.  The conductor is read
+from the turns by its definition (_conductor).  Each command runs one modulus,
+so only the last group and the last real character are cached.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 MODULUS_CEILING = 10**6  # one character's table is O(q)
-# Full-group construction is O(phi(q) * q): int64 turns are 0.8 GB near 10^4, 2.4 GB with complex tables.
+# Full-group construction is O(phi(q) * q): int64 turns are 0.8 GB near 10^4; q = 9973 peaks at 810 MiB.
 _GROUP_CEILING = 10**4
 
 
@@ -196,14 +196,9 @@ class DirichletCharacter:
         return complex(math.cos(angle), math.sin(angle))
 
     def values_complex(self) -> np.ndarray:
-        """Length-q complex table of chi(0..q-1).  Cached, read-only."""
-        arr = self._cache.get("complex")
-        if arr is None:
-            mask = self.turns >= 0
-            angles = 2.0 * np.pi * np.where(mask, self.turns, 0) / self.turn_denominator
-            arr = np.where(mask, np.exp(1j * angles), 0.0)
-            arr.flags.writeable = False
-            self._cache["complex"] = arr
+        """Length-q complex table of chi(0..q-1), gathered from the group's roots.  Not cached."""
+        arr = np.where(self.turns >= 0, self.group.roots[self.turns], 0.0)
+        arr.flags.writeable = False
         return arr
 
     def values_real(self) -> np.ndarray:
@@ -216,6 +211,12 @@ class DirichletCharacter:
             arr.flags.writeable = False
             self._cache["real"] = arr
         return arr
+
+    def values(self) -> np.ndarray:
+        """chi(0..q-1): the cached real table for a real chi, else the complex one."""
+        if self.is_real:
+            return self.values_real()
+        return self.values_complex()
 
     def conjugate(self) -> "DirichletCharacter":
         exps = tuple(
@@ -254,6 +255,13 @@ class CharacterGroup:
     def __len__(self) -> int:
         return self.phi
 
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """exp(2 pi i j / e) for j = 0..e-1, e the group exponent; read-only, as every character shares it."""
+        roots = np.exp(1j * (2.0 * np.pi * np.arange(self.exponent) / self.exponent))
+        roots.flags.writeable = False
+        return roots
+
     def index_of(self, exponents: tuple[int, ...]) -> int:
         idx = 0
         for f, e in zip(self._factors, exponents):
@@ -279,7 +287,7 @@ class CharacterGroup:
             turns = (turns + exp * (e // f.order) * np.where(dlog >= 0, dlog, 0)) % e
         turns = np.where(self._unit_mask, turns, -1)
         turns.flags.writeable = False
-        is_real = bool(np.all((turns <= 0) | (2 * turns == e)))
+        is_real = all(2 * exp % f.order == 0 for f, exp in zip(self._factors, exponents))
         parity = Parity.EVEN
         if q > 2 and turns[q - 1] != 0:
             parity = Parity.ODD
@@ -330,7 +338,7 @@ def build_character_group(q: int) -> CharacterGroup:
     Deterministic ordering: characters sorted by exponent vector on the fixed
     canonical generators.  Raises ValueError for q < 1 or q > 10^4 (before
     any table is built).  Only the last group is cached: a group near the
-    ceiling holds up to 2.4 GB of tables, and every command runs one modulus.
+    ceiling holds 0.8 GB of turns, and every command runs one modulus.
     """
     if q > _GROUP_CEILING:
         raise ValueError(f"modulus {q} exceeds {_GROUP_CEILING}, the ceiling for a full character group")

@@ -110,7 +110,7 @@ def _fstar_values(f: FunctionSpec, q: int) -> np.ndarray:
 
     def build():
         table = np.array([f.evaluator(k / q) for k in range(1, q)], dtype=float)
-        for t, left, right in reversed(f.jump_points):  # fstar takes the first match
+        for t, left, right in f.jump_points:
             k = round(t * q)
             if 0 < k < q and k / q == t:
                 table[k - 1] = 0.5 * (left + right)
@@ -133,13 +133,11 @@ def direct_sum(chi: DirichletCharacter, f: FunctionSpec) -> float | complex:
     _require_primitive(chi)
     q = chi.modulus
     fs = _fstar_values(f, q)
-    if chi.is_real:
-        vals = chi.values_real()[1:]
-        live = vals != 0.0
-        return math.fsum((vals[live] * fs[live]).tolist())
-    vals = chi.values_complex()[1:]
+    vals = chi.values()[1:]
     live = vals != 0.0
     vals, fs = vals[live], fs[live]
+    if chi.is_real:
+        return math.fsum((vals * fs).tolist())
     return complex(math.fsum((vals.real * fs).tolist()), math.fsum((vals.imag * fs).tolist()))
 
 
@@ -360,7 +358,7 @@ def theorem_series(
 
     tau_value = tau(chi).value
     prefactor = 2.0 * tau_value if even else -2.0j * tau_value
-    table = chi.values_real() if chi.is_real else np.conj(chi.values_complex())
+    table = np.conj(chi.values())
 
     cap = TERMS_CEILING if f.closed_form is not None else _QUADRATURE_TERMS_CAP
     fold = partial(cached_fold, f, kind)

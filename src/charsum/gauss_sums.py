@@ -78,11 +78,6 @@ def tau(chi: DirichletCharacter) -> GaussSumValue:
     return cached
 
 
-def _value_table(chi: DirichletCharacter) -> np.ndarray:
-    """chi(0..q-1), as the cached real table when chi is real."""
-    return chi.values_real() if chi.is_real else chi.values_complex()
-
-
 def gauss_sum_table(chi: DirichletCharacter) -> np.ndarray:
     """G(n, chi) for n = 0..q-1, from one length-q inverse FFT of chi's table.
 
@@ -95,7 +90,7 @@ def gauss_sum_table(chi: DirichletCharacter) -> np.ndarray:
     q = chi.modulus
     if q == 1:
         return np.zeros(1, dtype=complex)
-    return np.fft.ifft(_value_table(chi)) * q
+    return np.fft.ifft(chi.values()) * q
 
 
 def separability_residual(chi: DirichletCharacter) -> float:
@@ -110,7 +105,7 @@ def separability_residual(chi: DirichletCharacter) -> float:
             f"separability requires a primitive character; {chi.label} has "
             f"conductor {chi.conductor} < modulus {chi.modulus}"
         )
-    rhs = np.conj(_value_table(chi)) * tau(chi).value
+    rhs = np.conj(chi.values()) * tau(chi).value
     return float(np.max(np.abs(gauss_sum_table(chi) - rhs)))
 
 

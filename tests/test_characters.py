@@ -24,6 +24,8 @@ from charsum.characters import (
     kronecker_symbol,
     real_primitive_character,
 )
+from charsum.fourier import verify_theorem
+from charsum.functions import builtin_function
 
 
 def units_mod(q):
@@ -354,3 +356,32 @@ def test_conjugate_character():
         conj = chi.conjugate()
         for k in range(7):
             assert abs(conj(k) - chi(k).conjugate()) < 1e-15
+
+
+def test_gathered_table_equals_per_character_exp():
+    # every modulus below 200: primes, odd prime powers, 2^a with a >= 3, composites
+    for q in range(1, 200):
+        for chi in CharacterGroup(q).characters():
+            # the per-character table as it was built before the group's roots
+            turns, e = chi.turns, chi.turn_denominator
+            mask = turns >= 0
+            angles = 2.0 * np.pi * np.where(mask, turns, 0) / e
+            oracle = np.where(mask, np.exp(1j * angles), 0.0)
+            table = chi.values_complex()
+            assert np.array_equal(table.view(float), oracle.view(float)), chi.label
+            assert not table.flags.writeable
+            # is_real comes from the exponent vector; the table scan is the oracle
+            assert chi.is_real == bool(np.all((turns <= 0) | (2 * turns == e))), chi.label
+            if chi.is_real:
+                assert chi.values() is chi.values_real()
+            else:
+                assert np.array_equal(chi.values().view(float), oracle.view(float))
+
+
+def test_theorem_check_keeps_no_complex_table():
+    t = builtin_function("t")
+    primitive = build_character_group(101).primitive_characters()
+    assert all(verify_theorem(chi, t, 1e-8).passed for chi in primitive)
+    for chi in primitive:
+        assert "complex" not in chi._cache
+        assert not any(np.iscomplexobj(v) for v in chi._cache.values() if isinstance(v, np.ndarray))
