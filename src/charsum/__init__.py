@@ -35,7 +35,6 @@ from .fourier import (
 )
 from .functions import FunctionSpec, VariationClass, builtin_function, fstar
 from .gauss_sums import (
-    GaussSumValue,
     gauss_sum,
     gauss_sum_table,
     quadratic_tau_residual,
@@ -59,7 +58,6 @@ __all__ = [
     "CharacterGroup",
     "DirichletCharacter",
     "FunctionSpec",
-    "GaussSumValue",
     "IdentityCheck",
     "LValue",
     "Parity",

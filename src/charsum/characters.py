@@ -3,11 +3,13 @@
 A character value is stored as an exact "turn": an integer t meaning the value
 exp(2*pi*i * t / e), where e is the exponent of the unit group (Z/qZ)*.  The
 sentinel -1 marks residues with gcd(k, q) > 1, where the character vanishes.
-All structural checks (multiplicativity, orthogonality, conductor) can
-therefore be carried out in exact integer arithmetic; complex tables are
-gathered from the group's roots of unity and not kept.  The conductor is read
-from the turns by its definition (_conductor).  Each command runs one modulus,
-so only the last group and the last real character are cached.
+Multiplicativity and orthogonality can therefore be checked in exact integer
+arithmetic; complex tables are gathered from the group's roots of unity and
+not kept.  A character's structure is read from its exponent vector on the
+cyclic factors of (Z/qZ)*: the conductor is the lcm of one conductor per
+factor, realness is an exponent test, and parity is the turn at k = q - 1, so
+no fact needs a scan of the table.  Each command runs one modulus, so only the
+last group and the last real character are cached.
 """
 
 from __future__ import annotations
@@ -84,12 +86,23 @@ def _smallest_primitive_root(pk: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class _UnitFactor:
-    """One cyclic factor of (Z/qZ)*: modulus piece, generator, order, dlog table."""
+    """One cyclic factor of (Z/qZ)*: modulus piece, generator, order, conductor base, dlog table."""
 
     piece: int          # the prime power p**a this factor lives in
     generator: int      # generator residue, lifted mod q (== 1 mod all other pieces)
     order: int
+    base: int           # p for an odd p**a; 2 for the factor holding -1 mod 2**a; 4 for <5>
     dlog: np.ndarray    # index r mod piece -> discrete log of r, -1 for non-units
+
+    def conductor(self, exponent: int) -> int:
+        """Conductor of the character with this exponent here and 0 on every other factor.
+
+        A character of order o > 1 on the factor has conductor base * gcd(o, piece):
+        p**(v+1) for an odd prime power when p**v || o, 4 on the factor holding
+        -1, and 2**(v+2) for order 2**v on <5>.
+        """
+        o = self.order // math.gcd(exponent, self.order)
+        return 1 if o == 1 else self.base * math.gcd(o, self.piece)
 
 
 def _dlog_table(piece: int, gen: int, order: int) -> np.ndarray:
@@ -118,7 +131,7 @@ def _unit_factors(q: int) -> list[_UnitFactor]:
             if a == 1:
                 continue  # (Z/2)* is trivial
             if a == 2:
-                factors.append(_UnitFactor(4, _crt_lift(3, 4, q), 2, _dlog_table(4, 3, 2)))
+                factors.append(_UnitFactor(4, _crt_lift(3, 4, q), 2, 2, _dlog_table(4, 3, 2)))
             else:
                 # (Z/2^a)* = <-1> x <5>: split dlogs onto the two generators
                 half_order = 2 ** (a - 2)
@@ -129,12 +142,12 @@ def _unit_factors(q: int) -> list[_UnitFactor]:
                     sign[x], five[x] = 0, j
                     sign[piece - x], five[piece - x] = 1, j
                     x = (x * 5) % piece
-                factors.append(_UnitFactor(piece, _crt_lift(piece - 1, piece, q), 2, sign))
-                factors.append(_UnitFactor(piece, _crt_lift(5, piece, q), half_order, five))
+                factors.append(_UnitFactor(piece, _crt_lift(piece - 1, piece, q), 2, 2, sign))
+                factors.append(_UnitFactor(piece, _crt_lift(5, piece, q), half_order, 4, five))
         else:
             order = euler_phi(piece)
             g = _smallest_primitive_root(piece, p)
-            factors.append(_UnitFactor(piece, _crt_lift(g, piece, q), order, _dlog_table(piece, g, order)))
+            factors.append(_UnitFactor(piece, _crt_lift(g, piece, q), order, p, _dlog_table(piece, g, order)))
     return factors
 
 
@@ -144,7 +157,8 @@ class DirichletCharacter:
 
     ``turns[k]`` is the integer t with chi(k) = exp(2*pi*i*t/turn_denominator),
     or -1 when gcd(k, q) > 1 (chi(k) = 0).  For q = 1 the single slot k = 0
-    carries the value 1.
+    carries the value 1.  Built only by `CharacterGroup.character`, which
+    reads conductor, parity and realness from the exponent vector.
     """
 
     modulus: int
@@ -152,10 +166,10 @@ class DirichletCharacter:
     exponents: tuple[int, ...]
     turn_denominator: int
     turns: np.ndarray = field(repr=False)
-    conductor: int = field(default=0)
-    parity: Parity = field(default=Parity.EVEN)
-    is_real: bool = field(default=False)
-    group: "CharacterGroup" = field(default=None, repr=False)  # type: ignore[assignment]
+    conductor: int
+    parity: Parity
+    is_real: bool
+    group: "CharacterGroup" = field(repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -241,11 +255,9 @@ class CharacterGroup:
             raise ValueError(f"modulus {q} exceeds the supported ceiling {MODULUS_CEILING}")
         self.modulus = q
         self._factors = _unit_factors(q)
-        self.phi = euler_phi(q) if q > 1 else 1
-        self.exponent = 1
-        for f in self._factors:
-            self.exponent = math.lcm(self.exponent, f.order)
-        self.generators = [(f.generator, f.order) for f in self._factors]
+        orders = [f.order for f in self._factors]
+        self.phi = math.prod(orders)
+        self.exponent = math.lcm(*orders)
         self._char_cache: dict[tuple[int, ...], DirichletCharacter] = {}
         # per-factor dlog tables lifted to index k mod q
         k = np.arange(q, dtype=np.int64)
@@ -276,6 +288,11 @@ class CharacterGroup:
         return tuple(reversed(exps))
 
     def character(self, exponents: tuple[int, ...]) -> DirichletCharacter:
+        if len(exponents) != len(self._factors):
+            raise ValueError(
+                f"modulus {self.modulus} has {len(self._factors)} cyclic factors, "
+                f"got {len(exponents)} exponents"
+            )
         exponents = tuple(int(e) % f.order for f, e in zip(self._factors, exponents))
         cached = self._char_cache.get(exponents)
         if cached is not None:
@@ -287,19 +304,15 @@ class CharacterGroup:
             turns = (turns + exp * (e // f.order) * np.where(dlog >= 0, dlog, 0)) % e
         turns = np.where(self._unit_mask, turns, -1)
         turns.flags.writeable = False
-        is_real = all(2 * exp % f.order == 0 for f, exp in zip(self._factors, exponents))
-        parity = Parity.EVEN
-        if q > 2 and turns[q - 1] != 0:
-            parity = Parity.ODD
         chi = DirichletCharacter(
             modulus=q,
             index=self.index_of(exponents),
             exponents=exponents,
             turn_denominator=e,
             turns=turns,
-            conductor=self._conductor(turns),
-            parity=parity,
-            is_real=is_real,
+            conductor=math.lcm(*(f.conductor(exp) for f, exp in zip(self._factors, exponents))),
+            parity=Parity.ODD if turns[q - 1] != 0 else Parity.EVEN,
+            is_real=all(2 * exp % f.order == 0 for f, exp in zip(self._factors, exponents)),
             group=self,
         )
         self._char_cache[exponents] = chi
@@ -317,28 +330,17 @@ class CharacterGroup:
     def primitive_characters(self) -> list[DirichletCharacter]:
         return [chi for chi in self.characters() if chi.is_primitive]
 
-    def _conductor(self, turns: np.ndarray) -> int:
-        """The least d | q such that chi(k) = 1 for every unit k = 1 mod d.
-
-        Those d are the multiples of the conductor among the divisors of q, so
-        for each prime p | q, d = q drops a factor p while chi is trivial on
-        the units k = 1 mod d/p (turns[1::d // p] <= 0 everywhere).
-        """
-        d = self.modulus
-        for p, _ in _factorize(d):
-            while d % p == 0 and (turns[1 :: d // p] <= 0).all():
-                d //= p
-        return d
-
 
 @lru_cache(maxsize=1)
 def build_character_group(q: int) -> CharacterGroup:
     """Construct the full character group mod q with all characters materialized.
 
     Deterministic ordering: characters sorted by exponent vector on the fixed
-    canonical generators.  Raises ValueError for q < 1 or q > 10^4 (before
-    any table is built).  Only the last group is cached: a group near the
-    ceiling holds 0.8 GB of turns, and every command runs one modulus.
+    canonical generators.  Each character costs one O(q) turn table; its
+    conductor, parity and realness are O(number of factors) on top.  Raises
+    ValueError for q < 1 or q > 10^4 (before any table is built).  Only the
+    last group is cached: a group near the ceiling holds 0.8 GB of turns, and
+    every command runs one modulus.
     """
     if q > _GROUP_CEILING:
         raise ValueError(f"modulus {q} exceeds {_GROUP_CEILING}, the ceiling for a full character group")
@@ -442,15 +444,15 @@ def real_primitive_character(d: int) -> DirichletCharacter:
     q = abs(d)
     group = CharacterGroup(q)
     exps = []
-    for gen, order in group.generators:
-        v = kronecker_symbol(d, gen)
+    for f in group._factors:
+        v = kronecker_symbol(d, f.generator)
         if v == 1:
             exps.append(0)
         elif v == -1:
-            if order % 2:
-                raise ArithmeticError(f"inconsistent sign at generator {gen} mod {q}")
-            exps.append(order // 2)
+            if f.order % 2:
+                raise ArithmeticError(f"inconsistent sign at generator {f.generator} mod {q}")
+            exps.append(f.order // 2)
         else:
-            raise ArithmeticError(f"generator {gen} not coprime to {q}")
+            raise ArithmeticError(f"generator {f.generator} not coprime to {q}")
     chi = group.character(tuple(exps))
     return chi

@@ -356,7 +356,7 @@ def theorem_series(
     windowed = not atoms and f.variation_class in _WINDOW_CLASSES
     tail_method = "euler_maclaurin" if atoms else "cesaro" if windowed else "envelope"
 
-    tau_value = tau(chi).value
+    tau_value = tau(chi)
     prefactor = 2.0 * tau_value if even else -2.0j * tau_value
     table = np.conj(chi.values())
 

@@ -11,14 +11,12 @@ conj(chi)(n) tau(chi), so its two sides are computed independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .characters import DirichletCharacter, real_primitive_character
 
 __all__ = [
-    "GaussSumValue",
     "gauss_sum",
     "gauss_sum_table",
     "tau",
@@ -34,25 +32,11 @@ __all__ = [
 GAUSS_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class GaussSumValue:
-    """Value of G(n, chi), with the |G| = sqrt(q) exactness residual attached."""
-
-    value: complex
-    modulus: int
-    twist: int
-    character_label: str
-    residual: float
-
-    def __complex__(self) -> complex:
-        return self.value
-
-
-def gauss_sum(chi: DirichletCharacter, n: int) -> GaussSumValue:
+def gauss_sum(chi: DirichletCharacter, n: int) -> complex:
     """G(n, chi) = sum_{k=1}^{q-1} chi(k) e(k n / q)."""
     q = chi.modulus
     if q == 1:
-        return GaussSumValue(0j, 1, n, chi.label, 0.0)
+        return 0j
     e = chi.turn_denominator
     k = np.arange(1, q, dtype=np.int64)
     turns = chi.turns[1:]
@@ -61,15 +45,11 @@ def gauss_sum(chi: DirichletCharacter, n: int) -> GaussSumValue:
     kn = (k * (n % q)) % q
     num = (np.where(mask, turns, 0) * q + kn * e) % (e * q)
     angles = (2.0 * np.pi / (e * q)) * num
-    value = complex(np.sum(np.where(mask, np.cos(angles), 0.0)),
-                    np.sum(np.where(mask, np.sin(angles), 0.0)))
-    residual = 0.0
-    if chi.is_primitive and math.gcd(n, q) == 1:
-        residual = abs(abs(value) - math.sqrt(q))
-    return GaussSumValue(value, q, n, chi.label, residual)
+    return complex(np.sum(np.where(mask, np.cos(angles), 0.0)),
+                   np.sum(np.where(mask, np.sin(angles), 0.0)))
 
 
-def tau(chi: DirichletCharacter) -> GaussSumValue:
+def tau(chi: DirichletCharacter) -> complex:
     """tau(chi) = G(1, chi).  Cached on the character."""
     cached = chi._cache.get("tau")
     if cached is None:
@@ -105,7 +85,7 @@ def separability_residual(chi: DirichletCharacter) -> float:
             f"separability requires a primitive character; {chi.label} has "
             f"conductor {chi.conductor} < modulus {chi.modulus}"
         )
-    rhs = np.conj(chi.values()) * tau(chi).value
+    rhs = np.conj(chi.values()) * tau(chi)
     return float(np.max(np.abs(gauss_sum_table(chi) - rhs)))
 
 
@@ -116,7 +96,7 @@ def quadratic_tau_residual(d: int) -> float:
     discriminant d; non-fundamental d raises ValueError.
     """
     chi = real_primitive_character(d)
-    t = tau(chi).value
+    t = tau(chi)
     root = math.sqrt(abs(d))
     expected = complex(root, 0.0) if d > 0 else complex(0.0, root)
     return abs(t - expected)

@@ -216,7 +216,7 @@ def test_criterion_8_property_suite():
     worst_tau = 0.0
     for q in range(3, 201):
         for chi in build_character_group(q).primitive_characters():
-            worst_tau = max(worst_tau, abs(abs(tau(chi).value) - math.sqrt(q)))
+            worst_tau = max(worst_tau, abs(abs(tau(chi)) - math.sqrt(q)))
     assert worst_tau <= 1e-9
 
     # Si monotone on [0, pi]

@@ -177,9 +177,22 @@ def test_conductor_odd_real_mod3():
 
 
 def test_conductor_against_brute_force_sweep():
-    for q in range(1, 61):
-        for chi in build_character_group(q).characters():
+    # odd prime powers, 2^a with both 2-power factors, and composites past q = 60
+    for q in [*range(1, 61), 64, 128, 243, 256, 343, 360, 500, 512]:
+        group = build_character_group(q)
+        for chi in group.characters():
             assert chi.conductor == conductor_brute(chi), chi.label
+            turns = chi.turns
+            assert chi.is_real == ((turns <= 0) | (2 * turns == group.exponent)).all(), chi.label
+
+
+def test_character_rejects_exponent_vectors_of_the_wrong_length():
+    group = CharacterGroup(15)  # two cyclic factors, orders 2 and 4
+    assert group.character((1, 0)).label == "15.4"
+    for exponents in [(1,), (1, 0, 5)]:
+        with pytest.raises(ValueError, match="2 cyclic factors"):
+            group.character(exponents)
+    assert list(group._char_cache) == [(1, 0)]
 
 
 # --- Kronecker symbol -----------------------------------------------------------

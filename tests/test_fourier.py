@@ -334,7 +334,7 @@ def test_cesaro_window_at_one_term(odd4):
     assert (sev.terms_used, sev.tail_method, sev.averaged) == (1, "cesaro", True)
     assert sev.best_effort
     p1, p2 = (odd4.values_real()[[1, 2]] * fourier.cached_coefficients(f, "sin", 2)).tolist()
-    prefactor = -2j * complex(fourier.tau(odd4).value)
+    prefactor = -2j * fourier.tau(odd4)
     expected = (prefactor * (math.fsum([p1, p1, p2]) / 2)).real
     assert sev.value == pytest.approx(expected, rel=1e-15, abs=1e-16)
 
