@@ -42,11 +42,12 @@ def gauss_sum(chi: DirichletCharacter, n: int) -> complex:
     turns = chi.turns[1:]
     mask = turns >= 0
     # combined exact turn: chi-part t/e plus twist part (k n mod q)/q, over denominator e*q
-    kn = (k * (n % q)) % q
+    kn = k if n % q == 1 else (k * (n % q)) % q
     num = (np.where(mask, turns, 0) * q + kn * e) % (e * q)
     angles = (2.0 * np.pi / (e * q)) * num
-    return complex(np.sum(np.where(mask, np.cos(angles), 0.0)),
-                   np.sum(np.where(mask, np.sin(angles), 0.0)))
+    # cos/sin at the units only; the other terms stay 0
+    return complex(np.sum(np.cos(angles, out=np.zeros(q - 1), where=mask)),
+                   np.sum(np.sin(angles, out=np.zeros(q - 1), where=mask)))
 
 
 def tau(chi: DirichletCharacter) -> complex:

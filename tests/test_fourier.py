@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from charsum import fourier, quadrature
-from charsum.analytic import TERMS_CEILING, head_rounding_bound, reciprocal_tail, residue_fold
+from charsum.analytic import (TERMS_CEILING, _pairwise_depth, head_rounding_bound, reciprocal_tail,
+                              residue_fold)
 from charsum.characters import build_character_group, real_primitive_character
 from charsum.fourier import direct_sum, theorem_series, verify_theorem
 from charsum.functions import FunctionSpec, VariationClass, builtin_function, fstar
@@ -59,6 +60,31 @@ def test_direct_sum_rejects_imprimitive_and_tiny_moduli():
     principal2 = build_character_group(2).character_by_index(0)
     with pytest.raises(ValueError):
         direct_sum(principal2, builtin_function("t2"))
+
+
+def test_direct_sum_pairwise_within_gamma_of_fsum():
+    # complex chi: one pairwise sum of the rounded products, within
+    # gamma_k sum |products| (k = _pairwise_depth(2(q - 1))) of their exact
+    # sum per component, so within that plus one ulp of math.fsum of the same
+    # products; real chi: math.fsum of the products, bit for bit
+    specs = [builtin_function(n) for n in ("t", "t2", "exp", "log", "step:1/4")]
+    for q in (7, 13, 29, 31, 101):
+        k = _pairwise_depth(2 * (q - 1))
+        gamma = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+        characters = build_character_group(q).primitive_characters()
+        assert any(chi.is_real for chi in characters)
+        for f in specs:
+            fs = np.array([fstar(f, j / q) for j in range(1, q)])
+            for chi in characters:
+                products = chi.values()[1:] * fs
+                direct = direct_sum(chi, f)
+                if chi.is_real:
+                    assert direct == math.fsum(products.tolist()), (chi.label, f.name)
+                    continue
+                for got, parts in ((direct.real, products.real), (direct.imag, products.imag)):
+                    exact = math.fsum(parts.tolist())
+                    allowed = gamma * math.fsum(np.abs(parts).tolist()) + math.ulp(exact)
+                    assert abs(got - exact) <= allowed, (chi.label, f.name)
 
 
 def test_series_matches_direct_odd_mod3_t2(odd3):

@@ -157,7 +157,7 @@ def test_step_series_within_bound_of_exact_sum():
 
 @pytest.mark.parametrize("q", (7, 13, 29))
 def test_complex_direct_sum_within_product_rounding(q):
-    # each product chi(k) f*(k/q) is rounded once before math.fsum
+    # each product chi(k) f*(k/q) is rounded once, then the products are summed pairwise
     functions = {
         **FUNCTIONS,
         "step:1/4": lambda x: mp.mpf(1) if x <= mp.mpf(1) / 4 else mp.mpf(0),
