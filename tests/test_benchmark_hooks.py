@@ -11,8 +11,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from charsum import fourier, quadrature
-from charsum.characters import build_character_group
+from charsum import fourier, gauss_sums, quadrature
+from charsum.characters import CharacterGroup, build_character_group
 from charsum.fourier import theorem_series
 from charsum.functions import builtin_function
 
@@ -76,3 +76,22 @@ def test_user_spec_coefficients_go_through_the_spanned_quadrature_names(monkeypa
     assert calls == {}  # a closed form runs no quadrature
     fourier.cached_coefficients(user, "cos", 16)
     assert calls["filon_adaptive"] >= 1 and calls["filon_integral"] >= 2
+
+
+def test_tau_calls_the_module_gauss_sum_once_per_character(monkeypatch):
+    # the traced pass counts calls of the global charsum.gauss_sums.gauss_sum
+    # and asserts one per character (gauss_sum_calls == characters), so tau
+    # must reach it through the module global and cache what it returns
+    calls = []
+    inner = gauss_sums.gauss_sum
+
+    def counted(chi, n):
+        calls.append((chi.label, n))
+        return inner(chi, n)
+
+    monkeypatch.setattr(gauss_sums, "gauss_sum", counted)
+    characters = CharacterGroup(13).characters()  # a fresh group: no tau cached yet
+    first = [gauss_sums.tau(chi) for chi in characters]
+    assert calls == [(chi.label, 1) for chi in characters]
+    assert [gauss_sums.tau(chi) for chi in characters] == first
+    assert len(calls) == len(characters)

@@ -26,6 +26,7 @@ from charsum.characters import (
 )
 from charsum.fourier import verify_theorem
 from charsum.functions import builtin_function
+from charsum.gauss_sums import tau
 
 
 def units_mod(q):
@@ -131,6 +132,23 @@ def test_a_second_modulus_frees_the_first_group():
     real_primitive_character(-223)
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+def test_a_replaced_real_character_frees_its_group_without_a_collection():
+    # the group holds its character weakly: a sweep over large |d| must not
+    # keep a dead group of O(|d|) tables (twiddles included) per discriminant
+    # until the next full collection
+    gc.disable()
+    try:
+        chi = real_primitive_character(-227)
+        tau(chi)
+        assert chi.group.character(chi.exponents) is chi
+        ref = weakref.ref(chi.group)
+        del chi
+        real_primitive_character(-223)
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # --- conductor ----------------------------------------------------------------

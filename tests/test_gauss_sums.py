@@ -3,9 +3,13 @@
 import cmath
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
-from charsum.characters import build_character_group, fundamental_discriminants, real_primitive_character
+from charsum.analytic import _pairwise_depth
+from charsum.characters import (CharacterGroup, build_character_group, fundamental_discriminants,
+                                real_primitive_character)
 from charsum.gauss_sums import (
     GAUSS_TOLERANCE,
     gauss_sum,
@@ -20,6 +24,89 @@ def brute_gauss(chi, n):
     """Independent two-line evaluation via cmath, term by term."""
     q = chi.modulus
     return sum(chi(k) * cmath.exp(2j * math.pi * k * n / q) for k in range(1, q))
+
+
+U = 2.0**-53
+
+
+def gamma(k):
+    return k * U / (1.0 - k * U)
+
+
+def turn_fraction_gauss_sum(chi, n):
+    """G(n, chi) with each root of unity from its reduced turn fraction: the
+    combined turn t/e + (k n mod q)/q over the denominator e q, one cos/sin
+    pair per unit k and one real pairwise sum per component."""
+    q = chi.modulus
+    if q == 1:
+        return 0j
+    e = chi.turn_denominator
+    k = np.arange(1, q, dtype=np.int64)
+    turns = chi.turns[1:]
+    mask = turns >= 0
+    num = (np.where(mask, turns, 0) * q + (k * (n % q)) % q * e) % (e * q)
+    angles = (2.0 * np.pi / (e * q)) * num
+    return complex(np.sum(np.cos(angles, out=np.zeros(q - 1), where=mask)),
+                   np.sum(np.sin(angles, out=np.zeros(q - 1), where=mask)))
+
+
+def table_bound(q):
+    """Per component, |gauss_sum - G| for modulus q, as its docstring derives.
+
+    Each table entry is exp(i t) with t = fl(fl(2 pi j) / m) for a root of
+    order m: np.pi, the product and the quotient round once each, so t is
+    within gamma_3 t <= 2 pi gamma_3 of the exact angle, and cos and sin add
+    an ulp (at most u below 1), so the entry is within A = 2 pi gamma_3 +
+    sqrt(2) u of its root.  The exact product of two such entries is within
+    2A + A^2 of chi(k) e(kn/q); each of its parts is rounded once after one
+    addition (gamma_2 |a| |b| <= gamma_2 (1 + A)^2).  NumPy's pairwise sum of
+    the 2(q - 1) interleaved parts adds gamma_k times the sum of the |parts|
+    of one component, at most gamma_k (1 + A)^2 (1 + gamma_2) (q - 1), with
+    k = _pairwise_depth(2(q - 1)).
+    """
+    a = 2.0 * math.pi * gamma(3) + math.sqrt(2.0) * U
+    product = 2.0 * a + a * a + gamma(2) * (1.0 + a) ** 2
+    total = gamma(_pairwise_depth(2 * (q - 1))) * (1.0 + a) ** 2 * (1.0 + gamma(2))
+    return (q - 1) * (product + total) * (1.0 + 2.0**-50)
+
+
+def turn_fraction_bound(q):
+    """Per component, |turn_fraction_gauss_sum - G|: each angle is within
+    2 pi gamma_3 (2 pi / (e q) rounds with np.pi and once more, the product
+    once), cos and sin add at most u, and the pairwise sum of q - 1 terms of
+    size <= 1 adds gamma_d (q - 1), d = _pairwise_depth(q - 1)."""
+    per_term = 2.0 * math.pi * gamma(3) + U + gamma(_pairwise_depth(q - 1))
+    return (q - 1) * per_term * (1.0 + 2.0**-50)
+
+
+def test_gauss_sum_within_table_bound_of_turn_fraction_oracle():
+    # both evaluations are within their a-priori bounds of the exact sum, so
+    # they are within the sum of the bounds of each other, per component
+    for q in [*range(1, 151), 499, 512, 1000, 1009]:
+        bound = table_bound(q) + turn_fraction_bound(q)
+        for chi in CharacterGroup(q).characters():
+            for n in (0, 1, 2, q - 1, q + 3):
+                value, oracle = gauss_sum(chi, n), turn_fraction_gauss_sum(chi, n)
+                assert isinstance(value, complex)
+                assert abs(value.real - oracle.real) <= bound, (chi.label, n)
+                assert abs(value.imag - oracle.imag) <= bound, (chi.label, n)
+
+
+def test_tau_within_table_bound_of_40_digit_sums():
+    # measured at most 3.0 (q - 1) u per component (the principal character
+    # mod 3); the turn fractions' worst is 2.25 (q - 1) u (mod 11)
+    for q in range(2, 32):
+        bound = table_bound(q)
+        for chi in CharacterGroup(q).characters():
+            with mpmath.workdps(40):
+                exact = mpmath.fsum(
+                    mpmath.expjpi(2 * (mpmath.mpf(int(chi.turns[k])) / chi.turn_denominator
+                                       + mpmath.mpf(k) / q))
+                    for k in range(1, q) if chi.turns[k] >= 0
+                )
+                value = tau(chi)
+                assert abs(float(value.real - exact.real)) <= bound, chi.label
+                assert abs(float(value.imag - exact.imag)) <= bound, chi.label
 
 
 def test_gauss_sum_odd_mod4_is_2i():
@@ -96,8 +183,8 @@ def test_separability_rejects_imprimitive():
 
 
 def test_gauss_sum_table_matches_scalar_oracle():
-    # The table's docstring bound is eps*log2(q)*q; the scalar oracle carries
-    # rounding of the same size from its q - 1 cos/sin terms, so their
+    # The table's docstring bound is eps*log2(q)*q; the scalar sums carry
+    # rounding of the same size from their q - 1 twiddle products, so their
     # difference is held to twice that bound.
     eps = 2.0**-52
     seen_real = seen_complex = 0
