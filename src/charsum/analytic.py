@@ -219,11 +219,19 @@ def _power_coeffs(m: int) -> tuple[float, ...]:
     return tuple(b * math.prod(range(m, m + 2 * k - 1)) for k, b in enumerate(_EM, 1))
 
 
-def _class_sums(c: complex, power, n_terms: int, period: int) -> np.ndarray:
-    """sum_{j >= 0} g(a + jP) for the classes a = N + r, r = 1..P, entry i
-    holding the class a = i mod P, less a constant common to every class and
-    within _remainder(power, P, N + 1) each, for g = 1/(n + c)^m or ln(n)/n
-    (power LOG_ATOM).  With x = P/(a + c), the Euler-Maclaurin terms are
+def _class_offsets(n_terms: int, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """(r, a) of the tail classes a = N + r, r = 1..P, entry i holding the
+    class a = i mod P: shared by every atom of one period."""
+    r = (np.arange(period) - (n_terms + 1)) % period + 1.0
+    return r, n_terms + r
+
+
+def _class_sums(c: complex, power, n_terms: int,
+                offsets: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """sum_{j >= 0} g(a + jP) for the classes (r, a) = _class_offsets(N, P),
+    less a constant common to every class and within _remainder(power, P,
+    N + 1) each, for g = 1/(n + c)^m or ln(n)/n (power LOG_ATOM).  With
+    x = P/(a + c), the Euler-Maclaurin terms are
     g(a) sum_k B_2k/(2k)! (m)_(2k-1) x^(2k-1) for a power, since
     g^(k)(t) = (-1)^k (m)_k/(t + c)^(m + k), and for ln(t)/t, whose
     g^(k)(t) = (-1)^k k! (ln t - H_k)/t^(k + 1), they are
@@ -231,8 +239,8 @@ def _class_sums(c: complex, power, n_terms: int, period: int) -> np.ndarray:
     formed from log1p(r/N), so the common ln N cancels exactly; a power's
     convergent integral drops N^(1-m)/((m - 1) P) the same way (expm1), so
     every entry is about as small as g(a)."""
-    r = (np.arange(period) - (n_terms + 1)) % period + 1.0
-    a = n_terms + r
+    r, a = offsets
+    period = len(r)
     if power == LOG_ATOM:
         shift = np.log1p(r / n_terms)  # ln a - ln N; G = (ln t)^2/2
         integral = -shift * (2.0 * math.log(n_terms) + shift) / (2.0 * period)
@@ -360,7 +368,8 @@ def reciprocal_tail(atoms: Sequence[tuple], m: int, n_terms: int) -> np.ndarray:
     """
     kernel = np.zeros(m)
     for weights, period, group in _atom_groups(atoms, m):
-        sums = sum(coef * _class_sums(c, power, n_terms, period) for coef, c, power in group)
+        offsets = _class_offsets(n_terms, period)
+        sums = sum(coef * _class_sums(c, power, n_terms, offsets) for coef, c, power in group)
         if weights is not None:
             sums = sums * np.tile(weights, period // len(weights))
         kernel += sums.real.reshape(-1, m).sum(axis=0)

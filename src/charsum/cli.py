@@ -15,6 +15,7 @@ argument, or a write that failed); main alone turns it into exit 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -101,34 +102,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(reports, fmt: str, output: str | None, notice: str | None = None) -> int:
-    if fmt == "json":
-        text = render_json(reports)
-    elif fmt == "csv":
-        text = render_csv(reports)
-    else:
-        text = render_pretty(reports)
-        if notice:
-            text += notice + "\n"
-    _write(text, output)
-    if notice and fmt != "pretty":
-        print(notice, file=sys.stderr)
-    return 0 if all(r.passed for r in reports) else 1
-
-
-def _write(text: str, output: str | None) -> None:
-    """Write to the output path, or stdout without one; ValueError after an OSError."""
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The report's destination, opened at once: the --output path, or stdout
+    without one.  An OSError of the open, a write or the close is a ValueError
+    naming the destination."""
     try:
-        if output:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+        fh = open(path, "w", encoding="utf-8") if path else sys.stdout
+        try:
+            yield fh
+        finally:
+            if path:
+                fh.close()
+            else:
+                fh.flush()
     except OSError as exc:
-        if not output:  # e.g. a closed pipe: keep the flush at exit from failing again
+        if not path:  # e.g. a closed pipe: keep the flush at exit from failing again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise ValueError(f"cannot write {output or 'stdout'}: {exc}") from None
+        raise ValueError(f"cannot write {path or 'stdout'}: {exc}") from None
+
+
+def _emit(rows, fmt: str, output: str | None, notice: str | None = None) -> int:
+    """The one report path: opens the output, then writes each row of the
+    iterable `rows` (VerificationReports, made as it is read) as soon as it
+    is made, holding none; the exit code comes from the rows written, and
+    `notice` follows an empty report."""
+    render = {"json": render_json, "csv": render_csv, "pretty": render_pretty}[fmt]
+    written = failed = 0
+    with _output(output) as out:
+        for row in rows:
+            out.write(render((row,), written, final=False))
+            written += 1
+            failed |= not row.passed
+        text = render((), written)
+        if notice and not written and fmt == "pretty":
+            text += notice + "\n"
+        out.write(text)
+    if notice and not written and fmt != "pretty":
+        print(notice, file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _row(command, started, d, q, label, even, check, lhs, rhs, error, tol, terms, tail, passed):
@@ -177,7 +189,8 @@ def _cmd_characters(args, command: str) -> int:
                 f"real={str(r['is_real']).lower():<5} primitive={str(r['is_primitive']).lower()}"
             )
         text = "\n".join(lines) + "\n"
-    _write(text, args.output)
+    with _output(args.output) as out:
+        out.write(text)
     return 0
 
 
@@ -185,17 +198,19 @@ def _cmd_verify_theorem(args, command: str) -> int:
     if args.modulus < 3:
         raise ValueError(f"the series identity needs modulus >= 3, got {args.modulus}")
     f = builtin_function(args.function)
-    reports = []
-    for chi in build_character_group(args.modulus).primitive_characters():
-        started = time.perf_counter()
-        chk = verify_theorem(chi, f, args.tol, terms=args.terms)
-        reports.append(_row(
-            command, started, None, args.modulus, chi.label, chi.is_even,
-            f"theorem:{args.function}", chk.direct, chk.series.value, chk.abs_error,
-            chk.pass_tolerance, chk.series.terms_used, chk.series.tail_bound, chk.passed,
-        ))
-    notice = None if reports else f"no primitive characters mod {args.modulus}"
-    return _emit(reports, args.format, args.output, notice)
+
+    def rows():
+        for chi in build_character_group(args.modulus).primitive_characters():
+            started = time.perf_counter()
+            chk = verify_theorem(chi, f, args.tol, terms=args.terms)
+            yield _row(
+                command, started, None, args.modulus, chi.label, chi.is_even,
+                f"theorem:{args.function}", chk.direct, chk.series.value, chk.abs_error,
+                chk.pass_tolerance, chk.series.terms_used, chk.series.tail_bound, chk.passed,
+            )
+
+    notice = f"no primitive characters mod {args.modulus}"
+    return _emit(rows(), args.format, args.output, notice)
 
 
 def _cmd_example(args, command: str) -> int:
@@ -206,13 +221,16 @@ def _cmd_example(args, command: str) -> int:
         raise ValueError(f"--y {args.y!r} has a zero denominator") from None
     except ValueError:
         raise ValueError(f"--y {args.y!r} is not a fraction such as 1/5") from None
-    check = run_identity(args.id, args.discriminant, y=y, tol=args.tol, terms=args.terms)
-    label = real_primitive_character(args.discriminant).label
-    d = args.discriminant
-    report = _row(command, started, d, abs(d), label, d > 0, f"identity:{args.id}", check.lhs,
-                  check.rhs, check.abs_error, check.tolerance, check.terms_used,
-                  check.tail_bound, check.passed)
-    return _emit([report], args.format, args.output)
+
+    def rows():
+        check = run_identity(args.id, args.discriminant, y=y, tol=args.tol, terms=args.terms)
+        label = real_primitive_character(args.discriminant).label
+        d = args.discriminant
+        yield _row(command, started, d, abs(d), label, d > 0, f"identity:{args.id}", check.lhs,
+                   check.rhs, check.abs_error, check.tolerance, check.terms_used,
+                   check.tail_bound, check.passed)
+
+    return _emit(rows(), args.format, args.output)
 
 
 def _cmd_sweep(args, command: str) -> int:
@@ -223,28 +241,31 @@ def _cmd_sweep(args, command: str) -> int:
         raise ValueError(f"--max-abs-d {args.max_abs_d} exceeds {MODULUS_CEILING // 2}: identity 4 "
                          f"at y = 1/2 needs the series period lcm(|d|, 2), which must not exceed "
                          f"the modulus ceiling {MODULUS_CEILING}")
-    reports = []
-    for d in fundamental_discriminants(args.max_abs_d, args.min_abs_d):
-        chi = real_primitive_character(d)
-        where = (d, abs(d), chi.label, d > 0)
-        for check, residual_of in (
-            ("separability", lambda: separability_residual(chi)),
-            ("quadratic_tau", lambda: quadratic_tau_residual(d)),
-        ):
-            started = time.perf_counter()
-            residual = residual_of()
-            reports.append(_row(command, started, *where, check, residual, 0.0, residual,
-                                GAUSS_TOLERANCE, abs(d), 0.0, residual <= GAUSS_TOLERANCE))
-        for identity_id in (1 if d < 0 else 2, 3, 4):
-            started = time.perf_counter()
-            y = Fraction(1, 2) if identity_id == 4 else None
-            c = run_identity(identity_id, d, y=y, tol=args.tol)
-            reports.append(_row(command, started, *where, f"identity:{identity_id}", c.lhs, c.rhs,
-                                c.abs_error, c.tolerance, c.terms_used, c.tail_bound, c.passed))
-    notice = None if reports else (
-        f"no fundamental discriminants with {args.min_abs_d} <= |d| <= {args.max_abs_d}"
-    )
-    return _emit(reports, args.format, args.output, notice)
+
+    # one |d| at a time: a list of the window's discriminants would grow with it
+    window = range(max(args.min_abs_d, 2), args.max_abs_d + 1)
+
+    def rows():
+        for d in (d for a in window for d in fundamental_discriminants(a, a)):
+            chi = real_primitive_character(d)
+            where = (d, abs(d), chi.label, d > 0)
+            for check, residual_of in (
+                ("separability", lambda: separability_residual(chi)),
+                ("quadratic_tau", lambda: quadratic_tau_residual(d)),
+            ):
+                started = time.perf_counter()
+                residual = residual_of()
+                yield _row(command, started, *where, check, residual, 0.0, residual,
+                           GAUSS_TOLERANCE, abs(d), 0.0, residual <= GAUSS_TOLERANCE)
+            for identity_id in (1 if d < 0 else 2, 3, 4):
+                started = time.perf_counter()
+                y = Fraction(1, 2) if identity_id == 4 else None
+                c = run_identity(identity_id, d, y=y, tol=args.tol)
+                yield _row(command, started, *where, f"identity:{identity_id}", c.lhs, c.rhs,
+                           c.abs_error, c.tolerance, c.terms_used, c.tail_bound, c.passed)
+
+    notice = f"no fundamental discriminants with {args.min_abs_d} <= |d| <= {args.max_abs_d}"
+    return _emit(rows(), args.format, args.output, notice)
 
 
 _COMMANDS = {

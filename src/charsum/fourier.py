@@ -106,11 +106,17 @@ def _modulus_table(f: FunctionSpec, q: int, key, build) -> np.ndarray:
 
 
 def _fstar_values(f: FunctionSpec, q: int) -> np.ndarray:
-    """f*(k/q) for k = 1..q-1, equal to fstar(f, k/q) bit for bit: the evaluator
-    at every point, then the midpoint value at each jump t that is some k/q."""
+    """f*(k/q) for k = 1..q-1, equal to fstar(f, k/q) bit for bit: the points
+    k/q as one array (a correctly rounded quotient, as in Python), the spec's
+    array evaluator on them or else its evaluator mapped over them, then the
+    midpoint value at each jump t that is some k/q."""
 
     def build():
-        table = np.array([f.evaluator(k / q) for k in range(1, q)], dtype=float)
+        points = np.arange(1, q) / q
+        if f.array_evaluator is not None:
+            table = np.array(f.array_evaluator(points), dtype=float)
+        else:
+            table = np.fromiter(map(f.evaluator, points.tolist()), dtype=float, count=q - 1)
         for t, left, right in f.jump_points:
             k = round(t * q)
             if 0 < k < q and k / q == t:

@@ -66,6 +66,9 @@ class FunctionSpec:
     read-only), meaning w[n mod b] / (n + c)^m or w[n mod b] ln(n)/n.
     ``jump_points`` are (t, left, right) triples, finite, with t strictly
     increasing inside (0, 1).
+    ``array_evaluator(x)``, when given, returns the evaluator at every entry
+    of the float array x, bit for bit, as one array; the f* table then takes
+    one call in place of one evaluator call per point.
     ``envelope[kind] = (C, p)`` asserts that r_n = coefficient_n - atoms has
     |r_n| <= C / n**p for all n >= 1 and sum_{n > N} |r_n - r_{n+1}| <=
     C / (N + 1)**p for all N (true when r_n is monotone), with C finite and
@@ -83,6 +86,7 @@ class FunctionSpec:
     envelope: tuple[tuple[str, float, int], ...] = ()  # (kind, C, p)
     # (kind, ((coef, c[, m]), ...)); coef a scalar or a 1-D array of weights
     atoms: tuple[tuple[str, tuple[tuple, ...]], ...] = ()
+    array_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         # the quadrature pieces run between consecutive jump points
@@ -175,14 +179,17 @@ def _log_closed(n: np.ndarray, kind: str) -> np.ndarray:
 
 # -1/(2 pi n): the sine coefficients of t and t2
 _HARMONIC_SIN = ("sin", ((-1.0 / TWO_PI, 0.0),))
-# (evaluator, atoms) of the smooth built-ins: t2's cosine side 1/(2 pi^2 n^2), and
-# exp's 1 + 4 pi^2 n^2 = 4 pi^2 (n - i/2pi)(n + i/2pi) split into partial fractions.
-# For real n the two fractions of a side are complex conjugates, so their real
-# parts sum to twice the real part of one: one atom per side, its coef doubled
+# (evaluator, array evaluator, atoms) of the smooth built-ins: t2's cosine side
+# 1/(2 pi^2 n^2), and exp's 1 + 4 pi^2 n^2 = 4 pi^2 (n - i/2pi)(n + i/2pi) split
+# into partial fractions.  For real n the two fractions of a side are complex
+# conjugates, so their real parts sum to twice the real part of one: one atom
+# per side, its coef doubled.  exp has no array evaluator: NumPy's exp is not
+# math.exp to the last bit at every point
 _SMOOTH = {
-    "t2": (lambda t: t * t, (("cos", ((1.0 / (2.0 * math.pi**2), 0.0, 2),)), _HARMONIC_SIN)),
-    "t": (lambda t: t, (_HARMONIC_SIN,)),
-    "exp": (math.exp, (
+    "t2": (lambda t: t * t, lambda x: x * x,
+           (("cos", ((1.0 / (2.0 * math.pi**2), 0.0, 2),)), _HARMONIC_SIN)),
+    "t": (lambda t: t, lambda x: x, (_HARMONIC_SIN,)),
+    "exp": (math.exp, None, (
         ("cos", ((-1j * (math.e - 1.0) / TWO_PI, -1j / TWO_PI),)),
         ("sin", ((-(math.e - 1.0) / TWO_PI, -1j / TWO_PI),)),
     )),
@@ -226,7 +233,8 @@ def builtin_function(name: str) -> FunctionSpec:
         # it is those atoms and -1/(8 pi^3 n^3) plus at most 3/(16 pi^5 n^5).
         # Both remainders are 1/x times those integrals (up to sign), so Laplace
         # transforms of one-signed densities: completely monotone in x, so their
-        # variation beyond N is |r_{N+1}|, within the envelope.
+        # variation beyond N is |r_{N+1}|, within the envelope.  No array
+        # evaluator: NumPy's log is not math.log to the last bit at every point.
         return FunctionSpec(
             name="log",
             evaluator=math.log,
@@ -243,7 +251,7 @@ def builtin_function(name: str) -> FunctionSpec:
         )
     variation, jumps = VariationClass.SMOOTH_C2, ()
     if name in _SMOOTH:
-        evaluator, atoms = _SMOOTH[name]
+        evaluator, array_evaluator, atoms = _SMOOTH[name]
     elif name.startswith("step:"):
         try:
             y = Fraction(name[5:])
@@ -251,6 +259,7 @@ def builtin_function(name: str) -> FunctionSpec:
             raise ValueError(f"step threshold {name[5:]!r} has a zero denominator") from None
         atoms, name, yf = _step_atoms(y), f"step:{y}", float(y)
         evaluator = lambda t: 1.0 if t <= yf else 0.0
+        array_evaluator = lambda x: (x <= yf).astype(float)
         variation, jumps = VariationClass.PIECEWISE_SMOOTH, ((yf, 1.0, 0.0),)
     else:
         raise ValueError(f"unknown function name {name!r}; expected one of {BUILTIN_NAMES}")
@@ -262,6 +271,7 @@ def builtin_function(name: str) -> FunctionSpec:
         closed_form=partial(_atom_sum, atoms),
         envelope=(("cos", 0.0, 2),) if name == "t" else (),  # t's cosine side is 0
         atoms=atoms,
+        array_evaluator=array_evaluator,
     )
 
 

@@ -21,6 +21,7 @@ import pytest
 from charsum.analytic import (
     LOG_ATOM,
     PeriodicSums,
+    _class_offsets,
     _class_sums,
     _pairwise_depth,
     _remainder,
@@ -263,7 +264,7 @@ def _kernel_errors(c, power, n_terms, period):
     """max |(T[r] - T[1]) - oracle| over sampled r, the bound 2 R(N + 1) on it,
     and the size of the class sums (for the rounding allowance).  Entry i of
     _class_sums holds the class N + r = i mod P."""
-    sums = _class_sums(c, power, n_terms, period)
+    sums = _class_sums(c, power, n_terms, _class_offsets(n_terms, period))
     assert sums.shape == (period,)
     first = sums[(n_terms + 1) % period]
     rs = sorted({1, 2, period // 2, period})  # neighbours, the middle and the far end

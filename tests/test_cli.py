@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 import charsum.cli as cli
 from charsum.cli import main
 from charsum.identities import run_identity
-from charsum.reporting import CSV_HEADER
+from charsum.reporting import CSV_HEADER, VerificationReport, render_csv, render_json, render_pretty
+
+RENDER = {"json": render_json, "csv": render_csv, "pretty": render_pretty}
 
 
 def run_cli(capsys, *argv):
@@ -238,6 +241,106 @@ def test_sweep_unwritable_path(capsys):
     code, _, err = run_cli(capsys, "sweep", "--max-abs-d", "4", "--output",
                            "/nonexistent-dir/x.csv")
     assert code == 2 and "cannot write" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_a_report_renders_as_the_sum_of_its_stretches(fmt):
+    render = RENDER[fmt]
+    reports = [
+        VerificationReport(
+            command="charsum sweep", discriminant=i - 2 or None, modulus=5, label=f"5.{i}",
+            parity="odd", check="separability", lhs_re=i / 3, lhs_im=0.0, rhs_re=0.0,
+            rhs_im=-i / 7, abs_error=i / 3, tolerance=1e-9, terms_used=i, tail_bound=0.0,
+            passed=i % 2 == 0, wall_time_ms=0.25,
+        )
+        for i in range(4)
+    ]
+    for n in range(len(reports) + 1):
+        whole = render(reports[:n])
+        for k in range(n + 1):
+            assert render(reports[:k], final=False) + render(reports[k:n], k) == whole, (n, k)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize(
+    "argv",
+    [("sweep", "--max-abs-d", "13"), ("verify-theorem", "-q", "13", "--function", "t")],
+    ids=["sweep", "verify-theorem"],
+)
+def test_rows_are_written_as_they_are_made(monkeypatch, argv, fmt):
+    # each row is in the output before the next one is made, and the whole
+    # stream is the list rendering of the rows made
+    made, out = [], io.StringIO()
+    report = cli.VerificationReport
+
+    def record(*args, **kwargs):
+        assert out.getvalue() == RENDER[fmt](made, final=False)
+        made.append(report(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "VerificationReport", record)
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--format", fmt])
+    assert code == 0 and len(made) > 5
+    assert out.getvalue() == RENDER[fmt](made)
+
+
+@pytest.mark.parametrize(
+    "fmt, out, err",
+    [("json", "[]\n", "{notice}\n"), ("csv", CSV_HEADER + "\n", "{notice}\n"),
+     ("pretty", "{notice}\n", "")],
+)
+@pytest.mark.parametrize(
+    "argv, notice",
+    [(("sweep", "--max-abs-d", "1"), "no fundamental discriminants with 2 <= |d| <= 1"),
+     (("verify-theorem", "-q", "6", "--function", "t"), "no primitive characters mod 6")],
+)
+def test_an_empty_report_and_its_notice(capsys, argv, notice, fmt, out, err):
+    assert run_cli(capsys, *argv, "--format", fmt) == (0, out.format(notice=notice),
+                                                       err.format(notice=notice))
+
+
+def test_a_failing_row_mid_stream_sets_the_exit_code(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--max-abs-d", "12", "--tol", "1e-30")
+    statuses = [line.split()[0] for line in out.splitlines()]
+    assert code == 1
+    assert "PASS" in statuses[statuses.index("FAIL"):]  # rows went on after a failure
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("sweep", "--max-abs-d", "12"), ("example", "--id", "3", "-d", "5"),
+     ("verify-theorem", "-q", "13", "--function", "t")],
+)
+def test_unwritable_output_exits_2_before_any_check(capsys, monkeypatch, tmp_path, argv):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran before the output was opened")
+
+    for name in ("run_identity", "separability_residual", "build_character_group"):
+        monkeypatch.setattr(cli, name, no_check)
+    code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / "missing" / "report"))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path / 'missing' / 'report'}: ")
+
+
+def _sweep_peak(min_abs_d: int, max_abs_d: int) -> int:
+    tracemalloc.start()
+    try:
+        argv = ["sweep", "--min-abs-d", str(min_abs_d), "--max-abs-d", str(max_abs_d),
+                "--format", "json", "--output", os.devnull]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_does_not_grow_with_its_discriminants():
+    # 8 and 95 discriminants up to |d| = 400: the per-modulus tables are the
+    # same size, and no row is held, so the peaks differ by a few KiB (holding
+    # the 435 extra rows and their rendered text took about 600 KiB more)
+    _sweep_peak(240, 400)  # fills the coefficient caches that outlive a sweep
+    short, long = _sweep_peak(385, 400), _sweep_peak(240, 400)
+    assert long - short < 100 * 1024, (short, long)
 
 
 def test_csv_roundtrip_and_17_digit_floats(capsys):

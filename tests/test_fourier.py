@@ -587,6 +587,18 @@ def test_fstar_table_is_fstar_bit_for_bit():
     assert fourier._fstar_values(user, 16)[5] == 0.5 * (math.exp(y) - y)
 
 
+def test_array_evaluators_and_points_are_bit_identical_to_the_scalar_loop():
+    # the f* table takes its points as one array and fills t, t2 and the steps
+    # by array arithmetic; both must equal the per-point Python values
+    for q in (3, 1000, 2003, 99_991):
+        points = np.arange(1, q) / q
+        assert points.tobytes() == np.array([k / q for k in range(1, q)]).tobytes(), q
+        for name in ("t", "t2", "step:1/2", "step:1/4", "step:2/7", "step:999/1000"):
+            f = builtin_function(name)
+            expected = np.array([f.evaluator(x) for x in points.tolist()])
+            assert f.array_evaluator(points).tobytes() == expected.tobytes(), (name, q)
+
+
 def test_fstar_cache_keeps_recent_moduli_only():
     t2 = dataclasses.replace(builtin_function("t2"), name="t2#fstar")
     for q in range(3, 40):
