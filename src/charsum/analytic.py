@@ -2,21 +2,28 @@
 
 character_series is the one series engine: a head to N, the tail of the
 coefficient atoms, and the Polya-Vinogradov tail bound of a remainder known
-only through an envelope C/n^p.  L(1, chi), the theorem series and the four
-identities all call it.  An atom is coef/(n + c)^m (m = 1, or c = 0) or
+only through an envelope C/n^p.  L(1, chi) and the four identities call it,
+and the theorem series calls its two halves (series_truncation, then a head
+of the same fold plus kernel).  An atom is coef/(n + c)^m (m = 1, or c = 0) or
 coef ln(n)/n; a coef given as one period of weights w[n mod b] twists the
 character into the periodic sequence chi(n) w(n), of period P = lcm(q, b).
 The atoms' tail beyond N is summed per residue class n = N + r mod P by
 Euler-Maclaurin summation with a rigorous remainder; the class sums, folded
 by n mod q (reciprocal_tail), make a kernel that does not depend on the
 character, so a character's tail is one length-q dot product and N one
-choice per atom set, modulus and target.
+choice per atom set, modulus, target and |prefactor|.
 
 The values are periodic mod m, so the head sum_n v[n mod m] a_n equals
 sum_r v[r] A[r] with A[r] the sum of the coefficients of class r.  The engine
 takes the coefficients only as that fold (residue_fold, built once per
 modulus and N by the caller, who may cache it, and may weight the
 coefficients first as fourier's Cesaro window does), so a head costs O(m).
+What does not read the values is split off as series_truncation: N and the
+tail bound depend on a character only through |prefactor| and the absolute
+sums of its magnitudes, so fourier takes them per row and the heads of a
+whole character group from one transform, while L(1, chi), the identities
+and the tests' oracle sum one head by fold_head.
+
 Every sum is a plain NumPy pairwise sum under one a-priori model, Higham's
 gamma_k = k u/(1 - k u) with k the depth of the summation order
 (_pairwise_depth): the classes are summed pairwise, and the head and the
@@ -55,6 +62,7 @@ __all__ = [
     "head_rounding_bound",
     "coefficient_fold",
     "character_series",
+    "series_truncation",
     "check_tolerance",
     "check_terms",
     "partial_sum_bound",
@@ -461,6 +469,53 @@ def check_terms(terms: int | None) -> None:
         raise ValueError(f"terms must be >= 1 and at most {TERMS_CEILING}, got {terms}")
 
 
+def series_truncation(
+    absolute: Callable[[np.ndarray | None], float],
+    m: int,
+    size: float,
+    target: float,
+    start: int,
+    cap: int,
+    atoms: Sequence[tuple] = (),
+    envelope: tuple[float, int] = (0.0, 1),
+    terms: int | None = None,
+) -> tuple[int, float]:
+    """(N, tail bound) of character_series for values of period m and
+    |prefactor| = size: all of the engine but the head.
+
+    The values enter only through `absolute(weights)`, the absolute sum over
+    one period of values[n % m] w[n % b] (w = 1 for weights None), which
+    PeriodicSums(values, weights).absolute computes while it checks the mean
+    zero.  So N and the bound read no value of the character: its magnitudes
+    and |prefactor| fix them.
+    """
+    bounds = []  # (scale, power, period) per atom
+    for weights, period, group in _atom_groups(atoms, m):
+        scale = size * absolute(weights)
+        bounds += [(scale * abs(coef), power, period) for coef, _, power in group]
+    c, p = envelope
+    weight = 2.0 * partial_sum_bound(m) * c * size
+    return _truncation(tuple(bounds), weight, p, target, start, cap, terms, bool(atoms))
+
+
+@lru_cache(maxsize=128)
+def _truncation(bounds: tuple, weight: float, p: int, target: float, start: int, cap: int,
+                terms: int | None, atoms: bool) -> tuple[int, float]:
+    """series_truncation's N and bound from the atoms' (scale, power, period)
+    and the envelope's weight 2 K C |prefactor|: a function of these scalars
+    alone, kept for the characters of one group that share them."""
+    if terms is not None:
+        n_terms = int(terms)
+    else:
+        remainder_target = target / 2 if atoms else target
+        need = (weight / remainder_target) ** (1.0 / p)  # inf for a tiny target: clamp before ceil
+        n_terms = min(max(start, math.ceil(min(need, cap))), cap)
+        if bounds:
+            n_terms = max(n_terms, _atom_terms(bounds, target / (2 * len(bounds)), cap))
+    bound = sum(scale * _remainder(power, period, n_terms + 1.0) for scale, power, period in bounds)
+    return n_terms, bound + weight / float(n_terms + 1) ** p
+
+
 def character_series(
     values: np.ndarray,
     fold: Callable[[int, int], np.ndarray],
@@ -489,9 +544,10 @@ def character_series(
     values[n % m] w[n % b] of period lcm(m, b) <= MODULUS_CEILING must sum to
     0 over a period (PeriodicSums).
 
-    The head to N and the atoms' tail are one fold_head over the m residue
-    classes: sum_r values[r] (A[r] + K[r]), A = fold(m, N) and K = tail(m, N)
-    the atoms' kernel, reciprocal_tail(atoms, m, N) by default (a caller may
+    N and the bound come from series_truncation.  The head to N and the
+    atoms' tail are one fold_head over the m residue classes:
+    sum_r values[r] (A[r] + K[r]), A = fold(m, N) and K = tail(m, N) the
+    atoms' kernel, reciprocal_tail(atoms, m, N) by default (a caller may
     cache it: it does not depend on values).  The atoms' tail bound is
     |prefactor| times, per atom, |coef| times the absolute sum of its (twisted) period
     times _remainder at N + 1; summation by parts bounds the remainder's tail by
@@ -505,27 +561,12 @@ def character_series(
     bounds the head's rounding.
     """
     m = len(values)
-    size = abs(prefactor)
-    bounds = []  # (scale, power, period) per atom
-    for weights, period, group in _atom_groups(atoms, m):
-        scale = size * PeriodicSums(values, weights).absolute
-        bounds += [(scale * abs(coef), power, period) for coef, _, power in group]
-    c, p = envelope
-    weight = 2.0 * partial_sum_bound(m) * c * size
-    if terms is not None:
-        n_terms = int(terms)
-    else:
-        remainder_target = target / 2 if atoms else target
-        need = (weight / remainder_target) ** (1.0 / p)  # inf for a tiny target: clamp before ceil
-        n_terms = min(max(start, math.ceil(min(need, cap))), cap)
-        if bounds:
-            n_terms = max(n_terms, _atom_terms(bounds, target / (2 * len(bounds)), cap))
+    n_terms, bound = series_truncation(lambda weights: PeriodicSums(values, weights).absolute, m,
+                                       abs(prefactor), target, start, cap, atoms, envelope, terms)
     folded = fold(m, n_terms)
     if atoms:
         folded = folded + (reciprocal_tail(atoms, m, n_terms) if tail is None else tail(m, n_terms))
-    head = fold_head(values, folded)
-    bound = sum(scale * _remainder(power, period, n_terms + 1.0) for scale, power, period in bounds)
-    return prefactor * head, n_terms, bound + weight / float(n_terms + 1) ** p
+    return prefactor * fold_head(values, folded), n_terms, bound
 
 
 # --- L(1, chi) ----------------------------------------------------------------

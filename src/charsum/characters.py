@@ -8,8 +8,11 @@ arithmetic; complex tables are gathered from the group's roots of unity and
 not kept.  A character's structure is read from its exponent vector on the
 cyclic factors of (Z/qZ)*: the conductor is the lcm of one conductor per
 factor, realness is an exponent test, and parity is the turn at k = q - 1, so
-no fact needs a scan of the table.  Each command runs one modulus, so only the
-last group and the last real character are cached.
+no fact needs a scan of the table.  The same discrete logs lay (Z/qZ)* out as
+a tensor with one axis per cyclic factor, on which sum_k chi(k) h[k] for
+every character of the group at once is one multidimensional FFT of h
+(CharacterGroup.transform).  Each command runs one modulus, so only the last
+group and the last real character are cached.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.fft import fftn, ifftn
 
 __all__ = [
     "Parity",
@@ -276,11 +280,61 @@ class CharacterGroup:
         return roots
 
     @cached_property
+    def magnitudes(self) -> np.ndarray:
+        """np.abs(roots): |chi(k)| = magnitudes[turns[k]], bit for bit np.abs of
+        the value table (1 within an ulp on the units, 0 at turn -1); read-only."""
+        magnitudes = np.abs(self.roots)
+        magnitudes.flags.writeable = False
+        return magnitudes
+
+    @cached_property
     def twiddles(self) -> np.ndarray:
         """e(k/q) = exp(2 pi i k / q) for k = 0..q-1, 16q bytes; read-only, shared by the group's Gauss sums."""
         twiddles = np.exp(1j * (2.0 * np.pi * np.arange(self.modulus) / self.modulus))
         twiddles.flags.writeable = False
         return twiddles
+
+    @cached_property
+    def _dlog_order(self) -> np.ndarray:
+        """The unit k at each entry of the dlog tensor of shape (order_1, ..., order_r),
+        flattened in C order: entry (m_1, ..., m_r) holds the k whose discrete
+        log on factor i is m_i.  8 phi bytes, read-only."""
+        units = np.flatnonzero(self._unit_mask)
+        position = np.zeros(len(units), dtype=np.int64)
+        for f, dlog in zip(self._factors, self._dlogs):
+            position = position * f.order + dlog[units]
+        residues = np.empty(self.phi, dtype=np.int64)
+        residues[position] = units
+        residues.flags.writeable = False
+        return residues
+
+    def transform(self, h: np.ndarray, conjugate: bool = False) -> np.ndarray:
+        """sum_k chi(k) h[k] (conj(chi)(k) h[k] when `conjugate`) for every
+        character, in index_of order, from one FFT of the length-q table h.
+
+        chi(k) = e(sum_i e_i m_i/order_i) for the exponents e_i of chi and the
+        discrete logs m_i of k, so laid out on the tensor of dlogs (one axis
+        per cyclic factor; Rader's reindexing for a prime q) the sums are the
+        unnormalized inverse DFT of h (ifftn, norm "forward"), and their
+        conjugates the forward one (fftn).  Entries of h at k with
+        gcd(k, q) > 1 are not read.
+
+        Rounding: Higham (Accuracy and Stability of Numerical Algorithms, 2nd
+        ed., Theorem 24.2) bounds a computed FFT y' of x by
+        |y' - y|_2 <= eps |y|_2 with eps = t eta/(1 - t eta),
+        eta = u + gamma_4 (sqrt(2) + u) for twiddles within u, u = 2^-53 and t
+        butterfly levels, here t = sum_i ceil(log2 order_i).  With
+        |y|_2 = sqrt(phi) |x|_2 (Parseval), each entry, and each of its real
+        and imaginary parts, is within eps sqrt(phi) |h|_2 of the exact sum
+        (|h|_2 over the units), which is at least u log2(phi) sum |h|.  The
+        theorem is proved for radix 2; NumPy's pocketfft also takes other
+        radices and Bluestein's algorithm, where the bound is the model that
+        the tests check against 40-digit sums.
+        """
+        shape = tuple(f.order for f in self._factors) or (1,)
+        tensor = np.asarray(h)[self._dlog_order].reshape(shape)
+        sums = fftn(tensor) if conjugate else ifftn(tensor, norm="forward")
+        return sums.reshape(-1)
 
     def index_of(self, exponents: tuple[int, ...]) -> int:
         idx = 0

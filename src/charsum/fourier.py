@@ -9,19 +9,25 @@ Two routes are provided and compared:
   -2i tau(chi) sum conj(chi)(n) b_n (odd chi, sine coefficients),
   truncated with a rigorous tail bound.
 
-Both are summed by one call of analytic.character_series, which takes the
-coefficients folded by n mod q (cached_fold) and the tail kernel of the
-spec's atoms (cached_tail): one fold and one kernel per spec, kind, modulus
-and N serve every character with that N, and folds, not long coefficient
-arrays, are what is kept (cached_coefficients retains at most RETAINED_TERMS
-per spec and kind).  A spec holds its f* table, folds and kernels for the
+Both sums are linear in chi, so verify_theorem takes every complex
+character of a group from one CharacterGroup.transform per table: the f*
+table for the direct side, and W = fold + kernel for the series head, where
+the fold is the coefficients folded by n mod q (cached_fold) and the kernel
+the tail of the spec's atoms (cached_tail).  A table, its fold, kernel and
+transforms serve every character with that N, so a row costs its tau, two
+lookups and the scalar tail bound of analytic.series_truncation, which reads
+chi only through |prefactor| and its magnitudes.  A real chi keeps the exact
+one-character sums: direct_sum's math.fsum and fold_head, as
+analytic.character_series sums them.  Folds, not long coefficient arrays,
+are what is kept (cached_coefficients retains at most RETAINED_TERMS per spec
+and kind).  A spec holds its f* table, folds, kernels and transforms for the
 modulus in use only, since every command runs one modulus at a time.  The
 tail of the spec's atoms for the branch (every row of t2, exp, log and the
-steps, odd rows of t) is one length-q dot product with the kernel, within a
-rigorous Euler-Maclaurin bound; what the atoms leave (all of the coefficient
-without them) is bounded by the Polya-Vinogradov partial-sum bound times the
-total variation of its envelope.  Jump and log classes without atoms (user
-specs) take the Cesaro window instead of the head to N: theorem_series alone
+steps, odd rows of t) is the kernel's share of W, within a rigorous
+Euler-Maclaurin bound; what the atoms leave (all of the coefficient without
+them) is bounded by the Polya-Vinogradov partial-sum bound times the total
+variation of its envelope.  Jump and log classes without atoms (user specs)
+take the Cesaro window instead of the head to N: theorem_series alone
 chooses it, and its fold (_window_fold) weights a_1..a_2N into the mean of
 the partial sums S_N .. S_2N, which the engine bounds as it bounds the tail
 at N.
@@ -48,8 +54,8 @@ from functools import partial
 
 import numpy as np
 
-from .analytic import (TERMS_CEILING, character_series, check_terms, check_tolerance,
-                       reciprocal_tail, residue_fold)
+from .analytic import (TERMS_CEILING, PeriodicSums, check_terms, check_tolerance, fold_head,
+                       reciprocal_tail, residue_fold, series_truncation)
 from .characters import DirichletCharacter
 from .functions import FunctionSpec, VariationClass
 from .gauss_sums import tau
@@ -73,8 +79,9 @@ _MIN_TERMS = 32
 _WINDOW_CLASSES = (VariationClass.PIECEWISE_SMOOTH, VariationClass.INTEGRABLE_SINGULAR_AT_ZERO)
 
 # per-FunctionSpec caches, keyed by object identity; _modulus_cache holds
-# (q, {"fstar": table, (kind, N): fold, (kind, N, "cesaro"): window fold,
-# (kind, N, "tail"): kernel}) for the modulus in use
+# (q, {"fstar": table, ("fstar", "transform"): direct sums, (kind, N): fold,
+# (kind, N, "cesaro"): window fold, (kind, N, "tail"): kernel,
+# (kind, N, "transform"): series heads}) for the modulus in use
 _coeff_cache: "weakref.WeakKeyDictionary[FunctionSpec, dict]" = weakref.WeakKeyDictionary()
 _sample_cache: "weakref.WeakKeyDictionary[FunctionSpec, list]" = weakref.WeakKeyDictionary()
 _modulus_cache: "weakref.WeakKeyDictionary[FunctionSpec, tuple]" = weakref.WeakKeyDictionary()
@@ -137,13 +144,25 @@ def direct_sum(chi: DirichletCharacter, f: FunctionSpec) -> float | complex:
     products and of the table values cos/sin(2 pi t/e).  Against 40-digit
     sums the error measured at most 1.13 of (q - 1) 2^-53 max|f*| over the
     complex characters mod 7, 13, 29 and 31 (0.93 mod 7, 13 and 29); no
-    proven bound is claimed.
+    proven bound is claimed.  This is the one-character route of the
+    identities and the tests' oracle; verify_theorem takes a complex chi's
+    sum from its group's transform (_group_direct_sums).
     """
     _require_primitive(chi)
     products = chi.values()[1:] * _fstar_values(f, chi.modulus)
     if chi.is_real:
         return math.fsum(products.tolist())
     return complex(products.sum())
+
+
+def _group_direct_sums(chi: DirichletCharacter, f: FunctionSpec) -> np.ndarray:
+    """sum_k psi(k) f*(k/q) for every character psi of chi's group, in index
+    order: one CharacterGroup.transform of the f* table, within its stated
+    rounding bound of the exact sums, cached under ("fstar", "transform")."""
+    _require_primitive(chi)
+    q = chi.modulus
+    return _modulus_table(f, q, ("fstar", "transform"),
+                          lambda: chi.group.transform(np.append(0.0, _fstar_values(f, q))))
 
 
 # --- Fourier coefficients -----------------------------------------------------
@@ -257,10 +276,11 @@ def cached_fold(f: FunctionSpec, kind: str, m: int, n_terms: int) -> np.ndarray:
     """The spec's coefficients a_1..a_N of one kind folded by n mod m
     (analytic.residue_fold).
 
-    This is the fold callable of every theorem series without the Cesaro
-    window (partial(cached_fold, f, kind)).  Folds are cached per spec and
-    keyed by (kind, N), for the modulus in use only; a fold is a new (m,)
-    array and keeps no reference to the coefficients it was built from.
+    This is the fold of W in every theorem series without the Cesaro window,
+    and the identities' fold callable (partial(cached_fold, f, kind)).  Folds
+    are cached per spec and keyed by (kind, N), for the modulus in use only;
+    a fold is a new (m,) array and keeps no reference to the coefficients it
+    was built from.
     """
     return _modulus_table(f, m, (kind, n_terms),
                           lambda: residue_fold(cached_coefficients(f, kind, n_terms), m))
@@ -279,12 +299,33 @@ def cached_tail(f: FunctionSpec, kind: str, m: int, n_terms: int) -> np.ndarray:
     """The tail kernel of the spec's atoms of one kind beyond N, folded by
     n mod m (analytic.reciprocal_tail).
 
-    This is the tail callable of every theorem series (partial(cached_tail,
-    f, kind)).  Kernels are cached next to the folds, keyed by (kind, N,
-    "tail"), for the modulus in use only.
+    This is the kernel of W in every theorem series with atoms, and the
+    identities' tail callable (partial(cached_tail, f, kind)).  Kernels are
+    cached next to the folds, keyed by (kind, N, "tail"), for the modulus in
+    use only.
     """
     return _modulus_table(f, m, (kind, n_terms, "tail"),
                           lambda: reciprocal_tail(f.atoms_for(kind), m, n_terms))
+
+
+def _series_fold(f: FunctionSpec, kind: str, q: int, n_terms: int, atoms, windowed: bool) -> np.ndarray:
+    """W, one period whose dot with conj(chi) is a theorem series head: the
+    fold of a_1..a_N plus the atoms' tail kernel, or the Cesaro window's fold.
+    A new array when the kernel is added, else the cached fold."""
+    if windowed:
+        return _window_fold(f, kind, q, n_terms)
+    folded = cached_fold(f, kind, q, n_terms)
+    return folded + cached_tail(f, kind, q, n_terms) if atoms else folded
+
+
+def _period_absolute(chi: DirichletCharacter, weights: np.ndarray | None) -> float:
+    """PeriodicSums(conj(chi) table, weights).absolute, bit for bit.  Without
+    weights it is the sum of |chi| gathered from CharacterGroup.magnitudes,
+    equal to np.abs of the table, and no mean-zero check is needed: a
+    primitive chi mod q >= 3 is not principal."""
+    if weights is None:
+        return float(chi.group.magnitudes[chi.turns].sum())
+    return PeriodicSums(np.conj(chi.values()), weights).absolute
 
 
 # --- truncated series with tail bound ----------------------------------------
@@ -343,8 +384,13 @@ def theorem_series(
     is analytic.TERMS_CEILING for a closed form and _QUADRATURE_TERMS_CAP
     without one.  When the bound cannot reach target_accuracy within the cap
     the evaluation is best-effort with the bound reported as is.  An explicit
-    `terms` overrides the choice of N and obeys analytic.check_terms.  The
-    head and tail are summed by one analytic.character_series call.
+    `terms` overrides the choice of N and obeys analytic.check_terms.  N and
+    the bound come from analytic.series_truncation, which reads chi only
+    through |prefactor| and its magnitudes.  The head and the atoms' tail are
+    sum_r conj(chi)(r) W[r], W the fold plus the kernel (or the window's
+    fold): a real chi sums it by fold_head, and a complex chi reads it from
+    one CharacterGroup.transform of W for its whole group, cached under
+    (kind, N, "transform") and within the transform's stated rounding bound.
     target_accuracy obeys analytic.check_tolerance.
     """
     _require_primitive(chi)
@@ -363,18 +409,23 @@ def theorem_series(
 
     tau_value = tau(chi)
     prefactor = 2.0 * tau_value if even else -2.0j * tau_value
-    table = np.conj(chi.values())
 
     cap = TERMS_CEILING if f.closed_form is not None else _QUADRATURE_TERMS_CAP
-    fold = partial(cached_fold, f, kind)
     if windowed:  # the window folds a_1 .. a_2N
         cap //= 2
-        fold = partial(_window_fold, f, kind)
     start = max(_MIN_TERMS, 8 * q) if atoms else _MIN_TERMS
-    value, n_terms, tail = character_series(
-        table, fold, prefactor, target_accuracy, start, cap,
-        atoms, _envelope(f, kind), terms, partial(cached_tail, f, kind),
+    n_terms, tail = series_truncation(
+        partial(_period_absolute, chi), q, abs(prefactor), target_accuracy, start, cap, atoms,
+        _envelope(f, kind), terms,
     )
+    if chi.is_real:  # conj(chi) = chi: the one-character head of analytic.character_series
+        head = fold_head(chi.values_real(), _series_fold(f, kind, q, n_terms, atoms, windowed))
+    else:
+        head = complex(_modulus_table(
+            f, q, (kind, n_terms, "transform"),
+            lambda: chi.group.transform(_series_fold(f, kind, q, n_terms, atoms, windowed), conjugate=True),
+        )[chi.index])
+    value = prefactor * head
     best_effort = tail > target_accuracy
 
     length = 2 * n_terms if windowed else n_terms
@@ -422,9 +473,11 @@ def verify_theorem(
     target_accuracy: float,
     terms: int | None = None,
 ) -> TheoremCheck:
-    """Compare direct_sum and theorem_series; pass iff the difference is within
-    tail_bound + 1e-9 + quadrature budget."""
-    direct = direct_sum(chi, f)
+    """Compare the direct sum and theorem_series; pass iff the difference is
+    within tail_bound + 1e-9 + quadrature budget.  A real chi's direct sum is
+    direct_sum's exact math.fsum; a complex chi's is read from one transform
+    of the f* table for its whole group (_group_direct_sums)."""
+    direct = direct_sum(chi, f) if chi.is_real else complex(_group_direct_sums(chi, f)[chi.index])
     series = theorem_series(chi, f, target_accuracy, terms=terms)
     abs_error = abs(direct - series.value)
     tolerance = series.tail_bound + 1e-9 + series.quadrature_budget

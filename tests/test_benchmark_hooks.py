@@ -11,7 +11,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from charsum import fourier, gauss_sums, quadrature
+from charsum import cli, fourier, gauss_sums, quadrature
 from charsum.characters import CharacterGroup, build_character_group
 from charsum.fourier import theorem_series
 from charsum.functions import builtin_function
@@ -95,3 +95,28 @@ def test_tau_calls_the_module_gauss_sum_once_per_character(monkeypatch):
     assert calls == [(chi.label, 1) for chi in characters]
     assert [gauss_sums.tau(chi) for chi in characters] == first
     assert len(calls) == len(characters)
+
+
+def test_verify_theorem_calls_the_module_gauss_sum_once_per_primitive_character(monkeypatch, tmp_path):
+    # the traced pass's bypass rule (gauss_sum_calls == characters) for a
+    # verify-theorem run: the group's transforms give the direct sums and the
+    # series heads, but each row's tau is still one call of the global
+    # charsum.gauss_sums.gauss_sum, on a prime and on a composite group
+    calls = []
+    inner = gauss_sums.gauss_sum
+
+    def counted(chi, n):
+        calls.append((chi.label, n))
+        return inner(chi, n)
+
+    monkeypatch.setattr(gauss_sums, "gauss_sum", counted)
+    for q in (101, 40):
+        build_character_group.cache_clear()  # fresh characters: no tau cached yet
+        calls.clear()
+        out = tmp_path / f"{q}.csv"
+        assert cli.main(["verify-theorem", "-q", str(q), "--function", "t", "--format", "csv",
+                         "--output", str(out)]) == 0
+        primitive = build_character_group(q).primitive_characters()
+        assert any(not chi.is_real for chi in primitive)
+        assert calls == [(chi.label, 1) for chi in primitive], q
+        assert len(out.read_text().splitlines()) == 1 + len(primitive)

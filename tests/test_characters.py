@@ -416,3 +416,25 @@ def test_theorem_check_keeps_no_complex_table():
     for chi in primitive:
         assert "complex" not in chi._cache
         assert not any(np.iscomplexobj(v) for v in chi._cache.values() if isinstance(v, np.ndarray))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 8, 12, 15, 16, 24, 40, 63, 101, 360])
+def test_transform_is_every_characters_sum(q):
+    # sum_k chi(k) h[k], and with conj(chi), for every character in index
+    # order; h at the non-units is not read.  The oracle is one exact-angle
+    # sum per character (cos/sin of the reduced turn fraction)
+    group = CharacterGroup(q)
+    rng = np.random.default_rng(q)
+    h = rng.standard_normal(q)
+    units = np.gcd(np.arange(q), q) == 1
+    poisoned = np.where(units, h, np.nan)
+    for conjugate in (False, True):
+        sums = group.transform(poisoned, conjugate=conjugate)
+        assert sums.shape == (group.phi,) and np.iscomplexobj(sums)
+        for chi in group.characters():
+            sign = -1 if conjugate else 1
+            expected = sum(
+                complex(math.cos(2 * math.pi * t), sign * math.sin(2 * math.pi * t)) * h[k]
+                for k in range(q) if (t := chi.turn(k)) is not None
+            )
+            assert abs(sums[chi.index] - expected) <= 1e-12 * (1 + np.abs(h).sum()), (chi.label, conjugate)

@@ -4,16 +4,19 @@ import dataclasses
 import gc
 import math
 import weakref
+from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 
 from charsum import fourier, quadrature
-from charsum.analytic import (TERMS_CEILING, _pairwise_depth, head_rounding_bound, reciprocal_tail,
-                              residue_fold)
-from charsum.characters import build_character_group, real_primitive_character
+from charsum.analytic import (TERMS_CEILING, _pairwise_depth, character_series, head_rounding_bound,
+                              reciprocal_tail, residue_fold)
+from charsum.characters import CharacterGroup, build_character_group, real_primitive_character
 from charsum.fourier import direct_sum, theorem_series, verify_theorem
 from charsum.functions import FunctionSpec, VariationClass, builtin_function, fstar
+from charsum.gauss_sums import tau
 from charsum.quadrature import QuadratureError, graded_edges
 
 
@@ -238,7 +241,7 @@ def test_explicit_terms_above_cap_rejected_before_allocating(odd3, monkeypatch):
     def no_series(*args, **kwargs):
         raise AssertionError("the series must not be set up")
 
-    for name in ("cached_coefficients", "character_series"):
+    for name in ("cached_coefficients", "series_truncation"):
         monkeypatch.setattr(fourier, name, no_series)
     for f in (builtin_function("t"), log_without_atoms()):  # kernel and Cesaro tails
         for terms in (0, 10**12):
@@ -257,7 +260,7 @@ def test_terms_cap_above_ceiling_rejected_before_allocating(odd3, monkeypatch):
     def no_series(*args, **kwargs):
         raise AssertionError("the series must not be set up")
 
-    for name in ("cached_coefficients", "character_series"):
+    for name in ("cached_coefficients", "series_truncation"):
         monkeypatch.setattr(fourier, name, no_series)
     for f in (t, log_without_atoms()):
         with pytest.raises(ValueError, match=f"at most {TERMS_CEILING}, got {TERMS_CEILING + 1}"):
@@ -349,7 +352,14 @@ def test_cesaro_window_takes_half_the_cap(odd4, monkeypatch):
     sev = theorem_series(odd4, f, 1e-30)
     assert (sev.terms_used, sev.tail_method, sev.best_effort) == (2500, "cesaro", True)
     assert folds == [(4, 5000)]
-    assert set(fourier._modulus_cache[f][1]) == {("sin", 2500, "cesaro")}
+    assert set(fourier._modulus_cache[f][1]) == {("sin", 2500, "cesaro")}  # a real chi: no transform
+    # a complex chi reads its head from the transform of the same window fold
+    chi = build_character_group(5).character_by_index(1)
+    assert chi.is_odd and not chi.is_real
+    sev = theorem_series(chi, f, 1e-30)
+    assert (sev.terms_used, sev.tail_method, sev.best_effort) == (2500, "cesaro", True)
+    assert folds == [(4, 5000), (5, 5000)]
+    assert set(fourier._modulus_cache[f][1]) == {("sin", 2500, "cesaro"), ("sin", 2500, "transform")}
 
 
 def test_cesaro_window_at_one_term(odd4):
@@ -634,11 +644,14 @@ def test_fold_cache_keeps_recent_moduli_only():
 
 def test_group_folds_the_coefficients_once_per_n(monkeypatch):
     # every character of one group with one spec reaches the coefficients
-    # through one fold per (kind, q, N) and the atoms' tail through one
-    # kernel per (kind, q, N); a second pass folds and sums nothing
+    # through one fold per (kind, q, N), the atoms' tail through one kernel
+    # per (kind, q, N), and its complex rows through one transform per table:
+    # the f* table and one W = fold + kernel per (kind, N).  A second pass
+    # folds, sums and transforms nothing, and a new modulus frees the
+    # transforms
     log = builtin_function("log")
     fourier._modulus_cache.pop(log, None)
-    folds, kernels = [], []
+    folds, kernels, transforms = [], [], []
 
     def counted(coeffs, m):
         folds.append((m, len(coeffs)))
@@ -648,17 +661,38 @@ def test_group_folds_the_coefficients_once_per_n(monkeypatch):
         kernels.append((m, n_terms))
         return reciprocal_tail(atoms, m, n_terms)
 
+    transform = CharacterGroup.transform
+
+    def counted_transform(group, h, conjugate=False):
+        transforms.append((group.modulus, conjugate))
+        return transform(group, h, conjugate)
+
     monkeypatch.setattr(fourier, "residue_fold", counted)
     monkeypatch.setattr(fourier, "reciprocal_tail", counted_tail)
+    monkeypatch.setattr(CharacterGroup, "transform", counted_transform)
     group = build_character_group(13)
-    series = [theorem_series(chi, log, 1e-8) for chi in group.characters() if chi.is_primitive]
-    expected = sorted({(s.parity_branch, s.terms_used) for s in series})
+    characters = group.primitive_characters()
+    checks = [verify_theorem(chi, log, 1e-8) for chi in characters]
+    expected = sorted({(c.series.parity_branch, c.series.terms_used) for c in checks})
     assert [branch for branch, _ in expected] == ["cosine_even", "sine_odd"]  # both kinds
-    assert not any(s.averaged for s in series)
+    assert not any(c.series.averaged for c in checks)
     assert sorted(folds) == sorted((13, n) for _, n in expected)
     assert sorted(kernels) == sorted((13, n) for _, n in expected)
-    again = [theorem_series(chi, log, 1e-8) for chi in group.characters() if chi.is_primitive]
-    assert (len(folds), len(kernels)) == (len(expected), len(expected)) and again == series
+    heads = {("cos" if c.series.parity_branch == "cosine_even" else "sin", c.series.terms_used)
+             for chi, c in zip(characters, checks) if not chi.is_real}
+    assert len(heads) == 2  # complex characters of both parities
+    assert sorted(transforms) == [(13, False)] + [(13, True)] * len(heads)
+    held = fourier._modulus_cache[log][1]
+    assert {key for key in held if "transform" in key} == {("fstar", "transform")} | {
+        (kind, n, "transform") for kind, n in heads}
+    again = [verify_theorem(chi, log, 1e-8) for chi in characters]
+    assert (len(folds), len(kernels), len(transforms)) == (len(expected), len(expected), 1 + len(heads))
+    assert again == checks
+    old = [weakref.ref(table) for key, table in held.items() if "transform" in key]
+    del held
+    verify_theorem(build_character_group(11).character_by_index(1), log, 1e-8)
+    gc.collect()
+    assert [ref() for ref in old] == [None] * (1 + len(heads))
 
 
 def test_kernel_cache_keeps_the_modulus_in_use_only():
@@ -692,3 +726,137 @@ def test_coefficients_beyond_the_retained_length_are_not_kept():
     long = fourier.cached_coefficients(t2, "cos", count)
     assert len(long) == count and np.array_equal(long[:1000], short)
     assert len(fourier._coeff_cache[t2]["cos"]) == 1000
+
+
+# --- the group route: one transform per table against the one-character oracle
+
+
+U = 2.0**-53
+
+
+def _gamma(k):
+    return k * U / (1.0 - k * U)
+
+
+def transform_bound(group, h):
+    """CharacterGroup.transform's stated bound on each entry, and on each of
+    its parts: eps sqrt(phi) |h|_2 over the units, eps = t eta/(1 - t eta),
+    eta = u + gamma_4 (sqrt(2) + u), t = sum_i ceil(log2 order_i)."""
+    levels = sum(math.ceil(math.log2(f.order)) for f in group._factors)
+    eta = U + _gamma(4) * (math.sqrt(2.0) + U)
+    eps = levels * eta / (1.0 - levels * eta)
+    units = np.asarray(h, dtype=float)[group._unit_mask]
+    return eps * math.sqrt(group.phi) * math.sqrt(math.fsum((units * units).tolist())) * (1.0 + 2.0**-50)
+
+
+def one_character_dot_bound(count, h):
+    """Per component, the rounding of one pairwise dot of `count` gathered
+    roots with the exact real h: each root is within a = 2 pi gamma_3 +
+    sqrt(2) u, each product part rounds once (gamma_2), and the pairwise sum
+    of the 2 count interleaved parts adds gamma_k, k = _pairwise_depth(2 count)."""
+    a = 2.0 * math.pi * _gamma(3) + math.sqrt(2.0) * U
+    k = _pairwise_depth(2 * count)
+    per_unit = a + _gamma(2) * (1.0 + a) + _gamma(k) * (1.0 + a) * (1.0 + _gamma(2))
+    return per_unit * math.fsum(np.abs(h).tolist()) * (1.0 + 2.0**-50)
+
+
+def exact_transform(group, h, conjugate):
+    """sum_k chi(k) h[k] (conj(chi) when `conjugate`) for every character in
+    index order, from 40-digit roots of unity and the floats of h as exact."""
+    e = group.exponent
+    sign = -1 if conjugate else 1
+    with mpmath.workdps(40):
+        roots = [mpmath.expjpi(mpmath.mpf(2 * sign * j) / e) for j in range(e)]
+        exact_h = [mpmath.mpf(float(x)) for x in h]
+        out = []
+        for chi in group.characters():
+            turns = chi.turns.tolist()
+            out.append(mpmath.fsum(roots[t] * exact_h[k] for k, t in enumerate(turns) if t >= 0))
+    return out
+
+
+@pytest.mark.parametrize("q", (101, 360))
+def test_transform_bound_covers_40_digit_sums(q):
+    # both directions, on a prime group (one factor of order 100) and a
+    # composite one (factors of order 2, 2, 6 and 4): the direct side of t
+    # (the f* table k/q, exact as floats) and log's cosine series head W
+    group = build_character_group(q)
+    t, log = builtin_function("t"), builtin_function("log")
+    fstar_table = np.append(0.0, fourier._fstar_values(t, q))
+    n_terms = 8 * q
+    head_table = fourier.cached_fold(log, "cos", q, n_terms) + fourier.cached_tail(log, "cos", q, n_terms)
+    for h, conjugate in ((fstar_table, False), (head_table, True)):
+        bound = transform_bound(group, h)
+        sums = group.transform(h, conjugate=conjugate)
+        exact = exact_transform(group, h, conjugate)
+        worst = 0.0
+        for got, want in zip(sums.tolist(), exact):
+            with mpmath.workdps(40):
+                worst = max(worst, abs(float(want.real - got.real)), abs(float(want.imag - got.imag)))
+        assert worst <= bound, (q, conjugate, worst, bound)
+        assert worst > 0.0  # the check reads a rounded sum, not a copy of the exact one
+
+
+def one_character_series(chi, f, target):
+    """theorem_series through analytic.character_series with fold_head, one
+    character at a time: the oracle of the group route."""
+    kind = "cos" if chi.is_even else "sin"
+    atoms = f.atoms_for(kind)
+    windowed = not atoms and f.variation_class in fourier._WINDOW_CLASSES
+    tau_value = tau(chi)
+    prefactor = 2.0 * tau_value if chi.is_even else -2.0j * tau_value
+    cap = TERMS_CEILING if f.closed_form is not None else fourier._QUADRATURE_TERMS_CAP
+    fold = partial(fourier.cached_fold, f, kind)
+    if windowed:
+        cap //= 2
+        fold = partial(fourier._window_fold, f, kind)
+    start = max(fourier._MIN_TERMS, 8 * chi.modulus) if atoms else fourier._MIN_TERMS
+    value, n_terms, tail = character_series(
+        np.conj(chi.values()), fold, prefactor, target, start, cap, atoms,
+        fourier._envelope(f, kind), None, partial(fourier.cached_tail, f, kind),
+    )
+    return prefactor, value, n_terms, tail
+
+
+@pytest.mark.parametrize("q", (5, 13, 15, 16, 24, 40, 63, 101, 360, 1009))
+def test_group_route_within_transform_bound_of_the_oracle(q):
+    # one to four cyclic factors (2-power moduli included): every row
+    # keeps the oracle's N, tail bound, pass tolerance and verdict; a real
+    # row is the oracle bit for bit, and a complex row's sides move by at
+    # most the transform's bound plus the oracle's own pairwise rounding
+    group = build_character_group(q)
+    characters = group.primitive_characters()
+    assert characters and any(not chi.is_real for chi in characters) == (q != 24)  # mod 24 all are real
+    target = 1e-6
+    specs = [builtin_function(n) for n in ("t", "t2", "exp", "log", "step:1/4")]
+    if q <= 13:  # a user spec: quadrature coefficients under a measured envelope
+        specs.append(FunctionSpec(name="exp#nocf", evaluator=math.exp, variation_class=VariationClass.SMOOTH_C2))
+    for f in specs:
+        fstar_table = np.append(0.0, fourier._fstar_values(f, q))
+        lhs_allowed = transform_bound(group, fstar_table) + math.sqrt(2.0) * one_character_dot_bound(
+            q - 1, fstar_table)
+        for chi in characters:
+            chk = verify_theorem(chi, f, target)
+            direct = direct_sum(chi, f)
+            prefactor, value, n_terms, tail = one_character_series(chi, f, target)
+            if f.closed_form is None:
+                assert chk.series.quadrature_budget > 0.0
+            tolerance = tail + 1e-9 + chk.series.quadrature_budget
+            assert (chk.series.terms_used, chk.series.tail_bound) == (n_terms, tail), (chi.label, f.name)
+            assert chk.pass_tolerance == tolerance, (chi.label, f.name)
+            assert chk.passed == (abs(direct - value) <= tolerance), (chi.label, f.name)
+            if chi.is_real:
+                assert chk.direct == direct and chk.series.value == float(value.real), (chi.label, f.name)
+                continue
+            kind = "cos" if chi.is_even else "sin"
+            head_table = fourier._modulus_cache[f][1][kind, n_terms, "transform"]
+            assert head_table.shape == (group.phi,)
+            w = fourier._series_fold(f, kind, q, n_terms, f.atoms_for(kind),
+                                     not f.atoms_for(kind) and f.variation_class in fourier._WINDOW_CLASSES)
+            head = abs(value / prefactor)
+            rhs_allowed = abs(prefactor) * (
+                transform_bound(group, w) + math.sqrt(2.0) * one_character_dot_bound(q, w)
+                + 2.0 * math.sqrt(2.0) * _gamma(2) * head
+            ) * (1.0 + 2.0**-50)
+            assert abs(chk.direct - direct) <= lhs_allowed, (chi.label, f.name)
+            assert abs(chk.series.value - value) <= rhs_allowed, (chi.label, f.name)
