@@ -4,7 +4,7 @@ character_series is the one series engine: a head to N, the tail of the
 coefficient atoms, and the Polya-Vinogradov tail bound of a remainder known
 only through an envelope C/n^p.  L(1, chi) and the four identities call it,
 and the theorem series calls its two halves (series_truncation, then a head
-of the same fold plus kernel).  An atom is coef/(n + c)^m (m = 1, or c = 0) or
+of the same table W).  An atom is coef/(n + c)^m (m = 1, or c = 0) or
 coef ln(n)/n; a coef given as one period of weights w[n mod b] twists the
 character into the periodic sequence chi(n) w(n), of period P = lcm(q, b).
 The atoms' tail beyond N is summed per residue class n = N + r mod P by
@@ -15,14 +15,15 @@ choice per atom set, modulus, target and |prefactor|.
 
 The values are periodic mod m, so the head sum_n v[n mod m] a_n equals
 sum_r v[r] A[r] with A[r] the sum of the coefficients of class r.  The engine
-takes the coefficients only as that fold (residue_fold, built once per
-modulus and N by the caller, who may cache it, and may weight the
-coefficients first as fourier's Cesaro window does), so a head costs O(m).
-What does not read the values is split off as series_truncation: N and the
-tail bound depend on a character only through |prefactor| and the absolute
-sums of its magnitudes, so fourier takes them per row and the heads of a
-whole character group from one transform, while L(1, chi), the identities
-and the tests' oracle sum one head by fold_head.
+takes the coefficients only as one table W = A + K, the fold (residue_fold)
+plus the atoms' kernel, built once per modulus and N by the caller's table
+callable (coefficient_fold, or fourier.series_table, which caches it and may
+weight the coefficients first as its Cesaro window does), so a head costs
+O(m).  What does not read the values is split off as series_truncation: N
+and the tail bound depend on a character only through |prefactor| and the
+absolute sums over its (twisted) periods, so fourier takes them per row and
+the heads of a whole character group from one transform of W, while
+L(1, chi), the identities and the tests' oracle sum one head by fold_head.
 
 Every sum is a plain NumPy pairwise sum under one a-priori model, Higham's
 gamma_k = k u/(1 - k u) with k the depth of the summation order
@@ -444,14 +445,17 @@ def head_rounding_bound(values: np.ndarray, coeffs: np.ndarray) -> float:
     return gamma * float(np.abs(values).max()) * total * (1.0 + 2.0**-50)
 
 
-def coefficient_fold(coefficients: Callable[[int], np.ndarray]) -> Callable[[int, int], np.ndarray]:
-    """The fold callable of character_series for `coefficients(N)` = a_1..a_N:
-    (m, N) -> residue_fold of a_1..a_N."""
+def coefficient_fold(coefficients: Callable[[int], np.ndarray],
+                     atoms: Sequence[tuple] = ()) -> Callable[[int, int], np.ndarray]:
+    """The table callable of character_series for `coefficients(N)` = a_1..a_N
+    and the same atoms: (m, N) -> W, the residue_fold of a_1..a_N plus, with
+    atoms, their reciprocal_tail kernel beyond N."""
 
-    def fold(m: int, n_terms: int) -> np.ndarray:
-        return residue_fold(coefficients(n_terms), m)
+    def table(m: int, n_terms: int) -> np.ndarray:
+        folded = residue_fold(coefficients(n_terms), m)
+        return folded + reciprocal_tail(atoms, m, n_terms) if atoms else folded
 
-    return fold
+    return table
 
 
 def check_tolerance(value: float, name: str) -> None:
@@ -518,7 +522,7 @@ def _truncation(bounds: tuple, weight: float, p: int, target: float, start: int,
 
 def character_series(
     values: np.ndarray,
-    fold: Callable[[int, int], np.ndarray],
+    table: Callable[[int, int], np.ndarray],
     prefactor: complex,
     target: float,
     start: int,
@@ -526,13 +530,14 @@ def character_series(
     atoms: Sequence[tuple] = (),
     envelope: tuple[float, int] = (0.0, 1),
     terms: int | None = None,
-    tail: Callable[[int, int], np.ndarray] | None = None,
 ) -> tuple[complex, int, float]:
     """(value, N, tail bound) for prefactor * sum_{n >= 1} values[n % m] a_n.
 
-    `values` is one period of length m, indexed by n mod m, and `fold(m, N)`
-    returns the coefficients a_n folded by n mod m as residue_fold does
-    (coefficient_fold builds it from a coefficient function).  The
+    `values` is one period of length m, indexed by n mod m, and `table(m, N)`
+    returns W, the coefficients a_1..a_N folded by n mod m as residue_fold
+    does plus the kernel of the same atoms beyond N (reciprocal_tail); it
+    does not depend on values, so a caller may cache it, and
+    coefficient_fold builds it from a coefficient function.  The
     coefficients are modelled as a_n = the real part of sum coef g(n) over
     the atoms (coef, c) or (coef, c, e), g(n) = 1/(n + c)^e (e = 1 when
     omitted, Re(c) >= 0, c = 0 when e > 1) or ln(n)/n (e = LOG_ATOM, c = 0),
@@ -545,12 +550,10 @@ def character_series(
     0 over a period (PeriodicSums).
 
     N and the bound come from series_truncation.  The head to N and the
-    atoms' tail are one fold_head over the m residue classes:
-    sum_r values[r] (A[r] + K[r]), A = fold(m, N) and K = tail(m, N) the
-    atoms' kernel, reciprocal_tail(atoms, m, N) by default (a caller may
-    cache it: it does not depend on values).  The atoms' tail bound is
-    |prefactor| times, per atom, |coef| times the absolute sum of its (twisted) period
-    times _remainder at N + 1; summation by parts bounds the remainder's tail by
+    atoms' tail are one fold_head over the m residue classes,
+    sum_r values[r] W[r].  The atoms' tail bound is |prefactor| times, per
+    atom, |coef| times the absolute sum of its (twisted) period times
+    _remainder at N + 1; summation by parts bounds the remainder's tail by
     2 K C |prefactor| / (N + 1)^p, K = partial_sum_bound(m), which also
     bounds the mean of the tails beyond N .. 2N (fourier's Cesaro window);
     both rest on the envelope, which is only sampled for an envelope that
@@ -563,10 +566,7 @@ def character_series(
     m = len(values)
     n_terms, bound = series_truncation(lambda weights: PeriodicSums(values, weights).absolute, m,
                                        abs(prefactor), target, start, cap, atoms, envelope, terms)
-    folded = fold(m, n_terms)
-    if atoms:
-        folded = folded + (reciprocal_tail(atoms, m, n_terms) if tail is None else tail(m, n_terms))
-    return prefactor * fold_head(values, folded), n_terms, bound
+    return prefactor * fold_head(values, table(m, n_terms)), n_terms, bound
 
 
 # --- L(1, chi) ----------------------------------------------------------------
@@ -601,14 +601,15 @@ def l_one(chi: DirichletCharacter, target_accuracy: float = 1e-9) -> LValue:
                          f"the bound keeps for the head's rounding; got {target_accuracy}")
     if chi.is_principal:
         raise ValueError("L(s, chi_0) has a pole at s = 1 and is not representable")
+    atoms = [(1.0, 0.0)]
     value, n_terms, bound = character_series(
         chi.values(),
-        coefficient_fold(lambda count: 1.0 / np.arange(1, count + 1)),
+        coefficient_fold(lambda count: 1.0 / np.arange(1, count + 1), atoms),
         1.0,
         2.0 * (target_accuracy - slack),  # the engine spends half its target on the atoms
         1,
         TERMS_CEILING,
-        atoms=[(1.0, 0.0)],
+        atoms,
     )
     value = float(value.real) if chi.is_real else complex(value)
     return LValue(value, n_terms, float(bound + slack), chi.label)

@@ -280,14 +280,6 @@ class CharacterGroup:
         return roots
 
     @cached_property
-    def magnitudes(self) -> np.ndarray:
-        """np.abs(roots): |chi(k)| = magnitudes[turns[k]], bit for bit np.abs of
-        the value table (1 within an ulp on the units, 0 at turn -1); read-only."""
-        magnitudes = np.abs(self.roots)
-        magnitudes.flags.writeable = False
-        return magnitudes
-
-    @cached_property
     def twiddles(self) -> np.ndarray:
         """e(k/q) = exp(2 pi i k / q) for k = 0..q-1, 16q bytes; read-only, shared by the group's Gauss sums."""
         twiddles = np.exp(1j * (2.0 * np.pi * np.arange(self.modulus) / self.modulus))
@@ -393,7 +385,9 @@ class CharacterGroup:
         return [chi for chi in self.characters() if chi.is_primitive]
 
 
-@lru_cache(maxsize=1)
+_held_group: list[CharacterGroup] = []  # the last full group, at most one
+
+
 def build_character_group(q: int) -> CharacterGroup:
     """Construct the full character group mod q with all characters materialized.
 
@@ -401,14 +395,31 @@ def build_character_group(q: int) -> CharacterGroup:
     canonical generators.  Each character costs one O(q) turn table; its
     conductor, parity and realness are O(number of factors) on top.  Raises
     ValueError for q < 1 or q > 10^4 (before any table is built).  Only the
-    last group is cached: a group near the ceiling holds 0.8 GB of turns, and
-    every command runs one modulus.
+    last group is kept: a group near the ceiling holds 0.8 GB of turns, and
+    every command runs one modulus.  The group it replaces is released
+    (build_character_group.cache_clear) before the new characters are built.
     """
+    if _held_group and _held_group[0].modulus == q:
+        return _held_group[0]
     if q > _GROUP_CEILING:
         raise ValueError(f"modulus {q} exceeds {_GROUP_CEILING}, the ceiling for a full character group")
     group = CharacterGroup(q)
+    _release_group()
     group.characters()
+    _held_group.append(group)
     return group
+
+
+def _release_group() -> None:
+    """Drop the held group and empty its character cache.  The cache and the
+    characters' `group` field form a cycle; breaking it frees a group that
+    nothing else holds at once, not at the next full collection.  A caller
+    still holding the group gets its characters rebuilt on demand."""
+    if _held_group:
+        _held_group.pop()._char_cache.clear()
+
+
+build_character_group.cache_clear = _release_group  # the name functools.lru_cache gives it
 
 
 # --- Kronecker symbol and real primitive characters -------------------------

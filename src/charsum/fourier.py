@@ -11,26 +11,26 @@ Two routes are provided and compared:
 
 Both sums are linear in chi, so verify_theorem takes every complex
 character of a group from one CharacterGroup.transform per table: the f*
-table for the direct side, and W = fold + kernel for the series head, where
-the fold is the coefficients folded by n mod q (cached_fold) and the kernel
-the tail of the spec's atoms (cached_tail).  A table, its fold, kernel and
-transforms serve every character with that N, so a row costs its tau, two
-lookups and the scalar tail bound of analytic.series_truncation, which reads
-chi only through |prefactor| and its magnitudes.  A real chi keeps the exact
-one-character sums: direct_sum's math.fsum and fold_head, as
-analytic.character_series sums them.  Folds, not long coefficient arrays,
-are what is kept (cached_coefficients retains at most RETAINED_TERMS per spec
-and kind).  A spec holds its f* table, folds, kernels and transforms for the
-modulus in use only, since every command runs one modulus at a time.  The
-tail of the spec's atoms for the branch (every row of t2, exp, log and the
-steps, odd rows of t) is the kernel's share of W, within a rigorous
-Euler-Maclaurin bound; what the atoms leave (all of the coefficient without
-them) is bounded by the Polya-Vinogradov partial-sum bound times the total
-variation of its envelope.  Jump and log classes without atoms (user specs)
-take the Cesaro window instead of the head to N: theorem_series alone
-chooses it, and its fold (_window_fold) weights a_1..a_2N into the mean of
-the partial sums S_N .. S_2N, which the engine bounds as it bounds the tail
-at N.
+table for the direct side, and for the series head W = fold + kernel
+(series_table), the coefficients folded by n mod q plus the tail kernel of
+the spec's atoms.  A table, its W and transforms serve every character with
+that N, so a row costs its tau, two lookups and the scalar tail bound of
+analytic.series_truncation, which reads chi only through |prefactor| and
+phi(q), the absolute sum of its values (a sum over a twisted period for
+atoms with weights).  A real chi keeps the exact one-character sums:
+direct_sum's math.fsum and fold_head of W, as analytic.character_series
+sums them.  Tables, not long coefficient arrays, are what is kept
+(cached_coefficients retains at most RETAINED_TERMS per spec and kind).  A
+spec holds its f* table, W tables and transforms for the modulus in use
+only, since every command runs one modulus at a time.  The tail of the
+spec's atoms for the branch (every row of t2, exp, log and the steps, odd
+rows of t) is the kernel's share of W, within a rigorous Euler-Maclaurin
+bound; what the atoms leave (all of the coefficient without them) is bounded
+by the Polya-Vinogradov partial-sum bound times the total variation of its
+envelope.  Jump and log classes without atoms (user specs) take the Cesaro
+window instead of the head to N (_windowed decides it for theorem_series and
+series_table alike): their W weights a_1..a_2N into the mean of the partial
+sums S_N .. S_2N, which the engine bounds as it bounds the tail at N.
 
 Coefficients without a closed form come from piecewise Filon quadrature.  f is
 sampled once per piece (an interval between jumps, or one interval of the
@@ -54,8 +54,8 @@ from functools import partial
 
 import numpy as np
 
-from .analytic import (TERMS_CEILING, PeriodicSums, check_terms, check_tolerance, fold_head,
-                       reciprocal_tail, residue_fold, series_truncation)
+from .analytic import (TERMS_CEILING, PeriodicSums, check_terms, check_tolerance, coefficient_fold,
+                       fold_head, residue_fold, series_truncation)
 from .characters import DirichletCharacter
 from .functions import FunctionSpec, VariationClass
 from .gauss_sums import tau
@@ -65,10 +65,9 @@ __all__ = [
     "SeriesEvaluation",
     "TheoremCheck",
     "cached_coefficients",
-    "cached_fold",
-    "cached_tail",
     "direct_sum",
     "fourier_coefficient",
+    "series_table",
     "theorem_series",
     "verify_theorem",
 ]
@@ -79,8 +78,7 @@ _MIN_TERMS = 32
 _WINDOW_CLASSES = (VariationClass.PIECEWISE_SMOOTH, VariationClass.INTEGRABLE_SINGULAR_AT_ZERO)
 
 # per-FunctionSpec caches, keyed by object identity; _modulus_cache holds
-# (q, {"fstar": table, ("fstar", "transform"): direct sums, (kind, N): fold,
-# (kind, N, "cesaro"): window fold, (kind, N, "tail"): kernel,
+# (q, {"fstar": table, ("fstar", "transform"): direct sums, (kind, N): W,
 # (kind, N, "transform"): series heads}) for the modulus in use
 _coeff_cache: "weakref.WeakKeyDictionary[FunctionSpec, dict]" = weakref.WeakKeyDictionary()
 _sample_cache: "weakref.WeakKeyDictionary[FunctionSpec, list]" = weakref.WeakKeyDictionary()
@@ -236,7 +234,7 @@ def fourier_coefficient(f: FunctionSpec, n: int, kind: str) -> float:
 def cached_coefficients(f: FunctionSpec, kind: str, count: int) -> np.ndarray:
     """Coefficients for n = 1..count, cached per spec and kind and grown on demand.
 
-    cached_fold and the envelope measurement share this cache.  The cache
+    series_table and the envelope measurement share this cache.  The cache
     grows by one batch of the new n: one closed-form call, or one
     quadrature pass (one doubling pass per piece for every new n).  Both are
     elementwise, the quadrature bit-identical to the rule for each n alone,
@@ -272,59 +270,39 @@ def _cesaro_window(coeffs: np.ndarray) -> np.ndarray:
     return weighted
 
 
-def cached_fold(f: FunctionSpec, kind: str, m: int, n_terms: int) -> np.ndarray:
-    """The spec's coefficients a_1..a_N of one kind folded by n mod m
-    (analytic.residue_fold).
+def _windowed(f: FunctionSpec, kind: str) -> bool:
+    """Whether the series of this kind takes the Cesaro window: a jump or
+    singular variation class without atoms of the kind."""
+    return not f.atoms_for(kind) and f.variation_class in _WINDOW_CLASSES
 
-    This is the fold of W in every theorem series without the Cesaro window,
-    and the identities' fold callable (partial(cached_fold, f, kind)).  Folds
-    are cached per spec and keyed by (kind, N), for the modulus in use only;
-    a fold is a new (m,) array and keeps no reference to the coefficients it
-    was built from.
+
+def series_table(f: FunctionSpec, kind: str, m: int, n_terms: int) -> np.ndarray:
+    """W, one period whose dot with conj(chi) is a series head to N: the
+    spec's coefficients a_1..a_N of one kind folded by n mod m plus the
+    kernel of its atoms beyond N (analytic.coefficient_fold), or the Cesaro
+    window's fold of a_1..a_2N.
+
+    This is the table of every theorem series and the identities' table
+    callable (partial(series_table, f, kind)).  Tables are cached per spec
+    under (kind, N), for the modulus in use only; a table is a new (m,)
+    array and keeps no reference to the coefficients it was built from.
     """
-    return _modulus_table(f, m, (kind, n_terms),
-                          lambda: residue_fold(cached_coefficients(f, kind, n_terms), m))
 
+    def build():
+        if _windowed(f, kind):
+            return residue_fold(_cesaro_window(cached_coefficients(f, kind, 2 * n_terms)), m)
+        return coefficient_fold(partial(cached_coefficients, f, kind), f.atoms_for(kind))(m, n_terms)
 
-def _window_fold(f: FunctionSpec, kind: str, m: int, n_terms: int) -> np.ndarray:
-    """cached_fold for the Cesaro window: a_1..a_2N weighted by
-    _cesaro_window, folded by n mod m, cached under (kind, N, "cesaro")."""
-    return _modulus_table(
-        f, m, (kind, n_terms, "cesaro"),
-        lambda: residue_fold(_cesaro_window(cached_coefficients(f, kind, 2 * n_terms)), m),
-    )
-
-
-def cached_tail(f: FunctionSpec, kind: str, m: int, n_terms: int) -> np.ndarray:
-    """The tail kernel of the spec's atoms of one kind beyond N, folded by
-    n mod m (analytic.reciprocal_tail).
-
-    This is the kernel of W in every theorem series with atoms, and the
-    identities' tail callable (partial(cached_tail, f, kind)).  Kernels are
-    cached next to the folds, keyed by (kind, N, "tail"), for the modulus in
-    use only.
-    """
-    return _modulus_table(f, m, (kind, n_terms, "tail"),
-                          lambda: reciprocal_tail(f.atoms_for(kind), m, n_terms))
-
-
-def _series_fold(f: FunctionSpec, kind: str, q: int, n_terms: int, atoms, windowed: bool) -> np.ndarray:
-    """W, one period whose dot with conj(chi) is a theorem series head: the
-    fold of a_1..a_N plus the atoms' tail kernel, or the Cesaro window's fold.
-    A new array when the kernel is added, else the cached fold."""
-    if windowed:
-        return _window_fold(f, kind, q, n_terms)
-    folded = cached_fold(f, kind, q, n_terms)
-    return folded + cached_tail(f, kind, q, n_terms) if atoms else folded
+    return _modulus_table(f, m, (kind, n_terms), build)
 
 
 def _period_absolute(chi: DirichletCharacter, weights: np.ndarray | None) -> float:
-    """PeriodicSums(conj(chi) table, weights).absolute, bit for bit.  Without
-    weights it is the sum of |chi| gathered from CharacterGroup.magnitudes,
-    equal to np.abs of the table, and no mean-zero check is needed: a
+    """The absolute sum of conj(chi)(n) w(n) over its period, as
+    PeriodicSums computes it.  Without weights it is phi(q), the exact sum of
+    |chi(k)| = 1 over the units, and no mean-zero check is needed: a
     primitive chi mod q >= 3 is not principal."""
     if weights is None:
-        return float(chi.group.magnitudes[chi.turns].sum())
+        return float(chi.group.phi)
     return PeriodicSums(np.conj(chi.values()), weights).absolute
 
 
@@ -374,7 +352,7 @@ def theorem_series(
     """Evaluate the theorem series for chi and f, choosing N from the tail bound.
 
     When f declares atoms for the branch's coefficient kind, the atoms' tail
-    beyond N is the dot product of the character with the cached kernel of
+    beyond N is the dot product of the character with the kernel of
     Euler-Maclaurin class sums (tail method "euler_maclaurin"), so N stays
     O(q) (O(lcm(q, b)) for atoms with weights of period b) unless the
     remainder envelope asks for more.  Otherwise N is picked from the
@@ -386,11 +364,12 @@ def theorem_series(
     the evaluation is best-effort with the bound reported as is.  An explicit
     `terms` overrides the choice of N and obeys analytic.check_terms.  N and
     the bound come from analytic.series_truncation, which reads chi only
-    through |prefactor| and its magnitudes.  The head and the atoms' tail are
-    sum_r conj(chi)(r) W[r], W the fold plus the kernel (or the window's
-    fold): a real chi sums it by fold_head, and a complex chi reads it from
-    one CharacterGroup.transform of W for its whole group, cached under
-    (kind, N, "transform") and within the transform's stated rounding bound.
+    through |prefactor| and phi(q) (_period_absolute).  The head and the
+    atoms' tail are sum_r conj(chi)(r) W[r], W = series_table(f, kind, q, N)
+    the fold plus the kernel (or the window's fold): a real chi sums it by
+    fold_head, and a complex chi reads it from one CharacterGroup.transform
+    of W for its whole group, cached under (kind, N, "transform") and within
+    the transform's stated rounding bound.
     target_accuracy obeys analytic.check_tolerance.
     """
     _require_primitive(chi)
@@ -404,7 +383,7 @@ def theorem_series(
     kind = "cos" if even else "sin"
     branch = "cosine_even" if even else "sine_odd"
     atoms = f.atoms_for(kind)
-    windowed = not atoms and f.variation_class in _WINDOW_CLASSES
+    windowed = _windowed(f, kind)
     tail_method = "euler_maclaurin" if atoms else "cesaro" if windowed else "envelope"
 
     tau_value = tau(chi)
@@ -418,13 +397,12 @@ def theorem_series(
         partial(_period_absolute, chi), q, abs(prefactor), target_accuracy, start, cap, atoms,
         _envelope(f, kind), terms,
     )
+    table = series_table(f, kind, q, n_terms)
     if chi.is_real:  # conj(chi) = chi: the one-character head of analytic.character_series
-        head = fold_head(chi.values_real(), _series_fold(f, kind, q, n_terms, atoms, windowed))
+        head = fold_head(chi.values_real(), table)
     else:
-        head = complex(_modulus_table(
-            f, q, (kind, n_terms, "transform"),
-            lambda: chi.group.transform(_series_fold(f, kind, q, n_terms, atoms, windowed), conjugate=True),
-        )[chi.index])
+        head = complex(_modulus_table(f, q, (kind, n_terms, "transform"),
+                                      lambda: chi.group.transform(table, conjugate=True))[chi.index])
     value = prefactor * head
     best_effort = tail > target_accuracy
 

@@ -4,8 +4,8 @@ Each is the theorem for a real primitive character chi_d and one built-in
 spec, checked by _theorem_check: the direct sum of chi(k) f*(k/q) against one
 analytic.character_series call with prefactor 2 sqrt(q) (exact for either
 parity, since tau(chi_d) is sqrt(q) or i sqrt(q)), the spec's atoms and
-declared envelope for chi's kind, and the coefficient folds fourier caches per
-spec.
+declared envelope for chi's kind, and the table W (fold plus atoms' kernel)
+that fourier.series_table caches per spec.
 
 1. square (odd chi), f = t2:      sum chi(k) (k/q)^2 = -(sqrt(q)/pi) L(1, chi)
 2. log (even chi), f = log:       the remainder R = sum chi(k) log k
@@ -38,7 +38,7 @@ from .analytic import (  # noqa: F401
     si_complement_array,
 )
 from .characters import MODULUS_CEILING, real_primitive_character
-from .fourier import cached_fold, cached_tail, direct_sum
+from .fourier import direct_sum, series_table
 from .functions import builtin_function
 from .gauss_sums import tau  # noqa: F401
 
@@ -81,9 +81,8 @@ def _theorem_check(identity_id, d, y, f, tol, target, start, terms=None) -> Iden
     chi = real_primitive_character(d)
     kind = "cos" if chi.is_even else "sin"
     series, n_terms, bound = character_series(
-        chi.values_real(), partial(cached_fold, f, kind), 2.0 * math.sqrt(abs(d)), target, start,
+        chi.values_real(), partial(series_table, f, kind), 2.0 * math.sqrt(abs(d)), target, start,
         TERMS_CEILING, f.atoms_for(kind), f.envelope_for(kind) or (0.0, 1), terms,
-        partial(cached_tail, f, kind),
     )
     lhs, rhs = direct_sum(chi, f), series.real
     err = abs(lhs - rhs)

@@ -332,7 +332,7 @@ def test_power_atom_tail_against_catalan():
 def test_reciprocal_tail_bound_scales_down_with_start():
     values = real_primitive_character(-499).values_real()
     bounds = [
-        character_series(values, _harmonic_fold, 1.0, 1e-8, 1, 10**6, [(1.0, 0.0)], terms=s)[2]
+        character_series(values, _harmonic_table, 1.0, 1e-8, 1, 10**6, [(1.0, 0.0)], terms=s)[2]
         for s in (1000, 2000, 8000, 32000)
     ]
     assert bounds == sorted(bounds, reverse=True) and bounds[-1] < 1e-20
@@ -357,7 +357,7 @@ def _harmonic(count):
     return 1.0 / np.arange(1, count + 1)
 
 
-_harmonic_fold = coefficient_fold(_harmonic)
+_harmonic_table = coefficient_fold(_harmonic, [(1.0, 0.0)])  # 1/n with its own atom
 
 
 def test_abel_series_known_value_and_brute_partial_sums():
@@ -365,7 +365,7 @@ def test_abel_series_known_value_and_brute_partial_sums():
     chi = build_character_group(4).character_by_index(1)
     vals = chi.values_real()
     atoms = [(1.0, 0.0)]
-    value, n_terms, bound = character_series(vals, _harmonic_fold, 1.0, 2e-12, 64, 2**20, atoms)
+    value, n_terms, bound = character_series(vals, _harmonic_table, 1.0, 2e-12, 64, 2**20, atoms)
     assert n_terms >= 64 and bound <= 1e-12
     assert abs(value - math.pi / 4) <= bound + 1e-15
 
@@ -380,7 +380,7 @@ def test_abel_series_known_value_and_brute_partial_sums():
 
     vals = real_primitive_character(5).values_real()
     value, n_terms, bound = character_series(
-        vals, coefficient_fold(coeffs), 1.0, 2e-12, 40, 2**20, atoms
+        vals, coefficient_fold(coeffs, atoms), 1.0, 2e-12, 40, 2**20, atoms
     )
     n = np.arange(1, 2 * 10**6 + 1)
     brute = float((vals[n % 5] * coeffs(len(n))).sum())
@@ -392,12 +392,12 @@ def test_abel_series_explicit_terms_and_cap():
     vals = real_primitive_character(-163).values_real()
     atoms = [(1.0, 0.0)]
     _, n_terms, _ = character_series(
-        vals, _harmonic_fold, 1.0, 1e-30, 1000, 2**22, atoms, terms=777
+        vals, _harmonic_table, 1.0, 1e-30, 1000, 2**22, atoms, terms=777
     )
     assert n_terms == 777  # fixed N, even though the bound misses the target
-    _, n_terms, bound = character_series(vals, _harmonic_fold, 1.0, 1e-30, 1000, 5000, atoms)
+    _, n_terms, bound = character_series(vals, _harmonic_table, 1.0, 1e-30, 1000, 5000, atoms)
     assert n_terms == 5000 and bound > 1e-30  # the N the bound asks for, clamped
-    _, n_terms, _ = character_series(vals, _harmonic_fold, 1.0, 1e-30, 1000, 600, atoms)
+    _, n_terms, _ = character_series(vals, _harmonic_table, 1.0, 1e-30, 1000, 600, atoms)
     assert n_terms == 600  # a start above the cap is clamped too
 
 
@@ -415,22 +415,22 @@ def test_periodic_atoms_are_unit_atoms_over_the_twisted_period():
         return w[n % 3] / n
 
     value, n_terms, bound = character_series(
-        vals, coefficient_fold(coeffs), 2.0, 1e-12, 40, 2**20, [(w, 0.0)]
+        vals, coefficient_fold(coeffs, [(w, 0.0)]), 2.0, 1e-12, 40, 2**20, [(w, 0.0)]
     )
     ref, ref_terms, ref_bound = character_series(
-        twisted, _harmonic_fold, 2.0, 1e-12, 40, 2**20, [(1.0, 0.0)]
+        twisted, _harmonic_table, 2.0, 1e-12, 40, 2**20, [(1.0, 0.0)]
     )
     assert (n_terms, bound) == (ref_terms, ref_bound)
     assert abs(value - ref) <= 1e-15
+    mixed_atoms = [(w, 0.0), (-0.5, 0.0)]
     mixed, _, mixed_bound = character_series(
-        vals, coefficient_fold(lambda count: coeffs(count) - 0.5 * _harmonic(count)),
-        2.0, 1e-12, 40, 2**20,
-        [(w, 0.0), (-0.5, 0.0)], terms=n_terms,
+        vals, coefficient_fold(lambda count: coeffs(count) - 0.5 * _harmonic(count), mixed_atoms),
+        2.0, 1e-12, 40, 2**20, mixed_atoms, terms=n_terms,
     )
+    scalar_atoms = [(-0.5, 0.0)]
     scalar, _, scalar_bound = character_series(
-        vals, coefficient_fold(lambda count: -0.5 * _harmonic(count)), 2.0, 1e-12, 40, 2**20,
-        [(-0.5, 0.0)],
-        terms=n_terms,
+        vals, coefficient_fold(lambda count: -0.5 * _harmonic(count), scalar_atoms),
+        2.0, 1e-12, 40, 2**20, scalar_atoms, terms=n_terms,
     )
     assert abs(mixed - (value + scalar)) <= 1e-15
     assert mixed_bound == pytest.approx(bound + scalar_bound, rel=1e-15)
@@ -446,15 +446,18 @@ def test_twisted_period_ceiling(monkeypatch):
     vals = real_primitive_character(1009).values_real()
     with monkeypatch.context() as patch:
         patch.setattr(analytic, "PeriodicSums", no_sums)
+        atoms = [(np.zeros(997), 0.0)]
         with pytest.raises(ValueError, match=r"lcm\(1009, 997\) = 1005973 exceed"):
-            character_series(vals, _harmonic_fold, 1.0, 1e-8, 40, 2**20, [(np.zeros(997), 0.0)])
+            character_series(vals, coefficient_fold(_harmonic, atoms), 1.0, 1e-8, 40, 2**20, atoms)
     # the boundary itself, under a ceiling of 15: lcm(5, 3) passes, lcm(5, 4) does not
     monkeypatch.setattr(analytic, "MODULUS_CEILING", 15)
     vals = real_primitive_character(5).values_real()
-    value, _, _ = character_series(vals, _harmonic_fold, 1.0, 1e-8, 40, 2**20, [(np.ones(3), 0.0)])
+    atoms = [(np.ones(3), 0.0)]  # w = 1: the atom is 1/n, as the coefficients are
+    value, _, _ = character_series(vals, coefficient_fold(_harmonic, atoms), 1.0, 1e-8, 40, 2**20, atoms)
     assert math.isfinite(value.real)
+    atoms = [(np.ones(4), 0.0)]
     with pytest.raises(ValueError, match="= 20 exceed the modulus ceiling 15"):
-        character_series(vals, _harmonic_fold, 1.0, 1e-8, 40, 2**20, [(np.ones(4), 0.0)])
+        character_series(vals, coefficient_fold(_harmonic, atoms), 1.0, 1e-8, 40, 2**20, atoms)
 
 
 def _window_fold(coefficients):
@@ -525,7 +528,8 @@ def test_atoms_plus_remainder_within_bound_of_long_brute_sum():
         return f.closed_form(np.arange(1, count + 1), "cos")
 
     value, n_terms, bound = character_series(
-        vals, coefficient_fold(coeffs), prefactor, 1e-9, 40, 10**6, f.atoms_for("cos"), (c, p)
+        vals, coefficient_fold(coeffs, f.atoms_for("cos")), prefactor, 1e-9, 40, 10**6, f.atoms_for("cos"),
+        (c, p),
     )
     # the remainder bound alone meets half the target
     weight = 2 * partial_sum_bound(5) * c * prefactor
@@ -565,6 +569,15 @@ def test_envelope_series_choice_of_n():
 def test_periodic_sums_rejects_nonzero_mean():
     with pytest.raises(ValueError):
         PeriodicSums(np.array([1.0, 1.0, 0.0]))
+
+
+def test_character_series_rejects_atoms_over_a_nonzero_mean():
+    # the principal character mod 5 sums to 4 over a period, so the constant
+    # that each class sum of the atoms' kernel drops would not cancel
+    vals = build_character_group(5).character_by_index(0).values_real()
+    atoms = [(1.0, 0.0)]
+    with pytest.raises(ValueError, match="mean zero"):
+        character_series(vals, coefficient_fold(_harmonic, atoms), 1.0, 1e-8, 40, 2**20, atoms)
 
 
 def test_partial_sum_bound_monotone():

@@ -123,15 +123,23 @@ def test_full_group_rejected_above_desk_scale_before_any_table(monkeypatch):
 
 def test_a_second_modulus_frees_the_first_group():
     # a group near the ceiling holds up to 0.8 GB of tables, so only the last
-    # group, and the last real primitive character, are cached
-    group = build_character_group(211)
-    chi = real_primitive_character(-211)
-    refs = [weakref.ref(group), weakref.ref(chi)]
-    del group, chi
-    build_character_group(223)
-    real_primitive_character(-223)
-    gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    # group, and the last real primitive character, are cached, and a
+    # replaced group is freed at once, not at the next full collection: its
+    # characters' group fields and its character cache form a cycle, which
+    # the replacement breaks
+    gc.disable()
+    try:
+        group = build_character_group(211)
+        chi = real_primitive_character(-211)
+        tau(group.character_by_index(1))
+        assert group.character_by_index(1).group is group
+        refs = [weakref.ref(group), weakref.ref(chi)]
+        del group, chi
+        build_character_group(223)
+        real_primitive_character(-223)
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_a_replaced_real_character_frees_its_group_without_a_collection():

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from charsum import fourier, quadrature
+from charsum import analytic, fourier, quadrature
 from charsum.analytic import (TERMS_CEILING, _pairwise_depth, character_series, head_rounding_bound,
                               reciprocal_tail, residue_fold)
 from charsum.characters import CharacterGroup, build_character_group, real_primitive_character
@@ -303,6 +303,28 @@ def test_quadrature_backed_spec_through_verify(odd3):
     assert chk.series.quadrature_budget > 0.0
 
 
+def test_weighted_atoms_over_a_nonzero_twisted_mean_are_rejected(monkeypatch):
+    # the even real chi mod 5 twisted by its own table sums to 4 over the
+    # period 5, so the constant that each class sum of the atoms' kernel
+    # drops would not cancel: the row is refused before any coefficient
+    # array is built
+    chi = real_primitive_character(5)
+    f = FunctionSpec(
+        name="twisted#mean",
+        evaluator=lambda t: t,
+        variation_class=VariationClass.PIECEWISE_SMOOTH,
+        atoms=(("cos", ((chi.values_real(), 0.0),)),),
+    )
+
+    def no_coefficients(*args, **kwargs):
+        raise AssertionError("no coefficient array may be built")
+
+    monkeypatch.setattr(fourier, "cached_coefficients", no_coefficients)
+    with pytest.raises(ValueError, match="mean zero"):
+        theorem_series(chi, f, 1e-8)
+    assert f not in fourier._modulus_cache
+
+
 def test_cesaro_series_decay(odd4):
     # log's sine side without its atoms is a singular class without atoms
     f = log_without_atoms()
@@ -332,9 +354,9 @@ def test_cesaro_window_fold_is_the_old_engine_fold():
             upper *= np.arange(n_terms, 0, -1)
             upper /= n_terms + 1
             old = residue_fold(terms[1 : length + 1], m)
-            folded = fourier._window_fold(f, kind, m, n_terms)
+            folded = fourier.series_table(f, kind, m, n_terms)
             assert folded.tobytes() == old.tobytes(), (m, n_terms, kind)
-            assert set(fourier._modulus_cache[f][1]) >= {(kind, n_terms, "cesaro")}
+            assert set(fourier._modulus_cache[f][1]) >= {(kind, n_terms)}
 
 
 def test_cesaro_window_takes_half_the_cap(odd4, monkeypatch):
@@ -352,14 +374,14 @@ def test_cesaro_window_takes_half_the_cap(odd4, monkeypatch):
     sev = theorem_series(odd4, f, 1e-30)
     assert (sev.terms_used, sev.tail_method, sev.best_effort) == (2500, "cesaro", True)
     assert folds == [(4, 5000)]
-    assert set(fourier._modulus_cache[f][1]) == {("sin", 2500, "cesaro")}  # a real chi: no transform
+    assert set(fourier._modulus_cache[f][1]) == {("sin", 2500)}  # a real chi: no transform
     # a complex chi reads its head from the transform of the same window fold
     chi = build_character_group(5).character_by_index(1)
     assert chi.is_odd and not chi.is_real
     sev = theorem_series(chi, f, 1e-30)
     assert (sev.terms_used, sev.tail_method, sev.best_effort) == (2500, "cesaro", True)
     assert folds == [(4, 5000), (5, 5000)]
-    assert set(fourier._modulus_cache[f][1]) == {("sin", 2500, "cesaro"), ("sin", 2500, "transform")}
+    assert set(fourier._modulus_cache[f][1]) == {("sin", 2500), ("sin", 2500, "transform")}
 
 
 def test_cesaro_window_at_one_term(odd4):
@@ -628,27 +650,26 @@ def test_fstar_cache_keeps_recent_moduli_only():
 def test_fold_cache_keeps_recent_moduli_only():
     t2 = dataclasses.replace(builtin_function("t2"), name="t2#moduli")
     for m in range(3, 20):
-        folded = fourier.cached_fold(t2, "sin", m, 64)
+        folded = fourier.series_table(t2, "sin", m, 64)
         assert fourier._modulus_cache[t2][0] == m  # only the modulus in use is held
         assert set(fourier._modulus_cache[t2][1]) == {("sin", 64)}
-    assert fourier.cached_fold(t2, "sin", 19, 64) is folded
-    # the f* table and the folds of one modulus share its tables
+    assert fourier.series_table(t2, "sin", 19, 64) is folded
+    # the f* table and the series tables of one modulus share its tables
     table = fourier._fstar_values(t2, 19)
     assert set(fourier._modulus_cache[t2][1]) == {"fstar", ("sin", 64)}
     old = [weakref.ref(table), weakref.ref(folded)]
     del table, folded
-    fourier.cached_fold(t2, "sin", 20, 64)
+    fourier.series_table(t2, "sin", 20, 64)
     gc.collect()
     assert [ref() for ref in old] == [None, None]
 
 
 def test_group_folds_the_coefficients_once_per_n(monkeypatch):
     # every character of one group with one spec reaches the coefficients
-    # through one fold per (kind, q, N), the atoms' tail through one kernel
-    # per (kind, q, N), and its complex rows through one transform per table:
-    # the f* table and one W = fold + kernel per (kind, N).  A second pass
-    # folds, sums and transforms nothing, and a new modulus frees the
-    # transforms
+    # and the atoms' tail through one W = fold + kernel per (kind, q, N)
+    # (series_table), and its complex rows through one transform per table:
+    # the f* table and each W.  A second pass folds, sums and transforms
+    # nothing, and a new modulus frees the transforms
     log = builtin_function("log")
     fourier._modulus_cache.pop(log, None)
     folds, kernels, transforms = [], [], []
@@ -667,8 +688,8 @@ def test_group_folds_the_coefficients_once_per_n(monkeypatch):
         transforms.append((group.modulus, conjugate))
         return transform(group, h, conjugate)
 
-    monkeypatch.setattr(fourier, "residue_fold", counted)
-    monkeypatch.setattr(fourier, "reciprocal_tail", counted_tail)
+    monkeypatch.setattr(analytic, "residue_fold", counted)
+    monkeypatch.setattr(analytic, "reciprocal_tail", counted_tail)
     monkeypatch.setattr(CharacterGroup, "transform", counted_transform)
     group = build_character_group(13)
     characters = group.primitive_characters()
@@ -696,27 +717,29 @@ def test_group_folds_the_coefficients_once_per_n(monkeypatch):
 
 
 def test_kernel_cache_keeps_the_modulus_in_use_only():
+    # the atoms' kernel is held inside W, one read-only table per (kind, N)
     t = dataclasses.replace(builtin_function("t"), name="t#kernel")
-    kernel = fourier.cached_tail(t, "sin", 7, 56)
-    assert fourier.cached_tail(t, "sin", 7, 56) is kernel and not kernel.flags.writeable
-    assert set(fourier._modulus_cache[t][1]) == {("sin", 56, "tail")}
-    assert np.array_equal(kernel, reciprocal_tail(t.atoms_for("sin"), 7, 56))
-    old = weakref.ref(kernel)
-    del kernel
-    fourier.cached_tail(t, "sin", 11, 88)
+    table = fourier.series_table(t, "sin", 7, 56)
+    assert fourier.series_table(t, "sin", 7, 56) is table and not table.flags.writeable
+    assert set(fourier._modulus_cache[t][1]) == {("sin", 56)}
+    fold = residue_fold(fourier.cached_coefficients(t, "sin", 56), 7)
+    assert table.tobytes() == (fold + reciprocal_tail(t.atoms_for("sin"), 7, 56)).tobytes()
+    old = weakref.ref(table)
+    del table
+    fourier.series_table(t, "sin", 11, 88)
     gc.collect()
     assert old() is None
 
 
 def test_fold_cache_holds_no_coefficient_array():
     t2 = dataclasses.replace(builtin_function("t2"), name="t2#fold")
-    folded = fourier.cached_fold(t2, "sin", 7, 5000)
+    folded = fourier.series_table(t2, "sin", 7, 5000)
     coeffs = weakref.ref(fourier._coeff_cache[t2]["sin"])
     assert not np.shares_memory(folded, coeffs())
     fourier._coeff_cache.pop(t2)
     gc.collect()
     assert coeffs() is None  # nothing but the coefficient cache held the array
-    assert fourier.cached_fold(t2, "sin", 7, 5000) is folded
+    assert fourier.series_table(t2, "sin", 7, 5000) is folded
 
 
 def test_coefficients_beyond_the_retained_length_are_not_kept():
@@ -784,7 +807,7 @@ def test_transform_bound_covers_40_digit_sums(q):
     t, log = builtin_function("t"), builtin_function("log")
     fstar_table = np.append(0.0, fourier._fstar_values(t, q))
     n_terms = 8 * q
-    head_table = fourier.cached_fold(log, "cos", q, n_terms) + fourier.cached_tail(log, "cos", q, n_terms)
+    head_table = fourier.series_table(log, "cos", q, n_terms)
     for h, conjugate in ((fstar_table, False), (head_table, True)):
         bound = transform_bound(group, h)
         sums = group.transform(h, conjugate=conjugate)
@@ -802,18 +825,15 @@ def one_character_series(chi, f, target):
     character at a time: the oracle of the group route."""
     kind = "cos" if chi.is_even else "sin"
     atoms = f.atoms_for(kind)
-    windowed = not atoms and f.variation_class in fourier._WINDOW_CLASSES
     tau_value = tau(chi)
     prefactor = 2.0 * tau_value if chi.is_even else -2.0j * tau_value
     cap = TERMS_CEILING if f.closed_form is not None else fourier._QUADRATURE_TERMS_CAP
-    fold = partial(fourier.cached_fold, f, kind)
-    if windowed:
+    if fourier._windowed(f, kind):
         cap //= 2
-        fold = partial(fourier._window_fold, f, kind)
     start = max(fourier._MIN_TERMS, 8 * chi.modulus) if atoms else fourier._MIN_TERMS
     value, n_terms, tail = character_series(
-        np.conj(chi.values()), fold, prefactor, target, start, cap, atoms,
-        fourier._envelope(f, kind), None, partial(fourier.cached_tail, f, kind),
+        np.conj(chi.values()), partial(fourier.series_table, f, kind), prefactor, target, start, cap,
+        atoms, fourier._envelope(f, kind),
     )
     return prefactor, value, n_terms, tail
 
@@ -851,8 +871,7 @@ def test_group_route_within_transform_bound_of_the_oracle(q):
             kind = "cos" if chi.is_even else "sin"
             head_table = fourier._modulus_cache[f][1][kind, n_terms, "transform"]
             assert head_table.shape == (group.phi,)
-            w = fourier._series_fold(f, kind, q, n_terms, f.atoms_for(kind),
-                                     not f.atoms_for(kind) and f.variation_class in fourier._WINDOW_CLASSES)
+            w = fourier.series_table(f, kind, q, n_terms)
             head = abs(value / prefactor)
             rhs_allowed = abs(prefactor) * (
                 transform_bound(group, w) + math.sqrt(2.0) * one_character_dot_bound(q, w)

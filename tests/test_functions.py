@@ -541,9 +541,12 @@ def test_exp_atom_per_side_is_its_conjugate_pair():
                 assert one.tobytes() == reciprocal_tail(pair, m, n_terms).tobytes(), (kind, m, n_terms)
     for d, kind in ((5, "cos"), (-163, "sin")):
         vals = real_primitive_character(d).values_real()
-        fold = coefficient_fold(lambda count: f.closed_form(np.arange(1, count + 1), kind))
-        one = character_series(vals, fold, 1.0, 1e-12, 40, 10**6, f.atoms_for(kind))
-        assert one == character_series(vals, fold, 1.0, 1e-12, 40, 10**6, pairs[kind]), kind
+        def coeffs(count):
+            return f.closed_form(np.arange(1, count + 1), kind)
+
+        one, two = (character_series(vals, coefficient_fold(coeffs, atoms), 1.0, 1e-12, 40, 10**6, atoms)
+                    for atoms in (f.atoms_for(kind), pairs[kind]))
+        assert one == two, kind
 
 
 def test_power_atoms_validated_at_construction():
